@@ -27,7 +27,6 @@ from .params import (
 from .diagram import (
     Diagram,
     Factorization,
-    empty,
     factorize,
     identity,
     is_member,
@@ -53,7 +52,6 @@ from .msmall import (
     CayleyMonoid,
     MElem,
     WreathElem,
-    count_types,
     generalized_conjugacy_classes,
     greens_cells_bruteforce,
     m_cell_structure,
@@ -78,6 +76,7 @@ from .repcount import (
     FieldSpec,
     SimpleCountQuery,
     count_simples,
+    count_types,
     deligne_parameters,
     dim_left_cell,
     m_of_k,

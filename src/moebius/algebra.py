@@ -81,15 +81,6 @@ class LinComb:
         return [[render_diagram(d), format_rational(c)] for d, c in self.terms]
 
 
-def lincomb_add(x: LinComb, y: LinComb) -> LinComb:
-    if (x.n, x.m) != (y.n, y.m):
-        raise PreconditionError("boundary mismatch in addition")
-    acc = dict(x.terms)
-    for d, c in y.terms:
-        acc[d] = acc.get(d, Fraction(0)) + c
-    return LinComb.make(x.n, x.m, acc)
-
-
 def lincomb_scale(x: LinComb, c) -> LinComb:
     c = Fraction(c)
     return LinComb.make(x.n, x.m, {d: c * v for d, v in x.terms})

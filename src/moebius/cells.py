@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,10 +28,19 @@ from .diagram import (
     star,
     through_strands,
 )
-from .errors import InternalCheckError, ParseError, PreconditionError
-from .families import Family, check_lambda
-from .msmall import WreathElem, wreath_elements, wreath_mul
+from .errors import InternalCheckError, ParseError, PreconditionError, ResourceGuardError
+from .families import Family, admissible_lambdas, check_lambda
+from .msmall import (
+    CayleyMonoid,
+    WreathElem,
+    _membership,
+    greens_cells_bruteforce,
+    wreath_elements,
+    wreath_mul,
+    wreath_order,
+)
 from .params import MonoidParams, ParamSet
+from .repcount import dim_left_cell
 
 
 @dataclass(frozen=True)
@@ -160,8 +170,16 @@ def _cache_store(cache_dir: str, f: Family, n: int, lam: int, K: int, halves) ->
         "halves": literals,
         "checksum": _cache_checksum(literals),
     }
-    with open(_cache_path(cache_dir, f, n, lam, K), "w") as fh:
-        json.dump(payload, fh)
+    # write beside the target and rename over it, so a reader never sees
+    # a half-written file and a failed write leaves the old one in place
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, _cache_path(cache_dir, f, n, lam, K))
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _cache_load(cache_dir: str, f: Family, n: int, lam: int, K: int):
@@ -236,6 +254,11 @@ def build_jcell(f: Family, n: int, lambda_ts: int, mp: MonoidParams) -> list[Dia
     return out
 
 
+def jcell_size(f: Family, n: int, lambda_ts: int, mp: MonoidParams) -> int:
+    """len(build_jcell(f, n, lambda_ts, mp)), without building it."""
+    return dim_left_cell(f, n, lambda_ts, mp.K) ** 2 * wreath_order(mp, lambda_ts, f.planar)
+
+
 def find_strict_idempotent(
     jcell: list[Diagram], ps: ParamSet
 ) -> tuple[Diagram, Fraction] | None:
@@ -294,41 +317,23 @@ def apex_set(f: Family, n: int, zero_pattern: ZeroPattern) -> ApexSet:
 
 
 def enumerate_family_monoid(f: Family, n: int, mp: MonoidParams) -> list[Diagram]:
-    """All decorated (n, n)-diagrams of the family, handle counts below K."""
-    ids = list(range(1, n + 1)) + list(range(-1, -n - 1, -1))
-    out = []
-    for part in _set_partitions(ids):
-        shape = Diagram.make(n, n, [(tuple(b), 0, 0) for b in part])
-        if not is_member(shape, f):
-            continue
-        out.extend(_decorate_all(shape, mp.K))
+    """All decorated (n, n)-diagrams of the family, handle counts below K:
+    the union of its J-cells, one per admissible through-strand count."""
+    out = [d for lam in admissible_lambdas(f, n) for d in build_jcell(f, n, lam, mp)]
     out.sort(key=Diagram.sort_key)
     return out
-
-
-def _decorate_all(shape: Diagram, K: int):
-    decos = [(h, mob) for h in range(K) for mob in range(3)]
-    slots = range(len(shape.blocks))
-    for assignment in itertools.product(decos, repeat=len(shape.blocks)):
-        blocks = [
-            (shape.blocks[i][0],) + assignment[i] for i in slots
-        ]
-        yield Diagram.make(shape.n, shape.m, blocks)
 
 
 def family_monoid_cayley(f: Family, n: int, mp: MonoidParams):
     """Cayley table of the decorated monoid with all evaluations 1.
 
-    Returns (elements, CayleyMonoid).  Guarded by the Green's size limit.
+    Returns (elements, CayleyMonoid).  Guarded by the Green's size limit,
+    checked before anything is enumerated.
     """
-    from .msmall import CayleyMonoid
-    from .errors import ResourceGuardError
-
+    size = sum(jcell_size(f, n, lam, mp) for lam in admissible_lambdas(f, n))
+    if size > 5000:
+        raise ResourceGuardError(f"decorated monoid has {size} elements; guard is 5000")
     elements = enumerate_family_monoid(f, n, mp)
-    if len(elements) > 5000:
-        raise ResourceGuardError(
-            f"decorated monoid has {len(elements)} elements; guard is 5000"
-        )
     evals = algebra.all_ones_evals(mp)
     mono = CayleyMonoid.from_op(
         elements, lambda x, y: algebra.monoid_compose(x, y, mp, evals)
@@ -347,9 +352,6 @@ def predicted_cells(elements: list[Diagram], f: Family, mp: MonoidParams):
     middle's H-class all agree.  Returns predicted (L, R, J, H) index
     partitions in the same format as greens_cells_bruteforce.
     """
-    from .msmall import greens_cells_bruteforce as greens
-    from .msmall import CayleyMonoid, wreath_mul
-
     lambdas = sorted({through_strands(d) for d in elements})
     middle_class: dict[int, tuple] = {}
     facts = {}
@@ -358,21 +360,11 @@ def predicted_cells(elements: list[Diagram], f: Family, mp: MonoidParams):
     for lam in lambdas:
         mids = list(wreath_elements(mp, lam, planar=f.planar))
         mono = CayleyMonoid.from_op(mids, lambda x, y: wreath_mul(x, y, mp))
-        cells = greens(mono)
+        cells = greens_cells_bruteforce(mono)
         index = {m: i for i, m in enumerate(mids)}
-
-        def class_map(partition):
-            out = {}
-            for ci, cell in enumerate(partition):
-                for v in cell:
-                    out[v] = ci
-            return out
-
         l_of, r_of, j_of, h_of = (
-            class_map(cells.l_cells),
-            class_map(cells.r_cells),
-            class_map(cells.j_cells),
-            class_map(cells.h_cells),
+            _membership(part, len(mids))
+            for part in (cells.l_cells, cells.r_cells, cells.j_cells, cells.h_cells)
         )
         for idx, d in enumerate(elements):
             if through_strands(d) != lam:

@@ -143,14 +143,18 @@ DIMS_GUARD = 2_000_000
 def cmd_dims(args, t0):
     fam = family_from_name(args.family)
     cache = _cache_dir(args)
-    table = {}
-    for lam in admissible_lambdas(fam, args.n):
-        val = repcount.dim_left_cell(fam, args.n, lam, args.K, check=False)
-        if args.check:
+    dims = {
+        lam: repcount.dim_left_cell(fam, args.n, lam, args.K)
+        for lam in admissible_lambdas(fam, args.n)
+    }
+    if args.check:
+        # every guard check precedes the first enumeration
+        for val in dims.values():
             if val > DIMS_GUARD:
                 raise ResourceGuardError(
                     f"enumeration of {val} halves exceeds the guard {DIMS_GUARD}"
                 )
+        for lam, val in dims.items():
             enum = len(
                 cells.enumerate_half_diagrams(fam, args.n, lam, args.K, cache_dir=cache)
             )
@@ -158,7 +162,7 @@ def cmd_dims(args, t0):
                 raise InternalCheckError(
                     f"closed form {val} != enumeration {enum} at lambda={lam}"
                 )
-        table[str(lam)] = val
+    table = {str(lam): val for lam, val in dims.items()}
     if args.output == "csv":
         for lam, val in table.items():
             sys.stdout.write(f"{lam},{val}\n")
@@ -212,15 +216,9 @@ def cmd_idempotents(args, t0):
     mp = monoid_params_of(ps)
     report = {}
     for lam in admissible_lambdas(fam, args.n):
-        size = repcount.dim_left_cell(fam, args.n, lam, mp.K)
-        middles = (3 * mp.K) ** lam
-        if not fam.planar:
-            for i in range(2, lam + 1):
-                middles *= i
-        if size * size * middles > IDEMPOTENT_GUARD:
-            raise ResourceGuardError(
-                f"J-cell at lambda={lam} has {size * size * middles} elements"
-            )
+        size = cells.jcell_size(fam, args.n, lam, mp)
+        if size > IDEMPOTENT_GUARD:
+            raise ResourceGuardError(f"J-cell at lambda={lam} has {size} elements")
         jcell = cells.build_jcell(fam, args.n, lam, mp)
         found = cells.find_strict_idempotent(jcell, ps)
         report[str(lam)] = (
@@ -268,9 +266,7 @@ WREATH_TYPES_GUARD = 500_000
 def cmd_wreath_types(args, t0):
     mp = MonoidParams(args.K, args.r)
     lam = args.lam
-    total = (3 * mp.K) ** lam
-    for i in range(2, lam + 1):
-        total *= i
+    total = msmall.wreath_order(mp, lam)
     if total > WREATH_TYPES_GUARD:
         raise ResourceGuardError(f"wreath product has {total} elements")
     classes = msmall.m_conjugacy_classes(mp)

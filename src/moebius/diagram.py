@@ -83,10 +83,6 @@ def identity(n: int) -> Diagram:
     return Diagram.make(n, n, [((i, -i), 0, 0) for i in range(1, n + 1)])
 
 
-def empty() -> Diagram:
-    return Diagram.make(0, 0, [])
-
-
 # ---------------------------------------------------------------------------
 # literal grammar:  n;m;{1,2'}[h,mob]|{...}[h,mob]|...
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from . import algebra
 from .cells import HalfDiagram, enumerate_half_diagrams
@@ -47,8 +47,6 @@ class GramMatrix:
 class RankReport:
     rank: int
     det: Rat | None = None
-    condition_holds: bool | None = None
-    closed_form_prediction: int | None = None
 
 
 def gram_entry(
@@ -121,12 +119,10 @@ def exact_rank(mat) -> RankReport:
     work: list[list[int]] = []
     for r in rows:
         fracs = [Fraction(x) for x in r]
-        lcm = 1
-        for x in fracs:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+        scale = lcm(*(x.denominator for x in fracs))
         if square:
-            det_scale *= lcm
-        work.append([int(x * lcm) for x in fracs])
+            det_scale *= scale
+        work.append([int(x * scale) for x in fracs])
 
     sign = 1
     prev = 1
@@ -166,12 +162,6 @@ def exact_rank(mat) -> RankReport:
         else:
             det = Fraction(sign * prev) / det_scale
     return RankReport(rank=rank, det=det)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _find_pivot(work, step, nrows, ncols):

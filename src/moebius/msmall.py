@@ -8,11 +8,12 @@ Elements of M are written a^i b^j with 0 <= i < K and 0 <= j <= 2;
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ResourceGuardError
 from .params import MonoidParams, handle_reduce_monoid
-from .repcount import partition_count
+from .repcount import count_types  # noqa: F401  (callers use msmall.count_types)
 
 CONJUGACY_GUARD = 300
 WREATH_BRUTE_LAMBDA = 2
@@ -98,17 +99,6 @@ class CayleyMonoid:
                 ident = i
                 break
         return cls(elements, table, ident)
-
-    def spot_check_associative(self, samples: int = 200, seed: int = 0) -> bool:
-        import random
-
-        rng = random.Random(seed)
-        n = self.size
-        for _ in range(samples):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
-                return False
-        return True
 
 
 def cayley_of_m(mp: MonoidParams) -> CayleyMonoid:
@@ -437,6 +427,11 @@ def wreath_elements(mp: MonoidParams, lam: int, planar: bool = False):
             yield WreathElem(strands, perm)
 
 
+def wreath_order(mp: MonoidParams, lam: int, planar: bool = False) -> int:
+    """|M^lam| (planar) or |M wr S_lam|, without enumerating."""
+    return (3 * mp.K) ** lam * (1 if planar else math.factorial(lam))
+
+
 def wreath_cayley(mp: MonoidParams, lam: int, planar: bool = False) -> CayleyMonoid:
     if not planar and (lam > WREATH_BRUTE_LAMBDA or 3 * mp.K > WREATH_BRUTE_MSIZE):
         raise ResourceGuardError(
@@ -499,19 +494,3 @@ def m_conjugacy_classes(mp: MonoidParams) -> list[list[MElem]]:
         for cls in generalized_conjugacy_classes(mono)
     ]
 
-
-def count_types(lambda_ts: int, class_count: int) -> int:
-    """Number of type matrices: sum over class_count-tuples with total
-    lambda_ts of products of partition numbers."""
-    if lambda_ts < 0 or class_count < 0:
-        raise PreconditionError("arguments must be nonnegative")
-    acc = [1] + [0] * lambda_ts
-    base = [partition_count(j) for j in range(lambda_ts + 1)]
-    for _ in range(class_count):
-        nxt = [0] * (lambda_ts + 1)
-        for i, av in enumerate(acc):
-            if av:
-                for j in range(lambda_ts + 1 - i):
-                    nxt[i + j] += av * base[j]
-        acc = nxt
-    return acc[lambda_ts]

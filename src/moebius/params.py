@@ -78,12 +78,13 @@ def format_rational(x: Rat) -> str:
 _KINDS = ("alpha", "beta", "gamma")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamSet:
     """Validated evaluation data; construct via validate_params.
 
-    The series caches extend lazily under a lock, so concurrent readers
-    see the same deterministic values.  Everything else is immutable.
+    A hashable value.  The series caches extend lazily under a lock, so
+    concurrent readers see the same deterministic values; they take no
+    part in equality or hashing.
     """
 
     p_alpha: tuple[Rat, ...]
@@ -94,8 +95,10 @@ class ParamSet:
     M_deg: int
     K: int
     handle_coeffs: tuple[Rat, ...]  # (a_1, ..., a_M)
-    _cache: dict = field(default_factory=lambda: {k: [] for k in _KINDS}, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _cache: dict = field(
+        default_factory=lambda: {k: [] for k in _KINDS}, repr=False, compare=False
+    )
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def numerator(self, kind: str) -> tuple[Rat, ...]:
         return {"alpha": self.p_alpha, "beta": self.p_beta, "gamma": self.p_gamma}[kind]
@@ -141,15 +144,6 @@ def params_from_json(text: str) -> ParamSet:
     return validate_params(*polys)
 
 
-def params_to_json(ps: ParamSet) -> dict:
-    return {
-        "p_alpha": [format_rational(c) for c in ps.p_alpha],
-        "p_beta": [format_rational(c) for c in ps.p_beta],
-        "p_gamma": [format_rational(c) for c in ps.p_gamma],
-        "q": [format_rational(c) for c in ps.q],
-    }
-
-
 def series_coeff(ps: ParamSet, kind: str, k: int) -> Rat:
     """k-th Taylor coefficient of p_kind/q at 0, by the division recurrence.
 
@@ -173,10 +167,6 @@ def series_coeff(ps: ParamSet, kind: str, k: int) -> Rat:
                     z += (-1) ** (i + 1) * ai * cache[j - i]
             cache.append(z)
     return cache[k]
-
-
-def all_series_zero(ps: ParamSet) -> bool:
-    return not (ps.p_alpha or ps.p_beta or ps.p_gamma)
 
 
 # ---------------------------------------------------------------------------

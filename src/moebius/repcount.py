@@ -83,6 +83,23 @@ def partition_count(n: int) -> int:
     return total
 
 
+def count_types(lambda_ts: int, class_count: int) -> int:
+    """Number of type matrices: sum over class_count-tuples with total
+    lambda_ts of products of partition numbers."""
+    if lambda_ts < 0 or class_count < 0:
+        raise PreconditionError("arguments must be nonnegative")
+    acc = [1] + [0] * lambda_ts
+    base = [partition_count(j) for j in range(lambda_ts + 1)]
+    for _ in range(class_count):
+        nxt = [0] * (lambda_ts + 1)
+        for i, av in enumerate(acc):
+            if av:
+                for j in range(lambda_ts + 1 - i):
+                    nxt[i + j] += av * base[j]
+        acc = nxt
+    return acc[lambda_ts]
+
+
 # ---------------------------------------------------------------------------
 # N_K(k): monic irreducible factors of x^m(k) - 1
 # ---------------------------------------------------------------------------
@@ -180,22 +197,6 @@ class SimpleCount:
     exact: bool  # False = upper bound only (non-planar over a general field)
 
 
-def _tuple_sum_count(parts: list[int], s: int, lam: int) -> int:
-    """Number-weighted count: [x^lam] (sum_j parts[j] x^j)^s by convolution."""
-    acc = [1] + [0] * lam
-    base = parts[: lam + 1] + [0] * max(0, lam + 1 - len(parts))
-    for _ in range(s):
-        nxt = [0] * (lam + 1)
-        for i, a in enumerate(acc):
-            if a == 0:
-                continue
-            for j in range(0, lam + 1 - i):
-                if base[j]:
-                    nxt[i + j] += a * base[j]
-        acc = nxt
-    return acc[lam]
-
-
 def count_simples(q: SimpleCountQuery) -> SimpleCount:
     """Simple modules of apex lambda_ts.
 
@@ -208,9 +209,7 @@ def count_simples(q: SimpleCountQuery) -> SimpleCount:
     s = s_value(q.field, q.r)
     if q.family.planar:
         return SimpleCount(s ** q.lambda_ts, True)
-    parts = [partition_count(j) for j in range(q.lambda_ts + 1)]
-    total = _tuple_sum_count(parts, s, q.lambda_ts)
-    return SimpleCount(total, q.field.kind == "char0-alg-closed")
+    return SimpleCount(count_types(q.lambda_ts, s), q.field.kind == "char0-alg-closed")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Half-diagram enumeration, cell coordinates, Green's cross-checks,
 strict idempotents, apex tables, and the enumeration cache."""
+import itertools
+
 import pytest
 
 from moebius import (
     Family,
     MonoidParams,
     PreconditionError,
+    ResourceGuardError,
     ZeroPattern,
     apex_set,
     cell_of,
@@ -17,9 +20,57 @@ from moebius import (
     star,
     through_strands,
 )
-from moebius.cells import build_jcell, family_monoid_cayley, predicted_cells
-from moebius.diagram import factorize
+from moebius import cells as cells_mod
+from moebius.cells import (
+    build_jcell,
+    enumerate_family_monoid,
+    family_monoid_cayley,
+    jcell_size,
+    predicted_cells,
+)
+from moebius.diagram import Diagram, factorize
+from moebius.families import admissible_lambdas
 from moebius.repcount import dim_left_cell
+
+from conftest import family_shapes
+
+
+def _decorated_monoid_oracle(f: Family, n: int, K: int) -> list[Diagram]:
+    """Every family shape from the Bell(2n) set-partition walk, with every
+    block carrying one of the 3K decorations."""
+    decos = [(h, mob) for h in range(K) for mob in range(3)]
+    out = []
+    for shape in family_shapes(f, n, n):
+        for assignment in itertools.product(decos, repeat=len(shape.blocks)):
+            blocks = [(nodes,) + deco for (nodes, _, _), deco in zip(shape.blocks, assignment)]
+            out.append(Diagram.make(n, n, blocks))
+    out.sort(key=Diagram.sort_key)
+    return out
+
+
+@pytest.mark.parametrize("f", list(Family))
+def test_family_monoid_is_the_union_of_its_jcells(f):
+    # n <= 3 and K <= 2, less the n = 3, K = 2 monoids of the six families
+    # with singleton blocks: those have 1.3e5 to 2.7e5 elements, take half a
+    # minute each in this oracle, and lie far past the Green's guard of 5000
+    for n in range(4):
+        for K in (1, 2):
+            mp = MonoidParams(K, 1)
+            size = sum(jcell_size(f, n, lam, mp) for lam in admissible_lambdas(f, n))
+            if size > 15_000:
+                continue
+            elements = enumerate_family_monoid(f, n, mp)
+            assert elements == _decorated_monoid_oracle(f, n, K), (f, n, K)
+            assert len(elements) == size, (f, n, K)
+
+
+def test_family_monoid_guard_trips_before_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated before the guard")
+
+    monkeypatch.setattr(cells_mod, "enumerate_family_monoid", refuse)
+    with pytest.raises(ResourceGuardError):
+        family_monoid_cayley(Family.PARTITION, 3, MonoidParams(1, 1))
 
 
 def test_enumerate_tl_worked_example():
@@ -206,3 +257,22 @@ def test_enumeration_cache_roundtrip(tmp_path):
     files[0].write_text(json.dumps(payload))
     fourth = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
     assert first == fourth
+
+
+def test_cache_store_failure_keeps_the_old_file(tmp_path, monkeypatch):
+    cache = str(tmp_path)
+    first = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
+    (path,) = tmp_path.iterdir()
+    good = path.read_text()
+
+    def half_dump(payload, fh):
+        fh.write('{"format_version": 1, "hal')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cells_mod.json, "dump", half_dump)
+    with pytest.raises(OSError):
+        cells_mod._cache_store(cache, Family.MOTZKIN, 3, 1, 2, first)
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+    assert path.read_text() == good
+    assert cells_mod._cache_load(cache, Family.MOTZKIN, 3, 1, 2) == first

@@ -77,6 +77,17 @@ def test_exit_codes(capsys, params_file):
     assert code == 4
 
 
+def test_dims_guard_trips_before_enumerating(capsys, monkeypatch):
+    from moebius import cells
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the guard")
+
+    monkeypatch.setattr(cells, "enumerate_half_diagrams", refuse)
+    code, _ = run_cli(capsys, "dims", "--family", "partition", "--n", "12", "--K", "2", "--check")
+    assert code == 4
+
+
 def test_stable_output_is_deterministic(capsys, params_file_201):
     _, out1 = run_cli(capsys, "--stable", "gram", "--family", "rook", "--n", "1",
                       "--lambda", "0", "--params", params_file_201)

@@ -205,6 +205,21 @@ def test_count_types_matches_bruteforce():
         assert len(types) == count_types(lam, len(classes))
 
 
+@pytest.mark.parametrize("K, r", [(1, 1), (2, 1), (3, 1), (3, 3), (4, 3), (5, 3)])
+def test_every_wreath_element_has_a_regular_middle(K, r):
+    # the kernel G wr S_lambda of the apex is a group, so m = (e w e)^-1
+    # always exists: the middle search in the Gram entry never turns a
+    # surviving entry into 0
+    mp = MonoidParams(K, r)
+    for lam in range(3):
+        for planar in (False, True):
+            middles = list(wreath_elements(mp, lam, planar))
+            for w in middles:
+                assert any(
+                    wreath_mul(wreath_mul(m, w, mp), m, mp) == m for m in middles
+                ), (K, r, lam, planar, w)
+
+
 def test_wreath_conjugacy_matches_type_fibers():
     mp = MonoidParams(2, 1)
     classes = m_conjugacy_classes(mp)

@@ -129,6 +129,17 @@ def test_series_cache_thread_smoke():
     assert [results[k] for k in range(40)] == want
 
 
+def test_paramset_is_a_value():
+    a = validate_params([1, 2], [1], [1], [1, -1, -1])
+    b = validate_params([1, 2], [1], [1], [1, -1, -1])
+    series_coeff(a, "alpha", 5)  # a filled cache takes no part in equality
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != validate_params([1, 2], [1], [1], [1, -1])
+    with pytest.raises(AttributeError):
+        a.K = 3
+
+
 @given(st.integers(min_value=0, max_value=200), st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=5))
 def test_handle_reduce_properties(h, half_r, extra):

@@ -63,7 +63,6 @@ from .msmall import (
 from .cells import (
     ApexSet,
     CellCoords,
-    HalfDiagram,
     ZeroPattern,
     apex_set,
     cell_of,

@@ -3,9 +3,10 @@ composition with closed-component evaluation and handle linearization,
 plus the 0/1-valued monoid composition mode.
 
 Composition stacks f on top of g (f o g applies g first): g's top is
-identified with f's bottom, blocks merge by union-find, decorations add
-on merged blocks, and every block without boundary nodes evaluates to a
-series coefficient which multiplies the term.
+identified with f's bottom.  Each component of the stack is a union of
+whole blocks of f and g joined at interface nodes; its decoration is the
+sum of theirs, and every component without boundary nodes evaluates to
+a series coefficient which multiplies the term.
 """
 from __future__ import annotations
 
@@ -116,75 +117,48 @@ def lincomb_tensor(x: LinComb, y: LinComb) -> LinComb:
 def _merge_diagrams(f: Diagram, g: Diagram):
     """Stack f over g.  Returns (open blocks, closed decorations).
 
-    Open blocks are (nodes, h, mob) over the result boundary (g.n bottom,
-    f.m top); closed decorations are (h, mob) pairs of components that
-    lost all boundary nodes.
+    Every component of the stack is a union of whole blocks of g and f,
+    joined where a top node k of g meets the bottom node k of f, so the
+    union-find runs over block indices: g's blocks first, then f's.
+    Decorations add per component.  Open blocks are (nodes, h, mob) over
+    the result boundary (g's bottom nodes v > 0, f's top nodes v < 0);
+    closed decorations are (h, mob) pairs of components that lost all
+    boundary nodes.
     """
     if g.m != f.n:
         raise PreconditionError(
             f"boundary mismatch: cannot stack {f.n}->{f.m} on top of {g.n}->{g.m}"
         )
-    # node ids: result bottom i -> ('b', i); result top j -> ('t', j);
-    # interface k (g top = f bottom) -> ('i', k)
-    parent: dict = {}
+    offset = len(g.blocks)
+    blocks = g.blocks + f.blocks
+    parent = list(range(len(blocks)))
 
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
+    holder = [0] * (g.m + 1)  # interface node k -> the g block holding top k
+    for i, (nodes, _, _) in enumerate(g.blocks):
+        for v in nodes:
+            if v < 0:
+                holder[-v] = i
+    for i, (nodes, _, _) in enumerate(f.blocks, offset):
+        for v in nodes:
+            if v > 0:
+                ri, rj = find(i), find(holder[v])
+                if ri != rj:
+                    parent[rj] = ri
 
-    def add(v):
-        if v not in parent:
-            parent[v] = v
-
-    def g_node(v):
-        return ("b", v) if v > 0 else ("i", -v)
-
-    def f_node(v):
-        return ("i", v) if v > 0 else ("t", -v)
-
-    tagged = []
-    for nodes, h, mob in g.blocks:
-        mapped = [g_node(v) for v in nodes]
-        tagged.append((mapped, h, mob))
-    for nodes, h, mob in f.blocks:
-        mapped = [f_node(v) for v in nodes]
-        tagged.append((mapped, h, mob))
-    for mapped, _, _ in tagged:
-        for v in mapped:
-            add(v)
-        for v in mapped[1:]:
-            union(mapped[0], v)
-
-    dec: dict = {}
-    for mapped, h, mob in tagged:
-        root = find(mapped[0])
-        dh, dm = dec.get(root, (0, 0))
-        dec[root] = (dh + h, dm + mob)
-
-    members: dict = {}
-    for v in parent:
-        members.setdefault(find(v), []).append(v)
-
-    open_blocks = []
-    closed = []
-    for root, vs in members.items():
-        boundary = [v for kind, v in vs if kind == "b"] + [
-            -v for kind, v in vs if kind == "t"
-        ]
-        h, mob = dec[root]
-        if boundary:
-            open_blocks.append((tuple(boundary), h, mob))
-        else:
-            closed.append((h, mob))
+    comps: dict[int, list] = {}  # root -> [boundary nodes, h, mob]
+    for i, (nodes, h, mob) in enumerate(blocks):
+        comp = comps.setdefault(find(i), [[], 0, 0])
+        comp[0].extend(v for v in nodes if (v > 0) == (i < offset))
+        comp[1] += h
+        comp[2] += mob
+    open_blocks = [(tuple(nodes), h, mob) for nodes, h, mob in comps.values() if nodes]
+    closed = [(h, mob) for nodes, h, mob in comps.values() if not nodes]
     return open_blocks, closed
 
 

@@ -1,8 +1,9 @@
 """Sandwich cell machinery: half-diagram enumeration, cell coordinates,
 strict-idempotent search, apex tables, and a JSON enumeration cache.
 
-A half diagram (bottom of a cell) is a diagram n -> lambda whose lambda
-through blocks each contain exactly one top node and are undecorated;
+A half diagram (bottom of a cell) is a plain Diagram n -> lambda, so
+lambda is its top size m; its lambda through blocks each contain exactly
+one top node and are undecorated;
 dead blocks carry one of the 3K decorations.  Left cells of the diagram
 algebra fix the bottom half, right cells fix the top half (the star
 image of a bottom half).
@@ -41,12 +42,6 @@ from .msmall import (
 )
 from .params import MonoidParams, ParamSet
 from .repcount import dim_left_cell
-
-
-@dataclass(frozen=True)
-class HalfDiagram:
-    base: Diagram  # n -> lambda
-    lambda_ts: int
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,7 @@ def _decorate(shape: Diagram, K: int):
 
 def enumerate_half_diagrams(
     f: Family, n: int, lambda_ts: int, K: int, cache_dir: str | None = None
-) -> list[HalfDiagram]:
+) -> list[Diagram]:
     """All half diagrams for the cell (f, n, lambda), deterministic order:
     shapes sorted canonically, decorations in lexicographic order."""
     check_lambda(f, n, lambda_ts)
@@ -133,11 +128,7 @@ def enumerate_half_diagrams(
         cached = _cache_load(cache_dir, f, n, lambda_ts, K)
         if cached is not None:
             return cached
-    out = [
-        HalfDiagram(d, lambda_ts)
-        for shape in _half_shapes(f, n, lambda_ts)
-        for d in _decorate(shape, K)
-    ]
+    out = [d for shape in _half_shapes(f, n, lambda_ts) for d in _decorate(shape, K)]
     if cache_dir is not None:
         _cache_store(cache_dir, f, n, lambda_ts, K, out)
     return out
@@ -160,7 +151,7 @@ def _cache_checksum(literals: list[str]) -> str:
 
 def _cache_store(cache_dir: str, f: Family, n: int, lam: int, K: int, halves) -> None:
     os.makedirs(cache_dir, exist_ok=True)
-    literals = [render_diagram(h.base) for h in halves]
+    literals = [render_diagram(h) for h in halves]
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "family": f.value,
@@ -194,7 +185,7 @@ def _cache_load(cache_dir: str, f: Family, n: int, lam: int, K: int):
         literals = payload["halves"]
         if payload.get("checksum") != _cache_checksum(literals):
             return None  # corruption: regenerate
-        return [HalfDiagram(parse_diagram(lit), lam) for lit in literals]
+        return [parse_diagram(lit) for lit in literals]
     except (OSError, json.JSONDecodeError, KeyError, ParseError):
         return None
 
@@ -213,7 +204,7 @@ def cell_of(d: Diagram, f: Family, mp: MonoidParams) -> CellCoords:
     lam = through_strands(d)
     fact = factorize(d, mp)
     halves = enumerate_half_diagrams(f, d.n, lam, mp.K)
-    index = {h.base: i for i, h in enumerate(halves)}
+    index = {h: i for i, h in enumerate(halves)}
     bottom = fact.bottom
     top_star = star(fact.top)
     try:
@@ -227,16 +218,16 @@ def cell_of(d: Diagram, f: Family, mp: MonoidParams) -> CellCoords:
 # ---------------------------------------------------------------------------
 
 
-def assemble_element(bottom: HalfDiagram, middle: WreathElem, top_star: HalfDiagram) -> Diagram:
-    """The basis diagram star(top_star.base) o middle o bottom.base."""
+def assemble_element(bottom: Diagram, middle: WreathElem, top_star: Diagram) -> Diagram:
+    """The basis diagram star(top_star) o middle o bottom."""
     from .diagram import Factorization, recompose
 
     return recompose(
         Factorization(
-            top=star(top_star.base),
+            top=star(top_star),
             middle=middle,
-            bottom=bottom.base,
-            lambda_ts=bottom.lambda_ts,
+            bottom=bottom,
+            lambda_ts=bottom.m,
         )
     )
 

@@ -306,7 +306,7 @@ def cmd_gram(args, t0):
     ps = _load_params(args.params)
     matrix = gram.gram_matrix(fam, args.n, args.lam, ps, cache_dir=_cache_dir(args))
     if args.order == "mob-grouped":
-        matrix = gram.permute_matrix(matrix, gram.mob_grouped_order(matrix.row_labels))
+        matrix = gram.permute_matrix(matrix, gram.mob_grouped_order(matrix.labels))
     report = gram.exact_rank(matrix)
     condition = None
     prediction = None

@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import comb, lcm
 
 from . import algebra
-from .cells import HalfDiagram, enumerate_half_diagrams
-from .diagram import factorize, star, through_strands
+from .cells import enumerate_half_diagrams
+from .diagram import Diagram, factorize, star, through_strands
 from .errors import PreconditionError, ResourceGuardError
 from .families import Family, check_lambda
 from .msmall import wreath_elements, wreath_mul
@@ -29,6 +29,7 @@ from .params import (
     format_rational,
     monoid_params_of,
 )
+from .repcount import dim_left_cell
 
 SIZE_GUARD = 2000
 
@@ -38,8 +39,7 @@ class GramMatrix:
     family: Family
     n: int
     lambda_ts: int
-    row_labels: tuple[HalfDiagram, ...]
-    col_labels: tuple[HalfDiagram, ...]
+    labels: tuple[Diagram, ...]  # half diagrams; rows are their star images
     entries: tuple[tuple[Rat, ...], ...]
 
 
@@ -50,16 +50,15 @@ class RankReport:
 
 
 def gram_entry(
-    bottom: HalfDiagram, top_star: HalfDiagram, ps: ParamSet, mp: MonoidParams
+    bottom: Diagram, top_star: Diagram, ps: ParamSet, mp: MonoidParams
 ) -> Rat:
     """Entry for the H-cell with the given bottom (column) and top
     (row, given as its star image)."""
     if mp != monoid_params_of(ps):
         raise PreconditionError("monoid parameters do not match the parameter set")
-    lam = bottom.lambda_ts
-    if top_star.lambda_ts != lam:
+    if top_star.m != bottom.m:
         raise PreconditionError("half diagrams come from different cells")
-    return _entry(bottom, top_star, ps, mp, list(wreath_elements(mp, lam, planar=False)))
+    return _entry(bottom, top_star, ps, mp, list(wreath_elements(mp, bottom.m, planar=False)))
 
 
 def gram_matrix(
@@ -69,10 +68,10 @@ def gram_matrix(
     the star images of the columns."""
     check_lambda(f, n, lambda_ts)
     mp = monoid_params_of(ps)
-    halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K, cache_dir=cache_dir)
-    dim = len(halves)
+    dim = dim_left_cell(f, n, lambda_ts, mp.K)
     if dim > SIZE_GUARD:
         raise ResourceGuardError(f"Gram dimension {dim} exceeds guard {SIZE_GUARD}")
+    halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K, cache_dir=cache_dir)
     middles = list(wreath_elements(mp, lambda_ts, planar=f.planar))
     rows = []
     for top in halves:
@@ -80,12 +79,12 @@ def gram_matrix(
         for bottom in halves:
             row.append(_entry(bottom, top, ps, mp, middles))
         rows.append(tuple(row))
-    return GramMatrix(f, n, lambda_ts, tuple(halves), tuple(halves), tuple(rows))
+    return GramMatrix(f, n, lambda_ts, tuple(halves), tuple(rows))
 
 
 def _entry(bottom, top_star, ps, mp, middles) -> Rat:
-    lam = bottom.lambda_ts
-    x = algebra.compose_diagrams(bottom.base, star(top_star.base), ps)
+    lam = bottom.m
+    x = algebra.compose_diagrams(bottom, star(top_star), ps)
     if x.is_zero():
         return Fraction(0)
     w, c = x.single()
@@ -236,7 +235,7 @@ def simple_dimension(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> int:
 # ---------------------------------------------------------------------------
 
 
-def mob_grouped_order(halves: tuple[HalfDiagram, ...]) -> list[int]:
+def mob_grouped_order(halves: tuple[Diagram, ...]) -> list[int]:
     """Row/column order grouping halves by their set of crosscap-dotted
     blocks (fewer dotted groups first, leftmost dotted positions first,
     then earlier positions varying fastest).  Rank is order-invariant;
@@ -245,7 +244,7 @@ def mob_grouped_order(halves: tuple[HalfDiagram, ...]) -> list[int]:
     for idx, half in enumerate(halves):
         dotted = []
         values = []
-        for pos, (nodes, h, mob) in enumerate(half.base.blocks):
+        for pos, (nodes, h, mob) in enumerate(half.blocks):
             if mob:
                 dotted.append(pos)
                 values.append(mob)
@@ -258,9 +257,8 @@ def permute_matrix(g: GramMatrix, order: list[int]) -> GramMatrix:
     entries = tuple(
         tuple(g.entries[r][c] for c in order) for r in order
     )
-    rows = tuple(g.row_labels[i] for i in order)
-    cols = tuple(g.col_labels[i] for i in order)
-    return GramMatrix(g.family, g.n, g.lambda_ts, rows, cols, entries)
+    labels = tuple(g.labels[i] for i in order)
+    return GramMatrix(g.family, g.n, g.lambda_ts, labels, entries)
 
 
 def gram_to_json(g: GramMatrix) -> dict:
@@ -270,8 +268,8 @@ def gram_to_json(g: GramMatrix) -> dict:
         "family": g.family.value,
         "n": g.n,
         "lambda": g.lambda_ts,
-        "rows": [render_diagram(h.base) for h in g.row_labels],
-        "cols": [render_diagram(h.base) for h in g.col_labels],
+        "rows": [render_diagram(h) for h in g.labels],
+        "cols": [render_diagram(h) for h in g.labels],
         "entries": [[format_rational(x) for x in row] for row in g.entries],
     }
 

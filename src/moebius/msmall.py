@@ -72,7 +72,6 @@ class CayleyMonoid:
 
     elements: list
     mul: list[list[int]]
-    identity: int | None = None
 
     @property
     def size(self) -> int:
@@ -93,12 +92,7 @@ class CayleyMonoid:
                     raise PreconditionError("multiplication leaves the element list")
                 row.append(index[z])
             table.append(row)
-        ident = None
-        for i in range(len(elements)):
-            if all(table[i][j] == j == table[j][i] for j in range(len(elements))):
-                ident = i
-                break
-        return cls(elements, table, ident)
+        return cls(elements, table)
 
 
 def cayley_of_m(mp: MonoidParams) -> CayleyMonoid:

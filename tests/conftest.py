@@ -113,12 +113,15 @@ def random_family_diagram(
 # ---------------------------------------------------------------------------
 
 
-def oracle_compose(f: Diagram, g: Diagram) -> tuple[Diagram, int]:
+def oracle_compose(f: Diagram, g: Diagram) -> tuple[Diagram, list[tuple[int, int]]]:
     """Classical partition composition of f o g via breadth-first search
-    on a co-membership adjacency map.  Returns the undecorated result
-    diagram and the number of removed internal components."""
+    on a co-membership adjacency map.  Returns the result diagram, each
+    block carrying the summed raw (h, mob) of the blocks its component
+    joins, and the sorted (h, mob) sums of the removed internal
+    components."""
     assert g.m == f.n
     adj: dict[tuple, set[tuple]] = {}
+    decorations = []  # (a node of the block, h, mob), one per block
 
     def node_g(v):
         return ("b", v) if v > 0 else ("i", -v)
@@ -126,18 +129,19 @@ def oracle_compose(f: Diagram, g: Diagram) -> tuple[Diagram, int]:
     def node_f(v):
         return ("i", v) if v > 0 else ("t", -v)
 
-    def link(mapped):
+    def link(mapped, h, mob):
         for u in mapped:
             adj.setdefault(u, set()).update(w for w in mapped if w != u)
+        decorations.append((mapped[0], h, mob))
 
-    for nodes, _, _ in g.blocks:
-        link([node_g(v) for v in nodes])
-    for nodes, _, _ in f.blocks:
-        link([node_f(v) for v in nodes])
+    for nodes, h, mob in g.blocks:
+        link([node_g(v) for v in nodes], h, mob)
+    for nodes, h, mob in f.blocks:
+        link([node_f(v) for v in nodes], h, mob)
 
     seen: set[tuple] = set()
     blocks = []
-    closed = 0
+    closed = []
     for start in sorted(adj):
         if start in seen:
             continue
@@ -149,12 +153,14 @@ def oracle_compose(f: Diagram, g: Diagram) -> tuple[Diagram, int]:
             component.add(v)
             queue.extend(adj[v] - component)
         seen |= component
+        h = sum(dh for v, dh, _ in decorations if v in component)
+        mob = sum(dm for v, _, dm in decorations if v in component)
         boundary = sorted(
             [v for kind, v in component if kind == "b"]
             + [-v for kind, v in component if kind == "t"]
         )
         if boundary:
-            blocks.append((tuple(boundary), 0, 0))
+            blocks.append((tuple(boundary), h, mob))
         else:
-            closed += 1
-    return Diagram.make(g.n, f.m, blocks), closed
+            closed.append((h, mob))
+    return Diagram.make(g.n, f.m, blocks), sorted(closed)

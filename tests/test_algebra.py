@@ -23,8 +23,8 @@ from moebius import (
     through_strands,
     validate_params,
 )
-from moebius.algebra import lincomb_scale, lincomb_star, lincomb_tensor
-from moebius.diagram import is_member
+from moebius.algebra import _merge_diagrams, lincomb_scale, lincomb_star, lincomb_tensor
+from moebius.diagram import is_member, node_key
 
 from conftest import (
     family_shapes,
@@ -223,6 +223,50 @@ def test_classical_composition_cross_check(ps_ones):
             d, c = out.single()
             od, _ = oracle_compose(x, y)
             assert (d, c) == (od, Fraction(1))
+
+
+def _merge_summary(f, g):
+    open_blocks, closed = _merge_diagrams(f, g)
+    return (
+        {(tuple(sorted(nodes, key=node_key)), h, mob) for nodes, h, mob in open_blocks},
+        sorted(closed),
+    )
+
+
+def _oracle_summary(f, g):
+    d, closed = oracle_compose(f, g)
+    return set(d.blocks), closed
+
+
+def test_merge_matches_the_node_level_oracle():
+    # decorated pairs from every family, square and rectangular: the
+    # block-level merge must glue the same components with the same
+    # summed decorations as breadth-first search over nodes
+    rng = random.Random(2026)
+    closing = 0
+    for f in Family:
+        shapes = {
+            (n, m): family_shapes(f, n, m) for n in range(4) for m in range(4)
+        }
+        sizes = [nm for nm, found in shapes.items() if found]
+        for _ in range(80):
+            bottom, mid = rng.choice(sizes)
+            tops = [m for (n, m) in sizes if n == mid]
+            g = random_family_diagram(rng, shapes[bottom, mid], 2, 4)
+            top = rng.choice(tops)
+            x = random_family_diagram(rng, shapes[mid, top], 2, 4)
+            summary = _merge_summary(x, g)
+            assert summary == _oracle_summary(x, g), (f, x, g)
+            closing += bool(summary[1])
+    assert closing > 100  # the grid exercises closed components
+    x, y = parse_diagram("1;0;{1}[0,1]"), parse_diagram("0;1;{1'}[0,2]")
+    assert _merge_summary(x, y) == _oracle_summary(x, y) == (set(), [(0, 3)])
+
+
+def test_merge_rejects_a_boundary_mismatch():
+    with pytest.raises(PreconditionError):
+        _merge_diagrams(parse_diagram("2;2;{1,1'}[0,0]|{2,2'}[0,0]"),
+                        parse_diagram("1;1;{1,1'}[0,0]"))
 
 
 def test_family_closure_under_composition(ps_ones):

@@ -76,13 +76,13 @@ def test_family_monoid_guard_trips_before_enumerating(monkeypatch):
 def test_enumerate_tl_worked_example():
     halves = enumerate_half_diagrams(Family.TEMPERLEY_LIEB, 3, 1, 2)
     assert len(halves) == 12
-    shapes = {tuple(nodes for nodes, _, _ in h.base.blocks) for h in halves}
+    shapes = {tuple(nodes for nodes, _, _ in h.blocks) for h in halves}
     assert shapes == {((1, -1), (2, 3)), ((1, 2), (3, -1))}
 
 
 def test_enumerate_rook_singletons():
     halves = enumerate_half_diagrams(Family.ROOK, 1, 0, 1)
-    assert [h.base for h in halves] == [
+    assert halves == [
         parse_diagram("1;0;{1}[0,0]"),
         parse_diagram("1;0;{1}[0,1]"),
         parse_diagram("1;0;{1}[0,2]"),
@@ -93,7 +93,7 @@ def test_enumerate_full_through():
     for f in (Family.PARTITION, Family.ROOK, Family.TEMPERLEY_LIEB):
         halves = enumerate_half_diagrams(f, 3, 3, 2)
         assert len(halves) == 1
-        assert halves[0].base == identity(3)
+        assert halves[0] == identity(3)
 
 
 def test_enumerate_deterministic_and_inadmissible():
@@ -128,8 +128,8 @@ def test_cell_of_identity_and_e1():
     c1 = cell_of(e1, Family.TEMPERLEY_LIEB, mp)
     assert c1.lambda_ts == 0
     halves = enumerate_half_diagrams(Family.TEMPERLEY_LIEB, 2, 0, 1)
-    assert halves[c1.left_index].base == parse_diagram("2;0;{1,2}[0,0]")
-    assert halves[c1.right_index].base == parse_diagram("2;0;{1,2}[0,0]")
+    assert halves[c1.left_index] == parse_diagram("2;0;{1,2}[0,0]")
+    assert halves[c1.right_index] == parse_diagram("2;0;{1,2}[0,0]")
 
 
 def test_cell_of_partition_example():

@@ -275,7 +275,7 @@ def test_recompose_then_factorize_is_identity():
     for bottom, top in itertools.islice(itertools.product(halves, halves), 40):
         for middle in wreath_elements(mp, 1):
             fact = Factorization(
-                top=star(top.base), middle=middle, bottom=bottom.base, lambda_ts=1
+                top=star(top), middle=middle, bottom=bottom, lambda_ts=1
             )
             again = fz(recompose(fact), mp)
             assert again == fact

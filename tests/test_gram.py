@@ -8,6 +8,7 @@ import pytest
 from moebius import (
     Family,
     PreconditionError,
+    ResourceGuardError,
     exact_rank,
     gram_det_closed_form_rook0,
     gram_entry,
@@ -57,8 +58,8 @@ def test_gram_entry_spec_cases():
     beta1 = Fraction(1)
     assert gram_entry(halves0[1], halves0[2], ps, mp) == beta1  # mob 1 + 2 loop
     halves1 = enumerate_half_diagrams(Family.ROOK, 3, 1, 1)
-    aligned = [h for h in halves1 if h.base.blocks[0][0] == (1, -1)][0]
-    misaligned = [h for h in halves1 if (3, -1) in [b[0] for b in h.base.blocks]][0]
+    aligned = [h for h in halves1 if h.blocks[0][0] == (1, -1)][0]
+    misaligned = [h for h in halves1 if (3, -1) in [b[0] for b in h.blocks]][0]
     a0sq = gram_entry(aligned, aligned, ps, mp)
     assert a0sq == 1  # alpha_0^2 with alpha_0 = 1
     assert gram_entry(aligned, misaligned, ps, mp) == 0
@@ -77,8 +78,8 @@ def test_gram_g1_display_filtering():
     g = gram_matrix(Family.ROOK, 3, 1, ps)
     idx = [
         i
-        for i, half in enumerate(g.row_labels)
-        if all(hh == 0 and mob == 0 for _, hh, mob in half.base.blocks)
+        for i, half in enumerate(g.labels)
+        if all(hh == 0 and mob == 0 for _, hh, mob in half.blocks)
     ]
     sub = [[g.entries[r][c] for c in idx] for r in idx]
     for i in range(3):
@@ -93,21 +94,21 @@ def test_gram_block_structure():
     n, lam = 3, 1
     g = gram_matrix(Family.ROOK, n, lam, ps)
     g0 = gram_matrix(Family.ROOK, n - lam, 0, ps)
-    halves = g.row_labels
+    halves = g.labels
 
     def through_positions(h):
         return tuple(
-            v for nodes, _, _ in h.base.blocks for v in nodes if any(w < 0 for w in nodes) and v > 0
+            v for nodes, _, _ in h.blocks for v in nodes if any(w < 0 for w in nodes) and v > 0
         )
 
     def dead_profile(h):
         return tuple(
             (hh, mm)
-            for nodes, hh, mm in h.base.blocks
+            for nodes, hh, mm in h.blocks
             if all(v > 0 for v in nodes)
         )
 
-    profiles = {dead_profile(h): i for i, h in enumerate(g0.row_labels)}
+    profiles = {dead_profile(h): i for i, h in enumerate(g0.labels)}
     for i, hi in enumerate(halves):
         for j, hj in enumerate(halves):
             if through_positions(hi) != through_positions(hj):
@@ -253,9 +254,10 @@ def test_gram_determinism_under_assembly_order():
 
 def test_mob_grouped_order_matches_tensor_reduction():
     ps = geometric(2, 1, 3)
-    g = permute_matrix(
-        gram_matrix(Family.ROOK, 2, 0, ps), mob_grouped_order(gram_matrix(Family.ROOK, 2, 0, ps).row_labels)
-    )
+    canonical = gram_matrix(Family.ROOK, 2, 0, ps)
+    order = mob_grouped_order(canonical.labels)
+    g = permute_matrix(canonical, order)
+    assert g.labels == tuple(canonical.labels[i] for i in order)
     # bottom-right 4x4 block (all components dotted) is [[g,b],[b,g]] (x) [[g,b],[b,g]]
     b0, g0 = Fraction(1), Fraction(3)
     t = [[g0, b0], [b0, g0]]
@@ -284,6 +286,28 @@ def test_gram_entry_rejects_mismatched_params():
     ps = validate_params([1], [1], [1], [1, -1, -1])  # q not monomial
     with pytest.raises(PreconditionError):
         gram_matrix(Family.ROOK, 1, 0, ps)
+
+
+def test_gram_guard_trips_before_enumerating(monkeypatch):
+    # partition n=7, lambda=1 has 138,727 halves; the guard reads that
+    # from the closed form instead of building them
+    from moebius import gram as gram_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the guard")
+
+    monkeypatch.setattr(gram_mod, "enumerate_half_diagrams", refuse)
+    with pytest.raises(ResourceGuardError):
+        gram_matrix(Family.PARTITION, 7, 1, geometric(1, 1, 1))
+
+
+def test_gram_entry_rejects_halves_of_different_cells():
+    ps = geometric(1, 1, 1)
+    mp = monoid_params_of(ps)
+    bottom = enumerate_half_diagrams(Family.ROOK, 2, 1, 1)[0]
+    top_star = enumerate_half_diagrams(Family.ROOK, 2, 0, 1)[0]
+    with pytest.raises(PreconditionError):
+        gram_entry(bottom, top_star, ps, mp)
 
 
 def test_gram_supports_monomial_higher_K():

@@ -119,7 +119,7 @@ def test_conjugacy_reduces_to_group_conjugacy():
 
 
 def test_conjugacy_guard():
-    big = CayleyMonoid(list(range(301)), [[0] * 301] * 301, None)
+    big = CayleyMonoid(list(range(301)), [[0] * 301] * 301)
     with pytest.raises(ResourceGuardError):
         generalized_conjugacy_classes(big)
 

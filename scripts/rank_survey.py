@@ -6,6 +6,8 @@ block structure at general (n, lambda), and the 270 / 10 ranks at
 n = 5, lambda = 2 for the two parameter choices (1,1,0) and (1,1,1).
 
 Usage: python scripts/rank_survey.py [--quick]
+
+Exits 1 if a lambda=0 determinant differs from its closed form.
 """
 import argparse
 import sys
@@ -44,14 +46,18 @@ def survey_small_grid(nmax):
 
 
 def survey_determinants(nmax):
+    """Print each determinant beside the closed form; return the mismatch count."""
     print(f"\nlambda=0 determinants vs closed form, n <= {nmax}:")
     triples = [(Fraction(2), Fraction(0), Fraction(1)), (Fraction(3), Fraction(1), Fraction(-1))]
+    mismatches = 0
     for n in range(1, nmax + 1):
         for a0, b0, g0 in triples:
             brute = exact_rank(gram_matrix(Family.ROOK, n, 0, geometric(a0, b0, g0))).det
             closed = gram_det_closed_form_rook0(n, a0, b0, g0)
+            mismatches += brute != closed
             status = "ok" if brute == closed else "MISMATCH"
             print(f"  n={n} ({a0},{b0},{g0}): det={format_rational(brute)} [{status}]")
+    return mismatches
 
 
 def survey_headline():
@@ -68,10 +74,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     survey_one_strand()
     survey_small_grid(3)
-    survey_determinants(3)
+    mismatches = survey_determinants(3)
     if not args.quick:
         survey_headline()
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

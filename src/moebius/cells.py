@@ -1,5 +1,5 @@
 """Sandwich cell machinery: half-diagram enumeration, cell coordinates,
-strict-idempotent search, apex tables, and a JSON enumeration cache.
+strict-idempotent search, apex tables, and a JSON cache of half-diagram shapes.
 
 A half diagram (bottom of a cell) is a plain Diagram n -> lambda, so
 lambda is its top size m; its lambda through blocks each contain exactly
@@ -22,9 +22,11 @@ from fractions import Fraction
 from . import algebra
 from .diagram import (
     Diagram,
+    Factorization,
     factorize,
     is_member,
     parse_diagram,
+    recompose,
     render_diagram,
     star,
     through_strands,
@@ -33,7 +35,6 @@ from .errors import InternalCheckError, ParseError, PreconditionError, ResourceG
 from .families import Family, admissible_lambdas, check_lambda
 from .msmall import (
     CayleyMonoid,
-    WreathElem,
     _membership,
     greens_cells_bruteforce,
     wreath_elements,
@@ -70,36 +71,38 @@ class ApexSet:
 # half-diagram enumeration
 # ---------------------------------------------------------------------------
 
-
-def _set_partitions(items: list[int]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
+# the one bound on the number of halves about to be enumerated
+HALVES_GUARD = 2_000_000
 
 
 def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
-    """Undecorated family-admissible bottoms with lam through blocks."""
+    """Undecorated family-admissible bottoms with lam through blocks, sorted.
+    One walk places bottom nodes 1..n: each joins an earlier block, opens a
+    dead block, or opens the next through block (top -(tops + 1)), so tops
+    follow least nodes; is_member filters each lam-through candidate."""
     shapes = []
-    for part in _set_partitions(list(range(1, n + 1))):
-        if len(part) < lam:
-            continue
-        for through in itertools.combinations(range(len(part)), lam):
-            ordered = sorted(through, key=lambda i: min(part[i]))
-            blocks = []
-            for i, block in enumerate(part):
-                if i in through:
-                    top = ordered.index(i) + 1
-                    blocks.append((tuple(block) + (-top,), 0, 0))
-                else:
-                    blocks.append((tuple(block), 0, 0))
-            d = Diagram.make(n, lam, blocks)
+    blocks: list[list[int]] = []
+
+    def place(k: int, tops: int) -> None:
+        if tops + (n - k + 1) < lam:
+            return
+        if k > n:
+            d = Diagram.make(n, lam, [(tuple(b), 0, 0) for b in blocks])
             if is_member(d, f):
                 shapes.append(d)
+            return
+        for b in blocks:
+            b.append(k)
+            place(k + 1, tops)
+            b.pop()
+        blocks.append([k])
+        place(k + 1, tops)
+        if tops < lam:
+            blocks[-1].append(-(tops + 1))
+            place(k + 1, tops + 1)
+        blocks.pop()
+
+    place(1, 0)
     shapes.sort(key=Diagram.sort_key)
     return shapes
 
@@ -120,45 +123,44 @@ def enumerate_half_diagrams(
     f: Family, n: int, lambda_ts: int, K: int, cache_dir: str | None = None
 ) -> list[Diagram]:
     """All half diagrams for the cell (f, n, lambda), deterministic order:
-    shapes sorted canonically, decorations in lexicographic order."""
+    shapes sorted canonically, decorations in lexicographic order.  The
+    shapes come from the cache_dir file, shared by every K, or else from
+    _half_shapes and are stored there; _decorate makes every half."""
     check_lambda(f, n, lambda_ts)
     if K <= 0:
         raise PreconditionError("K must be positive")
-    if cache_dir is not None:
-        cached = _cache_load(cache_dir, f, n, lambda_ts, K)
-        if cached is not None:
-            return cached
-    out = [d for shape in _half_shapes(f, n, lambda_ts) for d in _decorate(shape, K)]
-    if cache_dir is not None:
-        _cache_store(cache_dir, f, n, lambda_ts, K, out)
-    return out
+    shapes = None if cache_dir is None else _cache_load(cache_dir, f, n, lambda_ts)
+    if shapes is None:
+        shapes = _half_shapes(f, n, lambda_ts)
+        if cache_dir is not None:
+            _cache_store(cache_dir, f, n, lambda_ts, shapes)
+    return [d for shape in shapes for d in _decorate(shape, K)]
 
 
 # ---------------------------------------------------------------------------
-# enumeration cache (JSON with schema version and checksum)
+# shape cache (JSON with schema version and checksum)
 # ---------------------------------------------------------------------------
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
-def _cache_path(cache_dir: str, f: Family, n: int, lam: int, K: int) -> str:
-    return os.path.join(cache_dir, f"halves_{f.value}_n{n}_l{lam}_K{K}.json")
+def _cache_path(cache_dir: str, f: Family, n: int, lam: int) -> str:
+    return os.path.join(cache_dir, f"shapes_{f.value}_n{n}_l{lam}.json")
 
 
 def _cache_checksum(literals: list[str]) -> str:
     return hashlib.sha256("\n".join(literals).encode()).hexdigest()
 
 
-def _cache_store(cache_dir: str, f: Family, n: int, lam: int, K: int, halves) -> None:
+def _cache_store(cache_dir: str, f: Family, n: int, lam: int, shapes) -> None:
     os.makedirs(cache_dir, exist_ok=True)
-    literals = [render_diagram(h) for h in halves]
+    literals = [render_diagram(s) for s in shapes]
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "family": f.value,
         "n": n,
         "lambda": lam,
-        "K": K,
-        "halves": literals,
+        "shapes": literals,
         "checksum": _cache_checksum(literals),
     }
     # write beside the target and rename over it, so a reader never sees
@@ -167,14 +169,14 @@ def _cache_store(cache_dir: str, f: Family, n: int, lam: int, K: int, halves) ->
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh)
-        os.replace(tmp, _cache_path(cache_dir, f, n, lam, K))
+        os.replace(tmp, _cache_path(cache_dir, f, n, lam))
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _cache_load(cache_dir: str, f: Family, n: int, lam: int, K: int):
-    path = _cache_path(cache_dir, f, n, lam, K)
+def _cache_load(cache_dir: str, f: Family, n: int, lam: int):
+    path = _cache_path(cache_dir, f, n, lam)
     if not os.path.exists(path):
         return None
     try:
@@ -182,7 +184,7 @@ def _cache_load(cache_dir: str, f: Family, n: int, lam: int, K: int):
             payload = json.load(fh)
         if payload.get("format_version") != CACHE_FORMAT_VERSION:
             return None
-        literals = payload["halves"]
+        literals = payload["shapes"]
         if payload.get("checksum") != _cache_checksum(literals):
             return None  # corruption: regenerate
         return [parse_diagram(lit) for lit in literals]
@@ -202,6 +204,9 @@ def cell_of(d: Diagram, f: Family, mp: MonoidParams) -> CellCoords:
     if not is_member(d, f):
         raise PreconditionError(f"diagram is not in the {f.value} family")
     lam = through_strands(d)
+    size = dim_left_cell(f, d.n, lam, mp.K)
+    if size > HALVES_GUARD:
+        raise ResourceGuardError(f"enumeration of {size} halves exceeds the guard {HALVES_GUARD}")
     fact = factorize(d, mp)
     halves = enumerate_half_diagrams(f, d.n, lam, mp.K)
     index = {h: i for i, h in enumerate(halves)}
@@ -218,29 +223,14 @@ def cell_of(d: Diagram, f: Family, mp: MonoidParams) -> CellCoords:
 # ---------------------------------------------------------------------------
 
 
-def assemble_element(bottom: Diagram, middle: WreathElem, top_star: Diagram) -> Diagram:
-    """The basis diagram star(top_star) o middle o bottom."""
-    from .diagram import Factorization, recompose
-
-    return recompose(
-        Factorization(
-            top=star(top_star),
-            middle=middle,
-            bottom=bottom,
-            lambda_ts=bottom.m,
-        )
-    )
-
-
 def build_jcell(f: Family, n: int, lambda_ts: int, mp: MonoidParams) -> list[Diagram]:
     """All basis diagrams of End(n) in the family with lambda_ts through
-    strands, in canonical order."""
+    strands, in canonical order: star(top) o middle o bottom over all
+    pairs of halves and all middles."""
     halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
-    out = []
-    for bottom in halves:
-        for top in halves:
-            for mid in wreath_elements(mp, lambda_ts, planar=f.planar):
-                out.append(assemble_element(bottom, mid, top))
+    tops = [star(h) for h in halves]
+    mids = list(wreath_elements(mp, lambda_ts, planar=f.planar))
+    out = [recompose(Factorization(t, m, b, lambda_ts)) for b in halves for t in tops for m in mids]
     out.sort(key=Diagram.sort_key)
     return out
 

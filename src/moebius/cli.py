@@ -137,9 +137,6 @@ def cmd_member(args, t0):
     _emit(args, result, t0)
 
 
-DIMS_GUARD = 2_000_000
-
-
 def cmd_dims(args, t0):
     fam = family_from_name(args.family)
     cache = _cache_dir(args)
@@ -150,9 +147,9 @@ def cmd_dims(args, t0):
     if args.check:
         # every guard check precedes the first enumeration
         for val in dims.values():
-            if val > DIMS_GUARD:
+            if val > cells.HALVES_GUARD:
                 raise ResourceGuardError(
-                    f"enumeration of {val} halves exceeds the guard {DIMS_GUARD}"
+                    f"enumeration of {val} halves exceeds the guard {cells.HALVES_GUARD}"
                 )
         for lam, val in dims.items():
             enum = len(
@@ -316,9 +313,7 @@ def cmd_gram(args, t0):
         vals = [p[0] if p else Fraction(0) for p in (a0, b0, g0)]
         condition = gram.gramcond_check(args.n, args.lam, *vals)
         if condition:
-            from math import comb
-
-            prediction = comb(args.n, args.lam) * 3 ** (args.n - args.lam)
+            prediction = repcount.dim_left_cell(fam, args.n, args.lam, 1)
     if args.output == "csv":
         sys.stdout.write(gram.gram_to_csv(matrix))
         return

@@ -28,11 +28,11 @@ from moebius.cells import (
     jcell_size,
     predicted_cells,
 )
-from moebius.diagram import Diagram, factorize
+from moebius.diagram import Diagram, factorize, is_member
 from moebius.families import admissible_lambdas
 from moebius.repcount import dim_left_cell
 
-from conftest import family_shapes
+from conftest import _set_partitions, family_shapes
 
 
 def _decorated_monoid_oracle(f: Family, n: int, K: int) -> list[Diagram]:
@@ -71,6 +71,45 @@ def test_family_monoid_guard_trips_before_enumerating(monkeypatch):
     monkeypatch.setattr(cells_mod, "enumerate_family_monoid", refuse)
     with pytest.raises(ResourceGuardError):
         family_monoid_cayley(Family.PARTITION, 3, MonoidParams(1, 1))
+
+
+def _half_shapes_oracle(f: Family, n: int, lam: int, member) -> list[Diagram]:
+    """Every set partition of the bottom nodes, with every lam-subset of its
+    blocks made through and given tops 1..lam in the order of least nodes,
+    filtered by member."""
+    shapes = []
+    for part in _set_partitions(list(range(1, n + 1))):
+        for through in itertools.combinations(range(len(part)), lam):
+            ordered = sorted(through, key=lambda i: min(part[i]))
+            blocks = [
+                (tuple(block) + ((-ordered.index(i) - 1,) if i in through else ()), 0, 0)
+                for i, block in enumerate(part)
+            ]
+            d = Diagram.make(n, lam, blocks)
+            if member(d, f):
+                shapes.append(d)
+    shapes.sort(key=Diagram.sort_key)
+    return shapes
+
+
+def test_half_shapes_match_the_set_partition_oracle(monkeypatch):
+    calls = {"walk": 0, "oracle": 0}
+
+    def counted(key):
+        def member(d, f):
+            calls[key] += 1
+            return is_member(d, f)
+
+        return member
+
+    monkeypatch.setattr(cells_mod, "is_member", counted("walk"))
+    for f in Family:
+        for n in range(7):
+            for lam in admissible_lambdas(f, n):
+                calls.update(walk=0, oracle=0)
+                expected = _half_shapes_oracle(f, n, lam, counted("oracle"))
+                assert cells_mod._half_shapes(f, n, lam) == expected, (f, n, lam)
+                assert calls["walk"] == calls["oracle"], (f, n, lam)
 
 
 def test_enumerate_tl_worked_example():
@@ -253,7 +292,7 @@ def test_enumeration_cache_roundtrip(tmp_path):
     import json
 
     payload = json.loads(files[0].read_text())
-    payload["halves"] = payload["halves"][:-1]
+    payload["shapes"] = payload["shapes"][:-1]
     files[0].write_text(json.dumps(payload))
     fourth = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
     assert first == fourth
@@ -261,18 +300,43 @@ def test_enumeration_cache_roundtrip(tmp_path):
 
 def test_cache_store_failure_keeps_the_old_file(tmp_path, monkeypatch):
     cache = str(tmp_path)
-    first = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
+    enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
     (path,) = tmp_path.iterdir()
     good = path.read_text()
+    shapes = cells_mod._half_shapes(Family.MOTZKIN, 3, 1)
 
     def half_dump(payload, fh):
-        fh.write('{"format_version": 1, "hal')
+        fh.write('{"format_version": 2, "sha')
         raise OSError("disk full")
 
     monkeypatch.setattr(cells_mod.json, "dump", half_dump)
     with pytest.raises(OSError):
-        cells_mod._cache_store(cache, Family.MOTZKIN, 3, 1, 2, first)
+        cells_mod._cache_store(cache, Family.MOTZKIN, 3, 1, shapes)
     monkeypatch.undo()
     assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
     assert path.read_text() == good
-    assert cells_mod._cache_load(cache, Family.MOTZKIN, 3, 1, 2) == first
+    assert cells_mod._cache_load(cache, Family.MOTZKIN, 3, 1) == shapes
+
+
+def test_one_shape_file_serves_every_K(tmp_path, monkeypatch):
+    cache = str(tmp_path)
+    enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 1, cache_dir=cache)
+
+    def refuse(*args):
+        raise AssertionError("shapes walked again on a warm cache")
+
+    monkeypatch.setattr(cells_mod, "_half_shapes", refuse)
+    warm = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["shapes_motzkin_n3_l1.json"]
+    assert warm == enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2)
+
+
+def test_cell_of_guard_trips_before_enumerating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the guard")
+
+    monkeypatch.setattr(cells_mod, "enumerate_half_diagrams", refuse)
+    singletons = Diagram.make(10, 10, [((v,), 0, 0) for v in range(-10, 11) if v])
+    with pytest.raises(ResourceGuardError):
+        cell_of(singletons, Family.PARTITION, MonoidParams(1, 1))

@@ -7,7 +7,8 @@ n = 5, lambda = 2 for the two parameter choices (1,1,0) and (1,1,1).
 
 Usage: python scripts/rank_survey.py [--quick]
 
-Exits 1 if a lambda=0 determinant differs from its closed form.
+Exits 1 if a lambda=0 determinant differs from its closed form or a
+headline rank differs from the paper's 270 / 10.
 """
 import argparse
 import sys
@@ -61,11 +62,16 @@ def survey_determinants(nmax):
 
 
 def survey_headline():
+    """Print the two headline ranks beside the paper's; return the mismatch count."""
     print("\nrook n=5 lambda=2:")
-    for a0, b0, g0, label in [(1, 1, 0, "(1,1,0)"), (1, 1, 1, "(1,1,1)")]:
+    mismatches = 0
+    for a0, b0, g0, label, paper in [(1, 1, 0, "(1,1,0)", 270), (1, 1, 1, "(1,1,1)", 10)]:
         t0 = time.time()
         rank = exact_rank(gram_matrix(Family.ROOK, 5, 2, geometric(a0, b0, g0))).rank
-        print(f"  {label}: rank = {rank}   ({time.time() - t0:.1f}s)")
+        mismatches += rank != paper
+        status = "ok" if rank == paper else "MISMATCH"
+        print(f"  {label}: rank = {rank} [{status}, paper {paper}]   ({time.time() - t0:.1f}s)")
+    return mismatches
 
 
 def main(argv=None):
@@ -76,7 +82,7 @@ def main(argv=None):
     survey_small_grid(3)
     mismatches = survey_determinants(3)
     if not args.quick:
-        survey_headline()
+        mismatches += survey_headline()
     return 1 if mismatches else 0
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 
 from .diagram import Diagram, reduce_mob_pair, render_diagram
 from .errors import PreconditionError
@@ -114,24 +116,22 @@ def lincomb_tensor(x: LinComb, y: LinComb) -> LinComb:
 # ---------------------------------------------------------------------------
 
 
-def _merge_diagrams(f: Diagram, g: Diagram):
-    """Stack f over g.  Returns (open blocks, closed decorations).
+_nodes_of = itemgetter(0)
 
-    Every component of the stack is a union of whole blocks of g and f,
-    joined where a top node k of g meets the bottom node k of f, so the
-    union-find runs over block indices: g's blocks first, then f's.
-    Decorations add per component.  Open blocks are (nodes, h, mob) over
-    the result boundary (g's bottom nodes v > 0, f's top nodes v < 0);
-    closed decorations are (h, mob) pairs of components that lost all
-    boundary nodes.
+
+@lru_cache(maxsize=4096)
+def _topology(g_nodes: tuple, f_nodes: tuple, k: int) -> tuple:
+    """Components of the stack of f over g, from the blocks' node tuples.
+
+    Every component is a union of whole blocks of g and f, joined where a
+    top node k of g meets the bottom node k of f, so the union-find runs
+    over block indices: g's blocks first, then f's.  Returns one
+    (boundary nodes, member block indices) pair per component, in order of
+    its first block.  Boundary nodes are g's bottom nodes (v > 0) and f's
+    top nodes (v < 0); a closed component has none.
     """
-    if g.m != f.n:
-        raise PreconditionError(
-            f"boundary mismatch: cannot stack {f.n}->{f.m} on top of {g.n}->{g.m}"
-        )
-    offset = len(g.blocks)
-    blocks = g.blocks + f.blocks
-    parent = list(range(len(blocks)))
+    offset = len(g_nodes)
+    parent = list(range(offset + len(f_nodes)))
 
     def find(i):
         while parent[i] != i:
@@ -139,26 +139,52 @@ def _merge_diagrams(f: Diagram, g: Diagram):
             i = parent[i]
         return i
 
-    holder = [0] * (g.m + 1)  # interface node k -> the g block holding top k
-    for i, (nodes, _, _) in enumerate(g.blocks):
+    holder = [0] * (k + 1)  # interface node k -> the g block holding top k
+    for i, nodes in enumerate(g_nodes):
         for v in nodes:
             if v < 0:
                 holder[-v] = i
-    for i, (nodes, _, _) in enumerate(f.blocks, offset):
+    for i, nodes in enumerate(f_nodes, offset):
         for v in nodes:
             if v > 0:
                 ri, rj = find(i), find(holder[v])
                 if ri != rj:
                     parent[rj] = ri
 
-    comps: dict[int, list] = {}  # root -> [boundary nodes, h, mob]
-    for i, (nodes, h, mob) in enumerate(blocks):
-        comp = comps.setdefault(find(i), [[], 0, 0])
-        comp[0].extend(v for v in nodes if (v > 0) == (i < offset))
-        comp[1] += h
-        comp[2] += mob
-    open_blocks = [(tuple(nodes), h, mob) for nodes, h, mob in comps.values() if nodes]
-    closed = [(h, mob) for nodes, h, mob in comps.values() if not nodes]
+    comps: dict[int, tuple[list, list]] = {}  # root -> (boundary nodes, members)
+    for i, nodes in enumerate(g_nodes + f_nodes):
+        boundary, members = comps.setdefault(find(i), ([], []))
+        boundary.extend(v for v in nodes if (v > 0) == (i < offset))
+        members.append(i)
+    return tuple((tuple(b), tuple(m)) for b, m in comps.values())
+
+
+def _merge_diagrams(f: Diagram, g: Diagram):
+    """Stack f over g.  Returns (open blocks, closed decorations).
+
+    The components come from ``_topology``, memoized per pair of block
+    node sets; decorations add per component.  Open blocks are
+    (nodes, h, mob) over the result boundary; closed decorations are
+    (h, mob) pairs of components that lost all boundary nodes.
+    """
+    if g.m != f.n:
+        raise PreconditionError(
+            f"boundary mismatch: cannot stack {f.n}->{f.m} on top of {g.n}->{g.m}"
+        )
+    blocks = g.blocks + f.blocks
+    open_blocks, closed = [], []
+    for nodes, members in _topology(
+        tuple(map(_nodes_of, g.blocks)), tuple(map(_nodes_of, f.blocks)), g.m
+    ):
+        h = mob = 0
+        for i in members:
+            _, bh, bmob = blocks[i]
+            h += bh
+            mob += bmob
+        if nodes:
+            open_blocks.append((nodes, h, mob))
+        else:
+            closed.append((h, mob))
     return open_blocks, closed
 
 

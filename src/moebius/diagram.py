@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import neg
 
 from .errors import ParseError, PreconditionError
 from .families import Family
@@ -35,34 +37,34 @@ class Diagram:
 
     @staticmethod
     def make(n: int, m: int, raw_blocks) -> "Diagram":
-        """Canonicalize and validate: blocks cover each boundary node once."""
+        """Canonicalize and validate: blocks cover each boundary node once.
+
+        Nodes sort by their position in the boundary-rank table of (n, m);
+        a node outside the table, an empty block, a negative decoration, a
+        wrong node count or a repeated node sends the input to
+        ``_invalid_cover``, which names the first fault.
+        """
         if n < 0 or m < 0:
             raise PreconditionError("boundary sizes must be nonnegative")
-        blocks = []
-        seen: set[int] = set()
-        for nodes, h, mob in raw_blocks:
-            nodes = tuple(sorted(nodes, key=node_key))
-            if not nodes:
-                raise PreconditionError("blocks must be nonempty")
-            if h < 0 or mob < 0:
-                raise PreconditionError("decorations must be nonnegative")
-            for v in nodes:
-                if v in seen:
-                    raise PreconditionError(f"node {_node_str(v)} appears twice")
-                seen.add(v)
-            blocks.append((nodes, h, mob))
-        expected = {i for i in range(1, n + 1)} | {-j for j in range(1, m + 1)}
-        if seen != expected:
-            missing = sorted(expected - seen, key=node_key)
-            extra = sorted(seen - expected, key=node_key)
-            detail = []
-            if missing:
-                detail.append("missing " + ",".join(_node_str(v) for v in missing))
-            if extra:
-                detail.append("unexpected " + ",".join(_node_str(v) for v in extra))
-            raise PreconditionError("bad node cover: " + "; ".join(detail))
-        blocks.sort(key=lambda b: node_key(b[0][0]))
-        return Diagram(n, m, tuple(blocks))
+        if not isinstance(raw_blocks, (list, tuple)):
+            raw_blocks = list(raw_blocks)  # read again if invalid
+        key = _boundary_rank(n, m).__getitem__
+        size = n + m
+        slots: list = [None] * size  # block by the rank of its least node
+        flat: list[int] = []
+        try:
+            for nodes, h, mob in raw_blocks:
+                nodes = sorted(nodes, key=key)
+                if not nodes or h < 0 or mob < 0:
+                    break
+                flat += nodes
+                slots[key(nodes[0])] = (tuple(nodes), h, mob)
+            else:
+                if len(flat) == size and len(set(flat)) == size:
+                    return Diagram(n, m, tuple([b for b in slots if b]))
+        except KeyError:
+            pass
+        raise PreconditionError(_invalid_cover(n, m, raw_blocks))
 
     def sort_key(self):
         return (
@@ -73,6 +75,39 @@ class Diagram:
                 for nodes, h, mob in self.blocks
             ),
         )
+
+
+@lru_cache(maxsize=256)
+def _boundary_rank(n: int, m: int) -> dict[int, int]:
+    """Position of each node of an (n, m) boundary in the canonical order:
+    bottoms 1..n, then tops 1'..m'."""
+    return {v: i for i, v in enumerate([*range(1, n + 1), *range(-1, -m - 1, -1)])}
+
+
+def _invalid_cover(n: int, m: int, raw_blocks) -> str:
+    """Message for the first fault of blocks that fail to cover an (n, m)
+    boundary once: in block order an empty block, a negative decoration
+    or a repeated node, else the missing and unexpected nodes."""
+    seen: set[int] = set()
+    for nodes, h, mob in raw_blocks:
+        nodes = sorted(nodes, key=node_key)
+        if not nodes:
+            return "blocks must be nonempty"
+        if h < 0 or mob < 0:
+            return "decorations must be nonnegative"
+        for v in nodes:
+            if v in seen:
+                return f"node {_node_str(v)} appears twice"
+            seen.add(v)
+    expected = {i for i in range(1, n + 1)} | {-j for j in range(1, m + 1)}
+    missing = sorted(expected - seen, key=node_key)
+    extra = sorted(seen - expected, key=node_key)
+    detail = []
+    if missing:
+        detail.append("missing " + ",".join(_node_str(v) for v in missing))
+    if extra:
+        detail.append("unexpected " + ",".join(_node_str(v) for v in extra))
+    return "bad node cover: " + "; ".join(detail)
 
 
 def _node_str(v: int) -> str:
@@ -174,7 +209,7 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
 def star(d: Diagram) -> Diagram:
     """Reflect about the horizontal: bottom i <-> top i, decorations kept."""
     return Diagram.make(
-        d.m, d.n, [(tuple(-v for v in nodes), h, mob) for nodes, h, mob in d.blocks]
+        d.m, d.n, [(tuple(map(neg, nodes)), h, mob) for nodes, h, mob in d.blocks]
     )
 
 

@@ -98,17 +98,64 @@ def _entry(bottom, top_star, ps, mp, middles) -> Rat:
 
 
 # ---------------------------------------------------------------------------
-# exact rank / determinant: fraction-free Bareiss with full pivoting
+# exact rank / determinant: block-wise fraction-free Bareiss
 # ---------------------------------------------------------------------------
 
 
 def exact_rank(mat) -> RankReport:
     """Rank by integer fraction-free elimination; determinant when square.
 
+    A square matrix is split into the connected components of its nonzero
+    pattern (i ~ j when entry (i, j) or (j, i) is nonzero).  Permuting rows
+    and columns alike puts it in block-diagonal form without changing the
+    determinant, so ranks add and determinants multiply over the blocks.
+    """
+    rows = [list(row) for row in (mat.entries if isinstance(mat, GramMatrix) else mat)]
+    size = len(rows)
+    if any(len(r) != size for r in rows):
+        return _bareiss(rows)  # not square: one elimination, or the row-length error
+    blocks = _pattern_components(rows)
+    if len(blocks) < 2:
+        return _bareiss(rows)
+    rank = 0
+    det = Fraction(1)
+    for idx in blocks:
+        rep = _bareiss([[rows[i][j] for j in idx] for i in idx])
+        rank += rep.rank
+        det *= rep.det
+    return RankReport(rank=rank, det=det)
+
+
+def _pattern_components(rows) -> list[list[int]]:
+    """Index sets of the connected components of a square matrix's nonzero
+    pattern, each ascending, in order of their least index."""
+    parent = list(range(len(rows)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    comps: dict[int, list[int]] = {}
+    for i in range(len(rows)):
+        comps.setdefault(find(i), []).append(i)
+    return list(comps.values())
+
+
+def _bareiss(rows) -> RankReport:
+    """Rank by integer fraction-free elimination with full pivoting;
+    determinant when square.
+
     Rational input is scaled row-wise to integers first (rank invariant;
     the determinant is rescaled back).
     """
-    rows = [list(row) for row in (mat.entries if isinstance(mat, GramMatrix) else mat)]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if any(len(r) != ncols for r in rows):

@@ -23,7 +23,7 @@ from moebius import (
     through_strands,
     validate_params,
 )
-from moebius.algebra import _merge_diagrams, lincomb_scale, lincomb_star, lincomb_tensor
+from moebius.algebra import _merge_diagrams, _topology, lincomb_scale, lincomb_star, lincomb_tensor
 from moebius.diagram import is_member, node_key
 
 from conftest import (
@@ -238,7 +238,7 @@ def _oracle_summary(f, g):
     return set(d.blocks), closed
 
 
-def test_merge_matches_the_node_level_oracle():
+def _merge_oracle_grid() -> int:
     # decorated pairs from every family, square and rectangular: the
     # block-level merge must glue the same components with the same
     # summed decorations as breadth-first search over nodes
@@ -258,9 +258,42 @@ def test_merge_matches_the_node_level_oracle():
             summary = _merge_summary(x, g)
             assert summary == _oracle_summary(x, g), (f, x, g)
             closing += bool(summary[1])
-    assert closing > 100  # the grid exercises closed components
+    return closing
+
+
+def test_merge_matches_the_node_level_oracle():
+    # once with an empty topology memo, then again with every shape pair
+    # of the grid already in it
+    _topology.cache_clear()
+    assert _merge_oracle_grid() > 100  # the grid exercises closed components
+    cold = _topology.cache_info()
+    assert cold.misses > 0
+    assert _merge_oracle_grid() > 100
+    warm = _topology.cache_info()
+    assert warm.misses == cold.misses and warm.hits >= cold.hits + 800
     x, y = parse_diagram("1;0;{1}[0,1]"), parse_diagram("0;1;{1'}[0,2]")
     assert _merge_summary(x, y) == _oracle_summary(x, y) == (set(), [(0, 3)])
+
+
+def test_equal_shapes_keep_their_own_decorations():
+    # two pairs with equal shapes share one memoized topology; each still
+    # sums its own decorations
+    f1 = parse_diagram("2;2;{1,2}[0,0]|{1',2'}[1,0]")
+    g1 = parse_diagram("2;2;{1,1'}[0,1]|{2,2'}[2,0]")
+    f2 = parse_diagram("2;2;{1,2}[3,2]|{1',2'}[0,1]")
+    g2 = parse_diagram("2;2;{1,1'}[1,0]|{2,2'}[0,3]")
+    _topology.cache_clear()
+    first = _merge_diagrams(f1, g1)
+    second = _merge_diagrams(f2, g2)
+    assert _topology.cache_info().misses == 1
+    assert first == ([((1, 2), 2, 1), ((-1, -2), 1, 0)], [])
+    assert second == ([((1, 2), 4, 5), ((-1, -2), 0, 1)], [])
+    for x, g in ((f1, g1), (f2, g2)):
+        assert _merge_summary(x, g) == _oracle_summary(x, g)
+
+
+def test_topology_memo_is_bounded():
+    assert _topology.cache_info().maxsize is not None
 
 
 def test_merge_rejects_a_boundary_mismatch():

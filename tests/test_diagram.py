@@ -64,6 +64,41 @@ def test_parse_errors():
         parse_diagram("1;1")
 
 
+MAKE_FAULTS = [
+    (-1, 0, [], "boundary sizes must be nonnegative"),
+    (1, -2, [], "boundary sizes must be nonnegative"),
+    (1, 1, [((1, -1), 0, 0), ((), 0, 0)], "blocks must be nonempty"),
+    (1, 1, [((1, -1), 0, -1)], "decorations must be nonnegative"),
+    (1, 1, [((1, -1), -2, 0)], "decorations must be nonnegative"),
+    (2, 1, [((1, -1), 0, 0), ((-1, 2), 0, 0)], "node 1' appears twice"),
+    (1, 1, [((1, 1, -1), 0, 0)], "node 1 appears twice"),
+    (2, 1, [((1, -1), 0, 0), ((1,), 0, 0)], "node 1 appears twice"),  # right count
+    (2, 2, [((1, -1), 0, 0)], "bad node cover: missing 2,2'"),
+    (1, 1, [((1, -1, -2), 0, 0)], "bad node cover: unexpected 2'"),
+    (2, 1, [((1, -1), 0, 0), ((3, 0), 0, 0)], "bad node cover: missing 2; unexpected 3,0'"),
+    # faults inside a block are reported in block order, before the cover
+    (1, 1, [((1, -1, 5), 0, 0), ((), 0, 0)], "blocks must be nonempty"),
+    (2, 2, [((1, 1), 0, 0), ((-1,), 0, -1)], "node 1 appears twice"),
+    (2, 2, [((-1,), 0, -1), ((1, 1), 0, 0)], "decorations must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("n, m, blocks, message", MAKE_FAULTS)
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_make_fault_messages(n, m, blocks, message, as_generator):
+    raw = (b for b in blocks) if as_generator else blocks
+    with pytest.raises(PreconditionError) as err:
+        Diagram.make(n, m, raw)
+    assert str(err.value) == message
+
+
+def test_make_accepts_a_generator_of_blocks():
+    blocks = [((-2, 1), 1, 0), ((3, 2), 0, 2), ((-1,), 0, 0)]
+    d = Diagram.make(3, 2, blocks)
+    assert Diagram.make(3, 2, (b for b in blocks)) == d
+    assert d.blocks == (((1, -2), 1, 0), ((2, 3), 0, 2), ((-1,), 0, 0))
+
+
 @settings(max_examples=60)
 @given(st.data())
 def test_parse_render_roundtrip_random(data):

@@ -18,13 +18,17 @@ from moebius import (
     validate_params,
 )
 from moebius.cells import enumerate_half_diagrams
+from moebius.families import admissible_lambdas
 from moebius.gram import (
+    _bareiss,
+    _pattern_components,
     gram_to_csv,
     matrix_from_csv,
     mob_grouped_order,
     permute_matrix,
 )
 from moebius.params import monoid_params_of
+from moebius.repcount import dim_left_cell
 
 
 def geometric(a0, b0, g0):
@@ -217,6 +221,67 @@ def test_exact_rank_against_gauss_oracle():
             for _ in range(nr)
         ]
         assert exact_rank(rows).rank == _gauss_rank_oracle(rows)
+
+
+def _hidden_block_diagonal(rng, sizes):
+    """Square block-diagonal matrix with random rational blocks (some
+    singular), rows and columns permuted alike."""
+    dim = sum(sizes)
+    mat = [[Fraction(0)] * dim for _ in range(dim)]
+    start = 0
+    for size in sizes:
+        block = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(size)]
+            for _ in range(size)
+        ]
+        if size > 1 and rng.random() < 0.3:  # singular: a row repeats scaled
+            block[-1] = [x * rng.randint(-2, 2) for x in block[0]]
+        for i in range(size):
+            mat[start + i][start : start + size] = block[i]
+        start += size
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    return [[mat[perm[i]][perm[j]] for j in range(dim)] for i in range(dim)]
+
+
+def test_blockwise_rank_matches_one_elimination():
+    rng = random.Random(41)
+    split = singular = 0
+    for _ in range(150):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 6))]
+        mat = _hidden_block_diagonal(rng, sizes)
+        split += len(_pattern_components(mat)) > 1
+        rep = exact_rank(mat)
+        assert rep == _bareiss(mat)
+        singular += rep.det == 0
+    assert split > 100 and 20 < singular < 130
+    for mat in ([], [[Fraction(0)]], [[Fraction(-5, 3)]], [[0, 0], [0, 0]], [[0, 1], [0, 0]]):
+        assert exact_rank(mat) == _bareiss(mat)
+
+
+# (family, n, lambda, K) cells whose Gram matrices are small enough to
+# compare both rank paths on every run
+GRAM_GRID = [
+    (f, n, lam, K)
+    for f in Family
+    for K in (1, 2)
+    for n in range(1, 4)
+    for lam in admissible_lambdas(f, n)
+    if dim_left_cell(f, n, lam, K) <= 60
+]
+
+
+def test_blockwise_rank_on_gram_grid():
+    params = {1: [geometric(2, 1, 3), geometric(1, 1, 0)],
+              2: [validate_params([1, 1], [1], [1], [1, -1]),
+                  validate_params([1, 1], [1, 2], [0, 1], [1, -1])]}
+    split = 0
+    for f, n, lam, K in GRAM_GRID:
+        for ps in params[K]:
+            g = gram_matrix(f, n, lam, ps)
+            split += len(_pattern_components(g.entries)) > 1
+            assert exact_rank(g) == _bareiss(g.entries), (f, n, lam, K)
+    assert len(GRAM_GRID) > 100 and split >= 30  # the block path runs
 
 
 def test_gram_symmetry_under_mirrored_orderings():

@@ -8,7 +8,7 @@ Usage: python scripts/dims_table.py [--nmax 4] [--K 1 2] [--check]
 import argparse
 import sys
 
-from moebius import Family, dim_left_cell
+from moebius import Family, checked_dims, dim_left_cell
 from moebius.families import admissible_lambdas
 
 
@@ -23,10 +23,12 @@ def main(argv=None):
         print(f"== {family.value}")
         for K in args.K:
             for n in range(0, args.nmax + 1):
-                cells = ", ".join(
-                    f"lam={lam}: {dim_left_cell(family, n, lam, K, check=args.check)}"
-                    for lam in admissible_lambdas(family, n)
-                )
+                if args.check:
+                    dims = checked_dims(family, n, K)
+                else:
+                    dims = {lam: dim_left_cell(family, n, lam, K)
+                            for lam in admissible_lambdas(family, n)}
+                cells = ", ".join(f"lam={lam}: {val}" for lam, val in dims.items())
                 print(f"  K={K} n={n}: {cells}")
     return 0
 

@@ -66,6 +66,7 @@ from .cells import (
     ZeroPattern,
     apex_set,
     cell_of,
+    checked_dims,
     enumerate_half_diagrams,
     find_strict_idempotent,
 )

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .diagram import Diagram, reduce_mob_pair, render_diagram
+from .diagram import Diagram, render_diagram
 from .errors import PreconditionError
 from .params import (
     MonoidParams,
@@ -23,6 +23,7 @@ from .params import (
     Rat,
     format_rational,
     handle_reduce_monoid,
+    reduce_mob_pair,
     series_coeff,
 )
 

@@ -34,7 +34,9 @@ from .diagram import (
 from .errors import InternalCheckError, ParseError, PreconditionError, ResourceGuardError
 from .families import Family, admissible_lambdas, check_lambda
 from .msmall import (
+    CAYLEY_GUARD,
     CayleyMonoid,
+    _group,
     _membership,
     greens_cells_bruteforce,
     wreath_elements,
@@ -137,6 +139,25 @@ def enumerate_half_diagrams(
     return [d for shape in shapes for d in _decorate(shape, K)]
 
 
+def _check_halves(size: int) -> None:
+    if size > HALVES_GUARD:
+        raise ResourceGuardError(f"enumeration of {size} halves exceeds the guard {HALVES_GUARD}")
+
+
+def checked_dims(f: Family, n: int, K: int, cache_dir: str | None = None) -> dict[int, int]:
+    """dim_left_cell for every admissible lambda, each compared with the
+    number of enumerated halves; every guard check precedes the first
+    enumeration, and a disagreement is an InternalCheckError."""
+    dims = {lam: dim_left_cell(f, n, lam, K) for lam in admissible_lambdas(f, n)}
+    for val in dims.values():
+        _check_halves(val)
+    for lam, val in dims.items():
+        enum = len(enumerate_half_diagrams(f, n, lam, K, cache_dir=cache_dir))
+        if enum != val:
+            raise InternalCheckError(f"closed form {val} != enumeration {enum} at lambda={lam}")
+    return dims
+
+
 # ---------------------------------------------------------------------------
 # shape cache (JSON with schema version and checksum)
 # ---------------------------------------------------------------------------
@@ -204,9 +225,7 @@ def cell_of(d: Diagram, f: Family, mp: MonoidParams) -> CellCoords:
     if not is_member(d, f):
         raise PreconditionError(f"diagram is not in the {f.value} family")
     lam = through_strands(d)
-    size = dim_left_cell(f, d.n, lam, mp.K)
-    if size > HALVES_GUARD:
-        raise ResourceGuardError(f"enumeration of {size} halves exceeds the guard {HALVES_GUARD}")
+    _check_halves(dim_left_cell(f, d.n, lam, mp.K))
     fact = factorize(d, mp)
     halves = enumerate_half_diagrams(f, d.n, lam, mp.K)
     index = {h: i for i, h in enumerate(halves)}
@@ -312,8 +331,8 @@ def family_monoid_cayley(f: Family, n: int, mp: MonoidParams):
     checked before anything is enumerated.
     """
     size = sum(jcell_size(f, n, lam, mp) for lam in admissible_lambdas(f, n))
-    if size > 5000:
-        raise ResourceGuardError(f"decorated monoid has {size} elements; guard is 5000")
+    if size > CAYLEY_GUARD:
+        raise ResourceGuardError(f"decorated monoid has {size} elements; guard is {CAYLEY_GUARD}")
     elements = enumerate_family_monoid(f, n, mp)
     evals = algebra.all_ones_evals(mp)
     mono = CayleyMonoid.from_op(
@@ -354,10 +373,7 @@ def predicted_cells(elements: list[Diagram], f: Family, mp: MonoidParams):
             middle_class[idx] = (lam, l_of[mid], r_of[mid], j_of[mid], h_of[mid])
 
     def group(key_fn):
-        acc: dict = {}
-        for idx in range(len(elements)):
-            acc.setdefault(key_fn(idx), []).append(idx)
-        return sorted(sorted(v) for v in acc.values())
+        return _group(map(key_fn, range(len(elements))))
 
     l_cells = group(lambda i: (facts[i].bottom, middle_class[i][0], middle_class[i][1]))
     r_cells = group(lambda i: (facts[i].top, middle_class[i][0], middle_class[i][2]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -139,26 +140,13 @@ def cmd_member(args, t0):
 
 def cmd_dims(args, t0):
     fam = family_from_name(args.family)
-    cache = _cache_dir(args)
-    dims = {
-        lam: repcount.dim_left_cell(fam, args.n, lam, args.K)
-        for lam in admissible_lambdas(fam, args.n)
-    }
     if args.check:
-        # every guard check precedes the first enumeration
-        for val in dims.values():
-            if val > cells.HALVES_GUARD:
-                raise ResourceGuardError(
-                    f"enumeration of {val} halves exceeds the guard {cells.HALVES_GUARD}"
-                )
-        for lam, val in dims.items():
-            enum = len(
-                cells.enumerate_half_diagrams(fam, args.n, lam, args.K, cache_dir=cache)
-            )
-            if enum != val:
-                raise InternalCheckError(
-                    f"closed form {val} != enumeration {enum} at lambda={lam}"
-                )
+        dims = cells.checked_dims(fam, args.n, args.K, cache_dir=_cache_dir(args))
+    else:
+        dims = {
+            lam: repcount.dim_left_cell(fam, args.n, lam, args.K)
+            for lam in admissible_lambdas(fam, args.n)
+        }
     table = {str(lam): val for lam, val in dims.items()}
     if args.output == "csv":
         for lam, val in table.items():
@@ -233,6 +221,9 @@ def cmd_monoid_m(args, t0):
 
 def cmd_conjugacy(args, t0):
     if args.sym is not None:
+        if args.sym < 0:
+            raise PreconditionError("--sym must be nonnegative")
+        msmall.check_conjugacy_size(math.factorial(args.sym))
         mono = msmall.symmetric_group_cayley(args.sym)
         label = f"S_{args.sym}"
     else:
@@ -241,6 +232,7 @@ def cmd_conjugacy(args, t0):
             mono = msmall.wreath_cayley(mp, args.wreath_lambda)
             label = f"M({args.K},{args.r}) wr S_{args.wreath_lambda}"
         else:
+            msmall.check_conjugacy_size(3 * args.K)
             mono = msmall.cayley_of_m(mp)
             label = f"M({args.K},{args.r})"
     classes = msmall.generalized_conjugacy_classes(mono)
@@ -421,7 +413,7 @@ def cmd_selftest(args, t0):
         assert rep.matches_prediction
 
     def dims():
-        assert repcount.dim_left_cell(Family.TEMPERLEY_LIEB, 3, 1, 2, check=True) == 12
+        assert cells.checked_dims(Family.TEMPERLEY_LIEB, 3, 2)[1] == 12
 
     def assoc():
         rng = random.Random(args.seed)

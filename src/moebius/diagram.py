@@ -18,7 +18,7 @@ from operator import neg
 from .errors import ParseError, PreconditionError
 from .families import Family
 from .msmall import MElem, WreathElem
-from .params import MonoidParams, handle_reduce_monoid
+from .params import MonoidParams, handle_reduce_monoid, reduce_mob_pair
 
 
 def node_key(v: int) -> tuple[int, int]:
@@ -176,14 +176,6 @@ def normalize_mob(d: Diagram) -> Diagram:
     return Diagram.make(
         d.n, d.m, [(nodes,) + reduce_mob_pair(h, mob) for nodes, h, mob in d.blocks]
     )
-
-
-def reduce_mob_pair(h: int, mob: int) -> tuple[int, int]:
-    if mob >= 3:
-        steps = (mob - 1) // 2 if mob % 2 else (mob - 2) // 2
-        h += steps
-        mob -= 2 * steps
-    return h, mob
 
 
 def normalize_handles(d: Diagram, mp: MonoidParams) -> Diagram:

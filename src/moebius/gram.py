@@ -21,7 +21,7 @@ from .cells import enumerate_half_diagrams
 from .diagram import Diagram, factorize, star, through_strands
 from .errors import PreconditionError, ResourceGuardError
 from .families import Family, check_lambda
-from .msmall import wreath_elements, wreath_mul
+from .msmall import _index_components, wreath_elements, wreath_mul
 from .params import (
     MonoidParams,
     ParamSet,
@@ -129,24 +129,8 @@ def exact_rank(mat) -> RankReport:
 def _pattern_components(rows) -> list[list[int]]:
     """Index sets of the connected components of a square matrix's nonzero
     pattern, each ascending, in order of their least index."""
-    parent = list(range(len(rows)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    comps: dict[int, list[int]] = {}
-    for i in range(len(rows)):
-        comps.setdefault(find(i), []).append(i)
-    return list(comps.values())
+    edges = ((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+    return _index_components(len(rows), edges)
 
 
 def _bareiss(rows) -> RankReport:

@@ -3,18 +3,22 @@ its Green structure, generalized conjugacy for finite monoids given by
 Cayley tables, and wreath products M wr S_lambda.
 
 Elements of M are written a^i b^j with 0 <= i < K and 0 <= j <= 2;
-|M| = 3K.
+|M| = 3K.  Green's cells of a table come from its principal ideals:
+L and R group elements by S^1 a and a S^1, H by both, and J = L v R is
+joined by the one index union-find, which Gram rank also uses.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import PreconditionError, ResourceGuardError
-from .params import MonoidParams, handle_reduce_monoid
+from .params import MonoidParams, handle_reduce_monoid, reduce_mob_pair
 from .repcount import count_types  # noqa: F401  (callers use msmall.count_types)
 
+CAYLEY_GUARD = 5000
 CONJUGACY_GUARD = 300
 WREATH_BRUTE_LAMBDA = 2
 WREATH_BRUTE_MSIZE = 6
@@ -47,14 +51,9 @@ M_IDENTITY = MElem(0, 0)
 
 
 def m_mul(x: MElem, y: MElem, mp: MonoidParams) -> MElem:
-    """Product in M: add exponents, rewrite b^3 = ab once, reduce a^K = a^(K-r)."""
-    j = x.j + y.j
-    carry = 0
-    if j >= 3:  # sums are at most 4, so one rewrite suffices
-        j -= 2
-        carry = 1
-    i = handle_reduce_monoid(x.i + y.i + carry, mp)
-    return MElem(i, j)
+    """Product in M: add exponents, rewrite b^3 = ab, reduce a^K = a^(K-r)."""
+    i, j = reduce_mob_pair(x.i + y.i, x.j + y.j)
+    return MElem(handle_reduce_monoid(i, mp), j)
 
 
 def m_elements(mp: MonoidParams) -> list[MElem]:
@@ -85,70 +84,27 @@ class CayleyMonoid:
             raise PreconditionError("duplicate elements in Cayley construction")
         table = []
         for x in elements:
-            row = []
-            for y in elements:
-                z = op(x, y)
-                if z not in index:
-                    raise PreconditionError("multiplication leaves the element list")
-                row.append(index[z])
+            row = [index.get(op(x, y)) for y in elements]
+            if None in row:
+                raise PreconditionError("multiplication leaves the element list")
             table.append(row)
         return cls(elements, table)
 
 
+def _check_cayley_size(size: int) -> None:
+    if size > CAYLEY_GUARD:
+        raise ResourceGuardError(f"monoid of size {size} exceeds the Cayley guard {CAYLEY_GUARD}")
+
+
 def cayley_of_m(mp: MonoidParams) -> CayleyMonoid:
+    _check_cayley_size(3 * mp.K)
     return CayleyMonoid.from_op(m_elements(mp), lambda x, y: m_mul(x, y, mp))
 
 
 def symmetric_group_cayley(n: int) -> CayleyMonoid:
+    _check_cayley_size(math.factorial(n))
     perms = list(itertools.permutations(range(n)))
     return CayleyMonoid.from_op(perms, lambda p, q: tuple(p[q[i]] for i in range(n)))
-
-
-def _sccs(n: int, out_edges) -> list[list[int]]:
-    """Iterative Tarjan; out_edges(v) yields successors."""
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(out_edges(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] is None:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(out_edges(w))))
-                    advanced = True
-                    break
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
 
 
 @dataclass
@@ -162,34 +118,31 @@ class GreensCells:
 
 
 def greens_cells_bruteforce(mono: CayleyMonoid) -> GreensCells:
-    """Cells from the one/two-sided ideal preorders of the table.
+    """Cells from the principal ideals read off the table.
 
-    b lies below a on the left iff b = a or b = ca for some c; mutual
-    reachability (a strongly connected component of the one-step graph)
-    is the cell.
+    S^1 a is a's column plus a and a S^1 is a's row plus a: a L b iff
+    S^1 a = S^1 b, a R b iff a S^1 = b S^1, and H = L meet R.  In a finite
+    semigroup J = D = L v R, so the J-cells join each L- and each R-cell.
     """
-    n = mono.size
-    mul = mono.mul
+    n, mul = mono.size, mono.mul
+    l_cells = _group(frozenset(map(itemgetter(a), mul)) | {a} for a in range(n))
+    r_cells = _group(frozenset(mul[a]) | {a} for a in range(n))
+    joins = ((cell[0], v) for cell in l_cells + r_cells for v in cell)
+    return GreensCells(
+        l_cells,
+        r_cells,
+        _index_components(n, joins),
+        _group(zip(_membership(l_cells, n), _membership(r_cells, n))),
+    )
 
-    def left_edges(v):
-        return {mul[c][v] for c in range(n)}
 
-    def right_edges(v):
-        return {mul[v][c] for c in range(n)}
-
-    def two_sided_edges(v):
-        return {mul[c][v] for c in range(n)} | {mul[v][c] for c in range(n)}
-
-    l_cells = _sccs(n, left_edges)
-    r_cells = _sccs(n, right_edges)
-    j_cells = _sccs(n, two_sided_edges)
-    l_of = _membership(l_cells, n)
-    r_of = _membership(r_cells, n)
-    h_map: dict[tuple[int, int], list[int]] = {}
-    for v in range(n):
-        h_map.setdefault((l_of[v], r_of[v]), []).append(v)
-    h_cells = sorted(h_map.values())
-    return GreensCells(sorted(l_cells), sorted(r_cells), sorted(j_cells), h_cells)
+def _group(keys) -> list[list[int]]:
+    """Positions of equal keys, each list ascending, in order of their
+    least position (so the lists are sorted)."""
+    groups: dict = {}
+    for v, key in enumerate(keys):
+        groups.setdefault(key, []).append(v)
+    return list(groups.values())
 
 
 def _membership(cells: list[list[int]], n: int) -> list[int]:
@@ -198,6 +151,27 @@ def _membership(cells: list[list[int]], n: int) -> list[int]:
         for v in cell:
             out[v] = ci
     return out
+
+
+def _index_components(n: int, pairs) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 with edges pairs, each
+    ascending, in order of their least index (so sorted); union-find."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    comps: dict[int, list[int]] = {}
+    for i in range(n):
+        comps.setdefault(find(i), []).append(i)
+    return list(comps.values())
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +295,15 @@ def omega_power(x: int, mono: CayleyMonoid) -> int:
     return out
 
 
+def check_conjugacy_size(size: int) -> None:
+    """Raise before a conjugacy scan of a monoid with more elements than
+    CONJUGACY_GUARD; callers that know the size pass it before any table."""
+    if size > CONJUGACY_GUARD:
+        raise ResourceGuardError(
+            f"monoid of size {size} exceeds the conjugacy guard {CONJUGACY_GUARD}"
+        )
+
+
 def generalized_conjugacy_classes(mono: CayleyMonoid) -> list[list[int]]:
     """Classes of the relation: m ~ n iff there are x, x' with
     xx'x = x, x'xx' = x', x'x = m^w, xx' = n^w, x m^(w+1) x' = n^(w+1).
@@ -328,10 +311,7 @@ def generalized_conjugacy_classes(mono: CayleyMonoid) -> list[list[int]]:
     Quadratic scan over witness pairs, bucketed by (x'x, xx').
     """
     n = mono.size
-    if n > CONJUGACY_GUARD:
-        raise ResourceGuardError(
-            f"monoid of size {n} exceeds the conjugacy guard {CONJUGACY_GUARD}"
-        )
+    check_conjugacy_size(n)
     mul = mono.mul
     omega = [omega_power(v, mono) for v in range(n)]
     omega1 = [mul[omega[v]][v] for v in range(n)]
@@ -432,6 +412,7 @@ def wreath_cayley(mp: MonoidParams, lam: int, planar: bool = False) -> CayleyMon
             f"wreath Cayley tables are only materialized for lambda <= {WREATH_BRUTE_LAMBDA} "
             f"and |M| <= {WREATH_BRUTE_MSIZE}"
         )
+    _check_cayley_size(wreath_order(mp, lam, planar))
     return CayleyMonoid.from_op(
         wreath_elements(mp, lam, planar), lambda x, y: wreath_mul(x, y, mp)
     )
@@ -482,6 +463,7 @@ def wreath_type(w: WreathElem, classes: list[list[MElem]], mp: MonoidParams) -> 
 
 
 def m_conjugacy_classes(mp: MonoidParams) -> list[list[MElem]]:
+    check_conjugacy_size(3 * mp.K)
     mono = cayley_of_m(mp)
     return [
         [mono.elements[v] for v in cls]

@@ -204,6 +204,15 @@ def handle_reduce_monoid(h: int, mp: MonoidParams) -> int:
     return h
 
 
+def reduce_mob_pair(h: int, mob: int) -> tuple[int, int]:
+    """Crosscap rewrite mob >= 3 -> (mob - 2, h + 1) to exhaustion: b^3 = ab."""
+    if mob >= 3:
+        steps = (mob - 1) // 2 if mob % 2 else (mob - 2) // 2
+        h += steps
+        mob -= 2 * steps
+    return h, mob
+
+
 def monomial_q(r: int) -> tuple[Rat, ...]:
     """The polynomial 1 - T^r."""
     return poly_trim([1] + [0] * (r - 1) + [-1])

@@ -282,13 +282,12 @@ def _planar_partition_dim(n: int, lam: int, y: int) -> int:
     return term[n]
 
 
-def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int, check: bool = False) -> int:
+def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
     """Closed-form number of left cells (half diagrams) at the given cell.
 
     Each non-through block carries one of 3K decorations (handle count
-    below K, crosscap count at most 2).  With check=True the value is
-    verified against explicit half-diagram enumeration; disagreement is
-    a hard internal error.
+    below K, crosscap count at most 2); cells.checked_dims compares it
+    with explicit half-diagram enumeration.
     """
     check_lambda(f, n, lambda_ts)
     if K <= 0:
@@ -321,17 +320,7 @@ def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int, check: bool = False
         val = math.comb(n, lam) * y ** (n - lam)
     else:  # symmetric families: lambda = n forced
         val = 1
-    val = int(val) if not isinstance(val, Fraction) else _as_int(val)
-    if check:
-        from .cells import enumerate_half_diagrams
-
-        enum = len(enumerate_half_diagrams(f, n, lambda_ts, K))
-        if enum != val:
-            raise InternalCheckError(
-                f"dim_left_cell({f.value}, n={n}, lambda={lambda_ts}, K={K}) = {val} "
-                f"but enumeration found {enum}"
-            )
-    return val
+    return int(val) if not isinstance(val, Fraction) else _as_int(val)
 
 
 def _as_int(x: Fraction) -> int:

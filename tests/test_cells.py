@@ -6,6 +6,7 @@ import pytest
 
 from moebius import (
     Family,
+    InternalCheckError,
     MonoidParams,
     PreconditionError,
     ResourceGuardError,
@@ -340,3 +341,16 @@ def test_cell_of_guard_trips_before_enumerating(monkeypatch):
     singletons = Diagram.make(10, 10, [((v,), 0, 0) for v in range(-10, 11) if v])
     with pytest.raises(ResourceGuardError):
         cell_of(singletons, Family.PARTITION, MonoidParams(1, 1))
+
+
+def test_checked_dims_guards_then_compares(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the guard")
+
+    monkeypatch.setattr(cells_mod, "enumerate_half_diagrams", refuse)
+    # lambdas 13 down to 7 are within the guard; lambda = 6 has 3,752,892 halves
+    with pytest.raises(ResourceGuardError, match="3752892 halves"):
+        cells_mod.checked_dims(Family.ROOK, 13, 1)
+    monkeypatch.setattr(cells_mod, "enumerate_half_diagrams", lambda *a, **k: [None])
+    with pytest.raises(InternalCheckError, match="closed form 3 != enumeration 1 at lambda=0"):
+        cells_mod.checked_dims(Family.ROOK, 1, 1)

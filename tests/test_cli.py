@@ -88,6 +88,31 @@ def test_dims_guard_trips_before_enumerating(capsys, monkeypatch):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv, guard",
+    [
+        (("conjugacy", "--sym", "7"), "conjugacy guard 300"),
+        (("conjugacy", "--K", "400", "--r", "1"), "conjugacy guard 300"),
+        (("wreath-types", "--K", "400", "--r", "1", "--lambda", "1"), "conjugacy guard 300"),
+        (("monoid-m", "--K", "1667", "--r", "1"), "Cayley guard 5000"),
+    ],
+)
+def test_cayley_guards_trip_before_the_table(capsys, monkeypatch, argv, guard):
+    from moebius.msmall import CayleyMonoid
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Cayley table before the guard")
+
+    monkeypatch.setattr(CayleyMonoid, "from_op", refuse)
+    assert main(list(argv)) == 4
+    assert guard in capsys.readouterr().err
+
+
+def test_conjugacy_rejects_a_negative_sym(capsys):
+    code, _ = run_cli(capsys, "conjugacy", "--sym", "-1")
+    assert code == 3
+
+
 def test_stable_output_is_deterministic(capsys, params_file_201):
     _, out1 = run_cli(capsys, "--stable", "gram", "--family", "rook", "--n", "1",
                       "--lambda", "0", "--params", params_file_201)

@@ -6,6 +6,7 @@ import pytest
 
 from moebius import (
     CayleyMonoid,
+    Family,
     MElem,
     MonoidParams,
     PreconditionError,
@@ -13,13 +14,18 @@ from moebius import (
     WreathElem,
     count_types,
     generalized_conjugacy_classes,
+    greens_cells_bruteforce,
     m_cell_structure,
     m_mul,
     omega_power,
     wreath_mul,
     wreath_type,
 )
+from moebius import msmall
+from moebius.cells import family_monoid_cayley, jcell_size
+from moebius.families import admissible_lambdas
 from moebius.msmall import (
+    GreensCells,
     cayley_of_m,
     m_conjugacy_classes,
     m_elements,
@@ -93,6 +99,109 @@ def test_greens_group_single_cell():
     assert cells.h_cells == [[0, 1, 2]]
 
 
+# ---------------------------------------------------------------------------
+# Green's cells: the Tarjan search for strongly connected components of the
+# one-step ideal graphs is the oracle for the principal-ideal grouping
+# ---------------------------------------------------------------------------
+
+
+def _sccs(n, out_edges):
+    """Iterative Tarjan; out_edges(v) yields successors."""
+    index = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    sccs = []
+    counter = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        work = [(root, iter(out_edges(root)))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index[w] is None:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(out_edges(w))))
+                    advanced = True
+                    break
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+    return sccs
+
+
+def greens_cells_tarjan(mono):
+    """b lies below a on the left iff b = a or b = ca for some c; mutual
+    reachability in the one-step graph (a strongly connected component)
+    is the cell, likewise on the right and on both sides; H = L meet R."""
+    n = mono.size
+    mul = mono.mul
+    l_cells = _sccs(n, lambda v: {mul[c][v] for c in range(n)})
+    r_cells = _sccs(n, lambda v: {mul[v][c] for c in range(n)})
+    j_cells = _sccs(n, lambda v: {mul[c][v] for c in range(n)} | {mul[v][c] for c in range(n)})
+    l_of = {v: ci for ci, cell in enumerate(l_cells) for v in cell}
+    r_of = {v: ci for ci, cell in enumerate(r_cells) for v in cell}
+    h_map = {}
+    for v in range(n):
+        h_map.setdefault((l_of[v], r_of[v]), []).append(v)
+    return GreensCells(sorted(l_cells), sorted(r_cells), sorted(j_cells), sorted(h_map.values()))
+
+
+def _oracle_tables():
+    """(label, Cayley table): every decorated family monoid at n = 1 for
+    K <= 2 and at n = 2, K = 1 up to 210 elements, TL n = 3, M(K, r) for
+    K <= 8 and odd r < K, S_1..S_5, every wreath table wreath_cayley
+    builds for K <= 2, Z/3, and a constant table with no identity."""
+    for f in Family:
+        for K in (1, 2):
+            yield f"{f.value} n=1 K={K}", family_monoid_cayley(f, 1, MonoidParams(K, 1))[1]
+        mp = MonoidParams(1, 1)
+        if sum(jcell_size(f, 2, lam, mp) for lam in admissible_lambdas(f, 2)) <= 210:
+            yield f"{f.value} n=2 K=1", family_monoid_cayley(f, 2, mp)[1]
+    yield "tl n=3", family_monoid_cayley(Family.TEMPERLEY_LIEB, 3, MonoidParams(1, 1))[1]
+    for K in range(1, 9):
+        for r in range(1, K, 2):
+            yield f"M({K},{r})", cayley_of_m(MonoidParams(K, r))
+    for n in range(1, 6):
+        yield f"S_{n}", symmetric_group_cayley(n)
+    for K in (1, 2):
+        for lam in (0, 1, 2):
+            for planar in (False, True):
+                yield f"M({K},1) wr {lam} {planar}", wreath_cayley(MonoidParams(K, 1), lam, planar)
+    yield "Z/3", CayleyMonoid.from_op(range(3), lambda a, b: (a + b) % 3)
+    yield "constant 301", CayleyMonoid(list(range(301)), [[0] * 301] * 301)
+
+
+def test_greens_cells_match_the_tarjan_oracle():
+    sizes = []
+    for label, mono in _oracle_tables():
+        sizes.append(mono.size)
+        assert greens_cells_bruteforce(mono) == greens_cells_tarjan(mono), label
+    assert len(sizes) == 62 and max(sizes) == 301
+
+
 def test_omega_power_examples():
     mp = MonoidParams(4, 3)
     mono = cayley_of_m(mp)
@@ -122,6 +231,27 @@ def test_conjugacy_guard():
     big = CayleyMonoid(list(range(301)), [[0] * 301] * 301)
     with pytest.raises(ResourceGuardError):
         generalized_conjugacy_classes(big)
+
+
+def test_cayley_guards_trip_before_the_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed elements or built a table before the guard")
+
+    monkeypatch.setattr(CayleyMonoid, "from_op", refuse)
+    monkeypatch.setattr(msmall, "m_elements", refuse)
+    with pytest.raises(ResourceGuardError, match="Cayley guard 5000"):
+        cayley_of_m(MonoidParams(1667, 1))
+    with pytest.raises(ResourceGuardError, match="Cayley guard 5000"):
+        symmetric_group_cayley(7)
+    with pytest.raises(ResourceGuardError, match="Cayley guard 5000"):
+        wreath_cayley(MonoidParams(6, 1), 3, planar=True)
+    with pytest.raises(ResourceGuardError, match="conjugacy guard 300"):
+        m_conjugacy_classes(MonoidParams(101, 1))
+
+
+def test_from_op_rejects_a_product_outside_the_elements():
+    with pytest.raises(PreconditionError, match="leaves the element list"):
+        CayleyMonoid.from_op(range(3), lambda a, b: a + b)
 
 
 def test_wreath_identity_and_perms():

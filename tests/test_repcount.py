@@ -11,6 +11,7 @@ from moebius import (
     Family,
     PreconditionError,
     SimpleCountQuery,
+    checked_dims,
     count_simples,
     count_types,
     deligne_parameters,
@@ -186,9 +187,9 @@ def test_dim_left_cell_examples():
 
 
 def test_dim_left_cell_check_flag():
-    # check=True re-derives the value by explicit half-diagram enumeration
-    assert dim_left_cell(Family.MOTZKIN, 3, 1, 2, check=True) == 120
-    assert dim_left_cell(Family.PLANAR_PARTITION, 3, 1, 2, check=True) == 139
+    # checked_dims re-derives each value by explicit half-diagram enumeration
+    assert checked_dims(Family.MOTZKIN, 3, 2)[1] == 120
+    assert checked_dims(Family.PLANAR_PARTITION, 3, 2)[1] == 139
 
 
 def test_dim_left_cell_rejects_bad_lambda():

@@ -7,6 +7,13 @@ identified with f's bottom.  Each component of the stack is a union of
 whole blocks of f and g joined at interface nodes; its decoration is the
 sum of theirs, and every component without boundary nodes evaluates to
 a series coefficient which multiplies the term.
+
+Which blocks join, and where the result's blocks and nodes sit in
+``Diagram``'s canonical order, depends on the two shapes alone.
+``_topology`` works that layout out once per shape pair; each
+composition replays it, summing decorations per component and building
+the result with the ``Diagram`` constructor, with no re-sort and no
+re-validation.
 """
 from __future__ import annotations
 
@@ -15,8 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .diagram import Diagram, render_diagram
-from .errors import PreconditionError
+from .diagram import Diagram, node_key, render_diagram
+from .errors import InternalCheckError, PreconditionError
 from .params import (
     MonoidParams,
     ParamSet,
@@ -62,8 +69,9 @@ class LinComb:
                 continue
             if d.n != n or d.m != m:
                 raise PreconditionError("all diagrams in a combination share boundaries")
-            items.append((d, Fraction(c)))
-        items.sort(key=lambda t: t[0].sort_key())
+            items.append((d, c if isinstance(c, Fraction) else Fraction(c)))
+        if len(items) > 1:
+            items.sort(key=lambda t: t[0].sort_key())
         return LinComb(n, m, tuple(items))
 
     @staticmethod
@@ -118,18 +126,23 @@ def lincomb_tensor(x: LinComb, y: LinComb) -> LinComb:
 
 
 _nodes_of = itemgetter(0)
+_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=4096)
 def _topology(g_nodes: tuple, f_nodes: tuple, k: int) -> tuple:
-    """Components of the stack of f over g, from the blocks' node tuples.
+    """Canonical layout of the stack of f over g, from the blocks' node tuples.
 
     Every component is a union of whole blocks of g and f, joined where a
     top node k of g meets the bottom node k of f, so the union-find runs
-    over block indices: g's blocks first, then f's.  Returns one
-    (boundary nodes, member block indices) pair per component, in order of
-    its first block.  Boundary nodes are g's bottom nodes (v > 0) and f's
-    top nodes (v < 0); a closed component has none.
+    over block indices: g's blocks first, then f's.  Boundary nodes are
+    g's bottom nodes (v > 0) and f's top nodes (v < 0).  Returns (open,
+    closed): open holds one (nodes, member block indices) pair per
+    component with boundary nodes, in ``Diagram``'s canonical order (nodes
+    bottoms ascending, then tops ascending; blocks by least node); closed
+    holds the member indices of each component without any, in order of
+    its first block.  The open nodes are checked once to cover the
+    boundary exactly once.
     """
     offset = len(g_nodes)
     parent = list(range(offset + len(f_nodes)))
@@ -157,36 +170,52 @@ def _topology(g_nodes: tuple, f_nodes: tuple, k: int) -> tuple:
         boundary, members = comps.setdefault(find(i), ([], []))
         boundary.extend(v for v in nodes if (v > 0) == (i < offset))
         members.append(i)
-    return tuple((tuple(b), tuple(m)) for b, m in comps.values())
+    opened, closed = [], []
+    for boundary, members in comps.values():
+        if boundary:
+            opened.append((tuple(sorted(boundary, key=node_key)), tuple(members)))
+        else:
+            closed.append(tuple(members))
+    opened.sort(key=lambda comp: node_key(comp[0][0]))
+
+    flat = [v for nodes, _ in opened for v in nodes]
+    n = sum(1 for nodes in g_nodes for v in nodes if v > 0)
+    m = sum(1 for nodes in f_nodes for v in nodes if v < 0)
+    if sorted(flat, key=node_key) != [*range(1, n + 1), *range(-1, -m - 1, -1)]:
+        raise InternalCheckError(f"merge layout does not cover the {n}->{m} boundary once")
+    return tuple(opened), tuple(closed)
+
+
+def _summed(blocks: tuple, members: tuple) -> tuple[int, int]:
+    h = mob = 0
+    for i in members:
+        _, bh, bmob = blocks[i]
+        h += bh
+        mob += bmob
+    return h, mob
 
 
 def _merge_diagrams(f: Diagram, g: Diagram):
     """Stack f over g.  Returns (open blocks, closed decorations).
 
-    The components come from ``_topology``, memoized per pair of block
-    node sets; decorations add per component.  Open blocks are
-    (nodes, h, mob) over the result boundary; closed decorations are
-    (h, mob) pairs of components that lost all boundary nodes.
+    The layout comes from ``_topology``, memoized per pair of block node
+    sets; decorations add per component.  Open blocks are (nodes, h, mob)
+    over the result boundary, already in ``Diagram``'s canonical order;
+    closed decorations are (h, mob) pairs of components that lost all
+    boundary nodes.
     """
     if g.m != f.n:
         raise PreconditionError(
             f"boundary mismatch: cannot stack {f.n}->{f.m} on top of {g.n}->{g.m}"
         )
     blocks = g.blocks + f.blocks
-    open_blocks, closed = [], []
-    for nodes, members in _topology(
+    opened, closed = _topology(
         tuple(map(_nodes_of, g.blocks)), tuple(map(_nodes_of, f.blocks)), g.m
-    ):
-        h = mob = 0
-        for i in members:
-            _, bh, bmob = blocks[i]
-            h += bh
-            mob += bmob
-        if nodes:
-            open_blocks.append((nodes, h, mob))
-        else:
-            closed.append((h, mob))
-    return open_blocks, closed
+    )
+    return (
+        [(nodes, *_summed(blocks, members)) for nodes, members in opened],
+        [_summed(blocks, members) for members in closed],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +225,8 @@ def _merge_diagrams(f: Diagram, g: Diagram):
 
 def _expand_handles(blocks: list, coeff: Rat, ps: ParamSet, acc: dict, n: int, m: int):
     """Rewrite blocks with h >= K one at a time until all handle counts
-    drop below K; terminates since each rewrite lowers that block's h."""
+    drop below K; terminates since each rewrite lowers that block's h.
+    Blocks stay in canonical order, since a rewrite moves no node."""
     for idx, (nodes, h, mob) in enumerate(blocks):
         if h >= ps.K:
             for i in range(1, ps.M_deg + 1):
@@ -207,22 +237,28 @@ def _expand_handles(blocks: list, coeff: Rat, ps: ParamSet, acc: dict, n: int, m
                 nxt[idx] = (nodes, h - i, mob)
                 _expand_handles(nxt, coeff * (-1) ** (i + 1) * ai, ps, acc, n, m)
             return
-    d = Diagram.make(n, m, blocks)
+    d = Diagram(n, m, tuple(blocks))
     acc[d] = acc.get(d, Fraction(0)) + coeff
 
 
 def compose_diagrams(f: Diagram, g: Diagram, ps: ParamSet) -> LinComb:
     """Composition of basis diagrams in the linear calculus."""
     open_blocks, closed = _merge_diagrams(f, g)
-    coeff = Fraction(1)
+    n, m = g.n, f.m
+    coeff = None
     for dec in closed:
-        coeff *= evaluate_closed(dec, ps)
+        value = evaluate_closed(dec, ps)
+        coeff = value if coeff is None else coeff * value
         if coeff == 0:
-            return LinComb.make(g.n, f.m, {})
-    normalized = [(nodes,) + reduce_mob_pair(h, mob) for nodes, h, mob in open_blocks]
+            return LinComb(n, m, ())
+    if coeff is None:
+        coeff = _ONE
+    blocks = [(nodes,) + reduce_mob_pair(h, mob) for nodes, h, mob in open_blocks]
+    if all(h < ps.K for _, h, _ in blocks):
+        return LinComb(n, m, ((Diagram(n, m, tuple(blocks)), coeff),))
     acc: dict[Diagram, Rat] = {}
-    _expand_handles(normalized, coeff, ps, acc, g.n, f.m)
-    return LinComb.make(g.n, f.m, acc)
+    _expand_handles(blocks, coeff, ps, acc, n, m)
+    return LinComb.make(n, m, acc)
 
 
 def compose(f: LinComb, g: LinComb, ps: ParamSet) -> LinComb:
@@ -275,4 +311,4 @@ def monoid_compose(
     for nodes, h, mob in open_blocks:
         h, mob = reduce_mob_pair(h, mob)
         blocks.append((nodes, handle_reduce_monoid(h, mp), mob))
-    return Diagram.make(y.n, x.m, blocks)
+    return Diagram(y.n, x.m, tuple(blocks))

@@ -199,18 +199,31 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
 
 
 def star(d: Diagram) -> Diagram:
-    """Reflect about the horizontal: bottom i <-> top i, decorations kept."""
-    return Diagram.make(
-        d.m, d.n, [(tuple(map(neg, nodes)), h, mob) for nodes, h, mob in d.blocks]
-    )
+    """Reflect about the horizontal: bottom i <-> top i, decorations kept.
+
+    Where each block lands depends on the block node tuples alone, so the
+    reflected canonical layout comes from ``_star_layout`` and only the
+    decorations are copied per call.
+    """
+    blocks = d.blocks
+    layout = _star_layout(tuple([nodes for nodes, _, _ in blocks]))
+    return Diagram(d.m, d.n, tuple([(nodes,) + blocks[i][1:] for nodes, i in layout]))
+
+
+@lru_cache(maxsize=4096)
+def _star_layout(shape: tuple) -> tuple:
+    """(reflected nodes, source block index) per block of the star of a
+    diagram with these block node tuples, in canonical order: nodes
+    bottoms ascending, then tops ascending; blocks by least node."""
+    layout = [(tuple(sorted(map(neg, nodes), key=node_key)), i) for i, nodes in enumerate(shape)]
+    layout.sort(key=lambda slot: node_key(slot[0][0]))
+    return tuple(layout)
 
 
 def through_strands(d: Diagram) -> int:
-    return sum(
-        1
-        for nodes, _, _ in d.blocks
-        if any(v > 0 for v in nodes) and any(v < 0 for v in nodes)
-    )
+    """Blocks meeting both boundaries.  Canonical nodes list bottoms (v > 0)
+    before tops (v < 0), so such a block starts positive and ends negative."""
+    return sum(1 for nodes, _, _ in d.blocks if nodes[0] > 0 > nodes[-1])
 
 
 # ---------------------------------------------------------------------------

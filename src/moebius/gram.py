@@ -32,6 +32,7 @@ from .params import (
 from .repcount import dim_left_cell
 
 SIZE_GUARD = 2000
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -86,15 +87,15 @@ def _entry(bottom, top_star, ps, mp, middles) -> Rat:
     lam = bottom.m
     x = algebra.compose_diagrams(bottom, star(top_star), ps)
     if x.is_zero():
-        return Fraction(0)
+        return _ZERO
     w, c = x.single()
     if through_strands(w) < lam:
-        return Fraction(0)
+        return _ZERO
     w_mid = factorize(w, mp).middle
     for m in middles:
         if wreath_mul(wreath_mul(m, w_mid, mp), m, mp) == m:
             return c
-    return Fraction(0)
+    return _ZERO
 
 
 # ---------------------------------------------------------------------------

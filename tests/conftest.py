@@ -1,6 +1,8 @@
-"""Shared fixtures: parameter sets, random diagram generators, and an
+"""Shared fixtures: parameter sets, random diagram generators, an
 independent partition-composition oracle (BFS over an adjacency map, no
-union-find) used to cross-check the production composition."""
+union-find) used to cross-check the production composition, and
+``Diagram.make``-based star, linear and monoid composition, which the
+replayed canonical layouts must equal exactly."""
 from __future__ import annotations
 
 import random
@@ -8,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from moebius import Family, is_member, validate_params
+from moebius import Family, LinComb, evaluate_closed, is_member, validate_params
 from moebius.diagram import Diagram
+from moebius.params import handle_reduce_monoid, reduce_mob_pair
 
 
 @pytest.fixture
@@ -164,3 +167,59 @@ def oracle_compose(f: Diagram, g: Diagram) -> tuple[Diagram, list[tuple[int, int
         else:
             closed.append((h, mob))
     return Diagram.make(g.n, f.m, blocks), sorted(closed)
+
+
+# ---------------------------------------------------------------------------
+# Diagram.make-based oracles for the replayed layouts
+# ---------------------------------------------------------------------------
+
+
+def oracle_star(d: Diagram) -> Diagram:
+    """Reflection rebuilt and re-sorted by ``Diagram.make``."""
+    return Diagram.make(
+        d.m, d.n, [(tuple(-v for v in nodes), h, mob) for nodes, h, mob in d.blocks]
+    )
+
+
+def oracle_compose_diagrams(f: Diagram, g: Diagram, ps) -> LinComb:
+    """Linear composition from the breadth-first merge: closed values
+    multiplied from Fraction(1), handles expanded one block at a time and
+    every term built by ``Diagram.make``."""
+    merged, closed = oracle_compose(f, g)
+    coeff = Fraction(1)
+    for dec in closed:
+        coeff *= evaluate_closed(dec, ps)
+    acc: dict = {}
+
+    def expand(blocks, c):
+        for idx, (nodes, h, mob) in enumerate(blocks):
+            if h >= ps.K:
+                for i in range(1, ps.M_deg + 1):
+                    ai = ps.handle_coeffs[i - 1]
+                    if ai:
+                        nxt = list(blocks)
+                        nxt[idx] = (nodes, h - i, mob)
+                        expand(nxt, c * (-1) ** (i + 1) * ai)
+                return
+        d = Diagram.make(g.n, f.m, blocks)
+        acc[d] = acc.get(d, Fraction(0)) + c
+
+    if coeff:
+        expand([(nodes,) + reduce_mob_pair(h, mob) for nodes, h, mob in merged.blocks], coeff)
+    return LinComb.make(g.n, f.m, acc)
+
+
+def oracle_monoid_compose(x: Diagram | None, y: Diagram | None, mp, evals) -> Diagram | None:
+    """Monoid composition from the breadth-first merge, built by ``Diagram.make``."""
+    if x is None or y is None:
+        return None
+    merged, closed = oracle_compose(x, y)
+    for dec in closed:
+        h, mob = reduce_mob_pair(*dec)
+        if evals[(mob, handle_reduce_monoid(h, mp))] == 0:
+            return None
+    blocks = []
+    for nodes, h, mob in merged.blocks:
+        h, mob = reduce_mob_pair(h, mob)
+        blocks.append((nodes, handle_reduce_monoid(h, mp), mob))
+    return Diagram.make(y.n, x.m, blocks)

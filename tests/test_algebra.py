@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from moebius import (
+    Diagram,
     Family,
     LinComb,
     MonoidParams,
@@ -24,11 +25,15 @@ from moebius import (
     validate_params,
 )
 from moebius.algebra import _merge_diagrams, _topology, lincomb_scale, lincomb_star, lincomb_tensor
+from moebius.cells import family_monoid_cayley
 from moebius.diagram import is_member, node_key
+from moebius.errors import InternalCheckError
 
 from conftest import (
     family_shapes,
     oracle_compose,
+    oracle_compose_diagrams,
+    oracle_monoid_compose,
     random_family_diagram,
     random_paramsets,
 )
@@ -238,12 +243,11 @@ def _oracle_summary(f, g):
     return set(d.blocks), closed
 
 
-def _merge_oracle_grid() -> int:
-    # decorated pairs from every family, square and rectangular: the
-    # block-level merge must glue the same components with the same
-    # summed decorations as breadth-first search over nodes
+def _merge_grid_pairs() -> list[tuple[Family, Diagram, Diagram]]:
+    # decorated pairs (family, f, g) from every family, square and
+    # rectangular, with g's top meeting f's bottom
     rng = random.Random(2026)
-    closing = 0
+    pairs = []
     for f in Family:
         shapes = {
             (n, m): family_shapes(f, n, m) for n in range(4) for m in range(4)
@@ -255,9 +259,18 @@ def _merge_oracle_grid() -> int:
             g = random_family_diagram(rng, shapes[bottom, mid], 2, 4)
             top = rng.choice(tops)
             x = random_family_diagram(rng, shapes[mid, top], 2, 4)
-            summary = _merge_summary(x, g)
-            assert summary == _oracle_summary(x, g), (f, x, g)
-            closing += bool(summary[1])
+            pairs.append((f, x, g))
+    return pairs
+
+
+def _merge_oracle_grid() -> int:
+    # the block-level merge must glue the same components with the same
+    # summed decorations as breadth-first search over nodes
+    closing = 0
+    for f, x, g in _merge_grid_pairs():
+        summary = _merge_summary(x, g)
+        assert summary == _oracle_summary(x, g), (f, x, g)
+        closing += bool(summary[1])
     return closing
 
 
@@ -294,6 +307,62 @@ def test_equal_shapes_keep_their_own_decorations():
 
 def test_topology_memo_is_bounded():
     assert _topology.cache_info().maxsize is not None
+
+
+def test_topology_checks_its_cover():
+    # node tuples no diagram has: g's only bottom node is 2 on a 1-node boundary
+    _topology.cache_clear()
+    with pytest.raises(InternalCheckError, match="cover"):
+        _topology(((2,),), ((),), 0)
+
+
+# (parameters, term counts seen on the grid): K = 1 with q = 1 - T;
+# K = 3 with q = 1 - T^3, where handle expansion runs and gamma_0 = 0;
+# K = 2 with q = 1 - T - T^2, where every rewrite makes two terms; and
+# beta = 0, which zeroes every component closing with one crosscap
+REPLAY_PARAMS = [
+    (([2], [1], [3], [1, -1]), {1}),
+    (([2], [1, 1], [0, 1], [1, 0, 0, -1]), {0, 1}),
+    (([1, 1], [1], [2], [1, -1, -1]), {1, 2, 4, 8, 16}),
+    (([1], [], [1], [1, -1]), {0, 1}),
+]
+
+
+@pytest.mark.parametrize("params, term_counts", REPLAY_PARAMS)
+def test_compose_matches_the_make_oracle(params, term_counts):
+    # the replayed canonical layout builds exactly the LinComb that
+    # Diagram.make and LinComb.make build, Fraction coefficients included
+    ps = validate_params(*params)
+    seen = set()
+    for f, x, g in _merge_grid_pairs():
+        out = compose_diagrams(x, g, ps)
+        assert out == oracle_compose_diagrams(x, g, ps), (f, x, g)
+        assert all(type(c) is Fraction for _, c in out.terms)
+        seen.add(len(out.terms))
+    assert seen == term_counts
+
+
+def test_monoid_compose_matches_the_make_oracle():
+    mp = MonoidParams(3, 1)
+    evals = all_ones_evals(mp)
+    evals[(1, 0)] = evals[(2, 2)] = 0
+    results = set()
+    for f, x, g in _merge_grid_pairs():
+        out = monoid_compose(x, g, mp, evals)
+        assert out == oracle_monoid_compose(x, g, mp, evals), (f, x, g)
+        results.add(out is None)
+    assert results == {False, True}
+
+
+def test_family_monoid_table_matches_the_make_oracle():
+    # Brauer n = 2 with h^3 = h^2: 243 elements, closed loops on every cup-cap
+    mp = MonoidParams(3, 1)
+    evals = all_ones_evals(mp)
+    elements, mono = family_monoid_cayley(Family.BRAUER, 2, mp)
+    assert len(elements) == 243
+    for x, row in zip(elements, mono.mul):
+        for y, k in zip(elements, row):
+            assert elements[k] == oracle_monoid_compose(x, y, mp, evals)
 
 
 def test_merge_rejects_a_boundary_mismatch():

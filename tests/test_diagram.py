@@ -21,10 +21,12 @@ from moebius import (
     tensor,
     through_strands,
 )
-from moebius.diagram import Diagram, is_planar, wreath_to_diagram
+from moebius.cells import enumerate_half_diagrams
+from moebius.diagram import Diagram, _star_layout, is_planar, wreath_to_diagram
+from moebius.families import admissible_lambdas
 from moebius.msmall import MElem, WreathElem
 
-from conftest import family_shapes, random_diagram
+from conftest import family_shapes, oracle_star, random_diagram
 
 A_LITERAL = "6;6;{1,2'}[0,0]|{2,4,5}[0,0]|{3,3'}[0,0]|{6,1',4',6'}[0,0]|{5'}[0,0]"
 
@@ -183,6 +185,48 @@ def test_through_examples():
     assert through_strands(parse_diagram(A_LITERAL)) == 3
     assert through_strands(identity(4)) == 4
     assert through_strands(parse_diagram("2;0;{1,2}[0,0]")) == 0
+
+
+def _every_half():
+    # all ten families, n <= 4, every admissible lambda, K <= 2
+    for f in Family:
+        for n in range(5):
+            for lam in admissible_lambdas(f, n):
+                for K in (1, 2):
+                    yield from enumerate_half_diagrams(f, n, lam, K)
+
+
+def test_star_matches_the_make_oracle_on_every_half():
+    # the replayed layout equals Diagram.make's canonical form exactly
+    _star_layout.cache_clear()
+    count = 0
+    for d in _every_half():
+        s = star(d)
+        assert s == oracle_star(d), d
+        assert star(s) == d
+        count += 1
+    assert count == 29_608
+
+
+def _through_by_scan(d: Diagram) -> int:
+    return sum(
+        1
+        for nodes, _, _ in d.blocks
+        if any(v > 0 for v in nodes) and any(v < 0 for v in nodes)
+    )
+
+
+def test_through_strands_matches_the_scan_on_every_half():
+    seen = set()
+    for d in _every_half():
+        for x in (d, star(d)):
+            assert through_strands(x) == _through_by_scan(x) == d.m, x
+            seen.add(d.m)
+    assert seen == {0, 1, 2, 3, 4}
+
+
+def test_star_layout_memo_is_bounded():
+    assert _star_layout.cache_info().maxsize is not None
 
 
 ROBR_EXAMPLE = (

@@ -396,3 +396,28 @@ def test_gram_supports_monomial_higher_K():
     }
     assert nonzero == expect
     assert exact_rank(g).rank == 3
+
+
+def test_make_calls_repeat_with_cold_and_warm_memos(monkeypatch):
+    # a memo may save work but must not change which traced calls run:
+    # one that called Diagram.make only on a miss would count more on
+    # the cold pass than on the warm one
+    from moebius import algebra, diagram
+
+    algebra._topology.cache_clear()
+    diagram._star_layout.cache_clear()
+    calls = []
+    make = diagram.Diagram.make
+
+    def counting_make(*args):
+        calls.append(None)
+        return make(*args)
+
+    monkeypatch.setattr(diagram.Diagram, "make", staticmethod(counting_make))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        g = gram_matrix(Family.ROOK, 3, 1, geometric(1, 1, 1))
+        counts.append(len(calls))
+    assert exact_rank(g).rank == 3
+    assert counts[0] == counts[1] > 0

@@ -10,13 +10,8 @@ import argparse
 import sys
 
 from moebius import MonoidParams, generalized_conjugacy_classes, m_cell_structure
-from moebius.msmall import (
-    cayley_of_m,
-    count_types,
-    m_conjugacy_classes,
-    wreath_elements,
-    wreath_type,
-)
+from moebius.msmall import cayley_of_m, m_conjugacy_classes, wreath_elements, wreath_type
+from moebius.repcount import count_types
 
 
 def main(argv=None):

@@ -24,6 +24,7 @@ from operator import itemgetter
 
 from .diagram import Diagram, node_key, render_diagram
 from .errors import InternalCheckError, PreconditionError
+from .msmall import _index_components
 from .params import (
     MonoidParams,
     ParamSet,
@@ -134,44 +135,28 @@ def _topology(g_nodes: tuple, f_nodes: tuple, k: int) -> tuple:
     """Canonical layout of the stack of f over g, from the blocks' node tuples.
 
     Every component is a union of whole blocks of g and f, joined where a
-    top node k of g meets the bottom node k of f, so the union-find runs
-    over block indices: g's blocks first, then f's.  Boundary nodes are
-    g's bottom nodes (v > 0) and f's top nodes (v < 0).  Returns (open,
-    closed): open holds one (nodes, member block indices) pair per
-    component with boundary nodes, in ``Diagram``'s canonical order (nodes
-    bottoms ascending, then tops ascending; blocks by least node); closed
-    holds the member indices of each component without any, in order of
-    its first block.  The open nodes are checked once to cover the
-    boundary exactly once.
+    top node k of g meets the bottom node k of f, so the components come
+    from ``msmall._index_components`` over block indices: g's blocks
+    first, then f's.  Boundary nodes are g's bottom nodes (v > 0) and f's
+    top nodes (v < 0).  Returns (open, closed): open holds one (nodes,
+    member block indices) pair per component with boundary nodes, in
+    ``Diagram``'s canonical order (nodes bottoms ascending, then tops
+    ascending; blocks by least node); closed holds the member indices of
+    each component without any, in order of its first block.  The open
+    nodes are checked once to cover the boundary exactly once.
     """
     offset = len(g_nodes)
-    parent = list(range(offset + len(f_nodes)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     holder = [0] * (k + 1)  # interface node k -> the g block holding top k
     for i, nodes in enumerate(g_nodes):
         for v in nodes:
             if v < 0:
                 holder[-v] = i
-    for i, nodes in enumerate(f_nodes, offset):
-        for v in nodes:
-            if v > 0:
-                ri, rj = find(i), find(holder[v])
-                if ri != rj:
-                    parent[rj] = ri
+    blocks = g_nodes + f_nodes
+    joins = ((i, holder[v]) for i, nodes in enumerate(f_nodes, offset) for v in nodes if v > 0)
 
-    comps: dict[int, tuple[list, list]] = {}  # root -> (boundary nodes, members)
-    for i, nodes in enumerate(g_nodes + f_nodes):
-        boundary, members = comps.setdefault(find(i), ([], []))
-        boundary.extend(v for v in nodes if (v > 0) == (i < offset))
-        members.append(i)
     opened, closed = [], []
-    for boundary, members in comps.values():
+    for members in _index_components(len(blocks), joins):
+        boundary = [v for i in members for v in blocks[i] if (v > 0) == (i < offset)]
         if boundary:
             opened.append((tuple(sorted(boundary, key=node_key)), tuple(members)))
         else:

@@ -34,8 +34,8 @@ from .diagram import (
 from .errors import InternalCheckError, ParseError, PreconditionError, ResourceGuardError
 from .families import Family, admissible_lambdas, check_lambda
 from .msmall import (
-    CAYLEY_GUARD,
     CayleyMonoid,
+    _check_cayley_size,
     _group,
     _membership,
     greens_cells_bruteforce,
@@ -331,8 +331,7 @@ def family_monoid_cayley(f: Family, n: int, mp: MonoidParams):
     checked before anything is enumerated.
     """
     size = sum(jcell_size(f, n, lam, mp) for lam in admissible_lambdas(f, n))
-    if size > CAYLEY_GUARD:
-        raise ResourceGuardError(f"decorated monoid has {size} elements; guard is {CAYLEY_GUARD}")
+    _check_cayley_size(size)
     elements = enumerate_family_monoid(f, n, mp)
     evals = algebra.all_ones_evals(mp)
     mono = CayleyMonoid.from_op(

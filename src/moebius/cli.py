@@ -56,10 +56,6 @@ def _load_params(path: str):
         raise ParseError(f"cannot read parameter file {path}: {exc}") from None
 
 
-def _cache_dir(args) -> str | None:
-    return getattr(args, "cache_dir", None) or os.environ.get("MOEBIUS_CACHE_DIR")
-
-
 def _emit(args, result: dict, started: float) -> None:
     envelope = {
         "command": args.command,
@@ -141,7 +137,8 @@ def cmd_member(args, t0):
 def cmd_dims(args, t0):
     fam = family_from_name(args.family)
     if args.check:
-        dims = cells.checked_dims(fam, args.n, args.K, cache_dir=_cache_dir(args))
+        cache_dir = args.cache_dir or os.environ.get("MOEBIUS_CACHE_DIR")
+        dims = cells.checked_dims(fam, args.n, args.K, cache_dir=cache_dir)
     else:
         dims = {
             lam: repcount.dim_left_cell(fam, args.n, lam, args.K)
@@ -263,7 +260,7 @@ def cmd_wreath_types(args, t0):
         msmall.wreath_type(w, classes, mp)
         for w in msmall.wreath_elements(mp, lam)
     }
-    predicted = msmall.count_types(lam, len(classes))
+    predicted = repcount.count_types(lam, len(classes))
     _emit(
         args,
         {
@@ -293,7 +290,7 @@ def cmd_count_simples(args, t0):
 def cmd_gram(args, t0):
     fam = family_from_name(args.family)
     ps = _load_params(args.params)
-    matrix = gram.gram_matrix(fam, args.n, args.lam, ps, cache_dir=_cache_dir(args))
+    matrix = gram.gram_matrix(fam, args.n, args.lam, ps)
     if args.order == "mob-grouped":
         matrix = gram.permute_matrix(matrix, gram.mob_grouped_order(matrix.labels))
     report = gram.exact_rank(matrix)
@@ -547,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=["canonical", "mob-grouped"], default="canonical")
     p.add_argument("--no-matrix", action="store_true")
     p.add_argument("--output", choices=["json", "csv"], default="json")
-    p.add_argument("--cache-dir")
 
     p = add("rank", cmd_rank, help="exact rank of a matrix file (csv or json)")
     p.add_argument("--matrix", required=True)

@@ -62,9 +62,7 @@ def gram_entry(
     return _entry(bottom, top_star, ps, mp, list(wreath_elements(mp, bottom.m, planar=False)))
 
 
-def gram_matrix(
-    f: Family, n: int, lambda_ts: int, ps: ParamSet, cache_dir: str | None = None
-) -> GramMatrix:
+def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
     """Full Gram matrix over the canonical half-diagram ordering; rows are
     the star images of the columns."""
     check_lambda(f, n, lambda_ts)
@@ -72,7 +70,7 @@ def gram_matrix(
     dim = dim_left_cell(f, n, lambda_ts, mp.K)
     if dim > SIZE_GUARD:
         raise ResourceGuardError(f"Gram dimension {dim} exceeds guard {SIZE_GUARD}")
-    halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K, cache_dir=cache_dir)
+    halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
     middles = list(wreath_elements(mp, lambda_ts, planar=f.planar))
     rows = []
     for top in halves:

@@ -196,11 +196,12 @@ class MonoidParams:
 
 
 def handle_reduce_monoid(h: int, mp: MonoidParams) -> int:
-    """Canonical handle exponent: subtract r until the value drops below K."""
+    """Canonical handle exponent: h less the fewest multiples of r that
+    bring it below K (a^K = a^(K-r))."""
     if h < 0:
         raise PreconditionError("handle count must be nonnegative")
-    while h >= mp.K:
-        h -= mp.r
+    if h >= mp.K:
+        h -= ((h - mp.K) // mp.r + 1) * mp.r
     return h
 
 

@@ -43,7 +43,7 @@ from moebius.msmall import (
     wreath_elements,
     wreath_type,
 )
-from moebius.msmall import count_types
+from moebius.repcount import count_types
 
 from conftest import family_shapes, random_family_diagram, random_paramsets
 

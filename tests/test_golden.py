@@ -1,7 +1,9 @@
 """Golden outputs: sha256 digests of the `result` part of `--stable` CLI
-documents, recorded from the node-level composition that the block-level
-merge replaced.  The `input` part is left out because it echoes the
-parameter file's temporary path."""
+documents.  The cells, gram, idempotents and compose digests were recorded
+from the node-level composition that the block-level merge replaced; the
+conjugacy and monoid-m digests from the index/period omega power and the
+private union-find that the shared index union-find replaced.  The `input`
+part is left out because it echoes the parameter file's temporary path."""
 import hashlib
 import json
 
@@ -46,6 +48,26 @@ GOLDEN = {
     "compose-closing": (
         ["compose", "1;0;{1}[0,1]", "0;1;{1'}[0,2]", "--params", "@p211"],
         "44c4f462abc6dfbc217089aa886f641eb501858873e5fd2ab851783e61ed06ff",
+    ),
+    "conjugacy-M-4-3": (
+        ["conjugacy", "--K", "4", "--r", "3"],
+        "8256c8d54a53e79cc3d7f7219e799bd747570741b1b60c23d50fdee60485d115",
+    ),
+    "conjugacy-S4": (
+        ["conjugacy", "--sym", "4"],
+        "97cab7fe7dc54846a1feff6d48fb00f457d4585388915ec5970abfd56f5f48fa",
+    ),
+    "conjugacy-M-2-1-wr-2": (
+        ["conjugacy", "--K", "2", "--r", "1", "--wreath-lambda", "2"],
+        "8da75a6640e028f7ee94d37cd1a8b67d3f93d41039f0acefe11f3b6924e057cc",
+    ),
+    "monoid-m-4-3": (
+        ["monoid-m", "--K", "4", "--r", "3"],
+        "c1a8fef1855e17b062e94cf0696a6a5bfbe10b9a984ddfb57073e88217d8f96c",
+    ),
+    "monoid-m-9-5": (
+        ["monoid-m", "--K", "9", "--r", "5"],
+        "cccb6481572651246d5eccbc27f7927b20aa3a12514848137d23411e8fd14cb4",
     ),
 }
 

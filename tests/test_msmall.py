@@ -12,7 +12,6 @@ from moebius import (
     PreconditionError,
     ResourceGuardError,
     WreathElem,
-    count_types,
     generalized_conjugacy_classes,
     greens_cells_bruteforce,
     m_cell_structure,
@@ -34,7 +33,7 @@ from moebius.msmall import (
     wreath_elements,
     wreath_identity,
 )
-from moebius.repcount import partition_count
+from moebius.repcount import count_types, partition_count
 
 
 def test_m_mul_examples():
@@ -211,6 +210,91 @@ def test_omega_power_examples():
     z6 = CayleyMonoid.from_op(range(6), lambda a, b: (a + b) % 6)
     for x in range(6):
         assert omega_power(x, z6) == 0
+
+
+def test_omega_power_rejects_a_table_without_an_idempotent_power():
+    # neither element squares to itself, so no finite semigroup has this table
+    with pytest.raises(PreconditionError, match="not associative"):
+        omega_power(0, CayleyMonoid([0, 1], [[1, 0], [0, 0]]))
+
+
+def omega_power_oracle(x, mono):
+    """x^w from the index and period of <x>: the power x^m with m the
+    least multiple of the period at or above the index."""
+    seen: dict[int, int] = {}
+    cur = x
+    power = 1
+    while cur not in seen:
+        seen[cur] = power
+        cur = mono.mul[cur][x]
+        power += 1
+    index = seen[cur]
+    period = power - index
+    m = index
+    if m % period:
+        m += period - (m % period)
+    out = x
+    for _ in range(m - 1):
+        out = mono.mul[out][x]
+    return out
+
+
+def conjugacy_classes_oracle(mono):
+    """Generalized conjugacy classes by a private union-find over the pairs
+    m < n, skipping pairs already joined."""
+    n = mono.size
+    mul = mono.mul
+    omega = [omega_power_oracle(v, mono) for v in range(n)]
+    omega1 = [mul[omega[v]][v] for v in range(n)]
+    buckets: dict = {}
+    for x in range(n):
+        for xp in range(n):
+            if mul[mul[x][xp]][x] == x and mul[mul[xp][x]][xp] == xp:
+                buckets.setdefault((mul[xp][x], mul[x][xp]), []).append((x, xp))
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for m in range(n):
+        for nn in range(m + 1, n):
+            if find(m) == find(nn):
+                continue
+            for x, xp in buckets.get((omega[m], omega[nn]), ()):
+                if mul[mul[x][omega1[m]]][xp] == omega1[nn]:
+                    parent[find(nn)] = find(m)
+                    break
+    classes: dict = {}
+    for v in range(n):
+        classes.setdefault(find(v), []).append(v)
+    return sorted(classes.values())
+
+
+def _conjugacy_tables():
+    """M(K, r) for K <= 30 and odd r <= K, S_0..S_5, and every table
+    wreath_cayley builds for K <= 2 and lambda <= 2, planar or not."""
+    for K in range(1, 31):
+        for r in range(1, K + 1, 2):
+            yield f"M({K},{r})", cayley_of_m(MonoidParams(K, r))
+    for n in range(6):
+        yield f"S_{n}", symmetric_group_cayley(n)
+    for K in (1, 2):
+        for lam in (0, 1, 2):
+            for planar in (False, True):
+                yield f"M({K},1) wr {lam} {planar}", wreath_cayley(MonoidParams(K, 1), lam, planar)
+
+
+def test_omega_power_and_conjugacy_match_the_oracles():
+    count = 0
+    for label, mono in _conjugacy_tables():
+        count += 1
+        omegas = [omega_power(x, mono) for x in range(mono.size)]
+        assert omegas == [omega_power_oracle(x, mono) for x in range(mono.size)], label
+        assert generalized_conjugacy_classes(mono) == conjugacy_classes_oracle(mono), label
+    assert count == 258
 
 
 def test_conjugacy_class_counts():

@@ -157,6 +157,23 @@ def test_handle_reduce_examples():
     assert handle_reduce_monoid(5, MonoidParams(5, 5)) == 0
     assert handle_reduce_monoid(7, MonoidParams(4, 3)) == 1
     assert handle_reduce_monoid(2, MonoidParams(4, 3)) == 2
+    with pytest.raises(PreconditionError):
+        handle_reduce_monoid(-1, MonoidParams(4, 3))
+
+
+def _handle_reduce_oracle(h: int, mp: MonoidParams) -> int:
+    """Apply a^K = a^(K-r) one step at a time."""
+    while h >= mp.K:
+        h -= mp.r
+    return h
+
+
+def test_handle_reduce_matches_the_stepwise_oracle():
+    for K in range(1, 41):
+        for r in range(1, K + 1, 2):
+            mp = MonoidParams(K, r)
+            for h in range(4 * K + 5):
+                assert handle_reduce_monoid(h, mp) == _handle_reduce_oracle(h, mp), (K, r, h)
 
 
 def test_monoid_params_validation():

@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .diagram import Diagram, node_key, render_diagram
+from .diagram import Diagram, least_node_key, node_key, render_diagram
 from .errors import InternalCheckError, PreconditionError
-from .msmall import _index_components
+from .msmall import _index_components, cayley_of_m
 from .params import (
     MonoidParams,
     ParamSet,
@@ -161,7 +161,7 @@ def _topology(g_nodes: tuple, f_nodes: tuple, k: int) -> tuple:
             opened.append((tuple(sorted(boundary, key=node_key)), tuple(members)))
         else:
             closed.append(tuple(members))
-    opened.sort(key=lambda comp: node_key(comp[0][0]))
+    opened.sort(key=least_node_key)
 
     flat = [v for nodes, _ in opened for v in nodes]
     n = sum(1 for nodes in g_nodes for v in nodes if v > 0)
@@ -297,3 +297,63 @@ def monoid_compose(
         h, mob = reduce_mob_pair(h, mob)
         blocks.append((nodes, handle_reduce_monoid(h, mp), mob))
     return Diagram(y.n, x.m, tuple(blocks))
+
+
+def monoid_table(elements: list[Diagram], mp: MonoidParams) -> list[list[int]]:
+    """Cayley table of the decorated monoid with every evaluation 1:
+    entry [i][j] is the index of monoid_compose(elements[i], elements[j]).
+
+    A product's layout depends on the two shapes alone, so ``_topology``
+    runs once per ordered shape pair (x over y reads ``_topology(y_shape,
+    x_shape, n)``), and each open component carries the product in M of
+    its members' decorations.  A block decoration (h, mob) is coded
+    3h + mob, its index in ``msmall.m_elements`` and ``cayley_of_m``;
+    per shape pair each element folds its members once through M's
+    table, so an entry costs one M lookup per open component and one
+    dict lookup into the target shape.  Every evaluation is 1, so a
+    closed component multiplies the product by 1 and drops out.
+    """
+    mt = cayley_of_m(mp).mul
+    n = elements[0].n if elements else 0
+    by_shape: dict[tuple, dict[tuple, int]] = {}
+    for idx, d in enumerate(elements):
+        if d.n != n or d.m != n:
+            raise PreconditionError(f"monoid elements must all be {n}->{n} diagrams")
+        if any(h >= mp.K or mob > 2 for _, h, mob in d.blocks):
+            raise PreconditionError("monoid elements need handle counts below K and mob below 3")
+        codes = tuple([3 * h + mob for _, h, mob in d.blocks])
+        by_shape.setdefault(tuple(map(_nodes_of, d.blocks)), {})[codes] = idx
+    if sum(map(len, by_shape.values())) != len(elements):
+        raise PreconditionError("duplicate elements in Cayley construction")
+
+    table = [[0] * len(elements) for _ in elements]
+    groups = [(shape, list(members.items())) for shape, members in by_shape.items()]
+    for x_shape, xs in groups:
+        for y_shape, ys in groups:
+            opened, _ = _topology(y_shape, x_shape, n)
+            target = by_shape.get(tuple(map(_nodes_of, opened)), {})
+            offset = len(y_shape)
+            x_parts = [[i - offset for i in members if i >= offset] for _, members in opened]
+            y_parts = [[i for i in members if i < offset] for _, members in opened]
+            y_cols = [(j, _fold(codes, y_parts, mt)) for codes, j in ys]
+            try:
+                for codes, i in xs:
+                    rows = [mt[c] for c in _fold(codes, x_parts, mt)]
+                    out = table[i]
+                    for j, cols in y_cols:
+                        out[j] = target[tuple(map(list.__getitem__, rows, cols))]
+            except KeyError:
+                raise PreconditionError("multiplication leaves the element list") from None
+    return table
+
+
+def _fold(codes: tuple, parts: list, mt: list[list[int]]) -> list[int]:
+    """Per part, the product in M of the coded decorations it indexes;
+    code 0 is M's identity."""
+    out = []
+    for part in parts:
+        c = 0
+        for i in part:
+            c = mt[c][codes[i]]
+        out.append(c)
+    return out

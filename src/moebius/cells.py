@@ -327,17 +327,14 @@ def enumerate_family_monoid(f: Family, n: int, mp: MonoidParams) -> list[Diagram
 def family_monoid_cayley(f: Family, n: int, mp: MonoidParams):
     """Cayley table of the decorated monoid with all evaluations 1.
 
-    Returns (elements, CayleyMonoid).  Guarded by the Green's size limit,
-    checked before anything is enumerated.
+    Returns (elements, CayleyMonoid); the table comes from
+    ``algebra.monoid_table``, one merge topology per shape pair.  Guarded
+    by the Green's size limit, checked before anything is enumerated.
     """
     size = sum(jcell_size(f, n, lam, mp) for lam in admissible_lambdas(f, n))
     _check_cayley_size(size)
     elements = enumerate_family_monoid(f, n, mp)
-    evals = algebra.all_ones_evals(mp)
-    mono = CayleyMonoid.from_op(
-        elements, lambda x, y: algebra.monoid_compose(x, y, mp, evals)
-    )
-    return elements, mono
+    return elements, CayleyMonoid(elements, algebra.monoid_table(elements, mp))
 
 
 def predicted_cells(elements: list[Diagram], f: Family, mp: MonoidParams):

@@ -29,6 +29,12 @@ def node_key(v: int) -> tuple[int, int]:
 Block = tuple[tuple[int, ...], int, int]  # (sorted nodes, h, mob)
 
 
+def least_node_key(item: tuple) -> tuple[int, int]:
+    """node_key of the first node of item[0], a canonical node tuple:
+    the key that orders blocks (or block layouts) canonically."""
+    return node_key(item[0][0])
+
+
 @dataclass(frozen=True)
 class Diagram:
     n: int
@@ -216,7 +222,7 @@ def _star_layout(shape: tuple) -> tuple:
     diagram with these block node tuples, in canonical order: nodes
     bottoms ascending, then tops ascending; blocks by least node."""
     layout = [(tuple(sorted(map(neg, nodes), key=node_key)), i) for i, nodes in enumerate(shape)]
-    layout.sort(key=lambda slot: node_key(slot[0][0]))
+    layout.sort(key=least_node_key)
     return tuple(layout)
 
 
@@ -332,10 +338,14 @@ def factorize(d: Diagram, mp: MonoidParams) -> Factorization:
     for t in range(lam):
         perm[bottom_rank[t] - 1] = top_rank[t]
         strands[top_rank[t] - 1] = MElem(through[t][2], through[t][3])
+    # d's nodes are canonical, so every half block is too; only the
+    # block order, by least node, is left to restore
+    top_blocks.sort(key=least_node_key)
+    bottom_blocks.sort(key=least_node_key)
     return Factorization(
-        top=Diagram.make(lam, d.m, top_blocks),
+        top=Diagram(lam, d.m, tuple(top_blocks)),
         middle=WreathElem(tuple(strands), tuple(perm)),
-        bottom=Diagram.make(d.n, lam, bottom_blocks),
+        bottom=Diagram(d.n, lam, tuple(bottom_blocks)),
         lambda_ts=lam,
     )
 

@@ -24,8 +24,15 @@ from moebius import (
     through_strands,
     validate_params,
 )
-from moebius.algebra import _merge_diagrams, _topology, lincomb_scale, lincomb_star, lincomb_tensor
-from moebius.cells import family_monoid_cayley
+from moebius.algebra import (
+    _merge_diagrams,
+    _topology,
+    lincomb_scale,
+    lincomb_star,
+    lincomb_tensor,
+    monoid_table,
+)
+from moebius.cells import enumerate_family_monoid, family_monoid_cayley
 from moebius.diagram import is_member, node_key
 from moebius.errors import InternalCheckError
 
@@ -363,6 +370,47 @@ def test_family_monoid_table_matches_the_make_oracle():
     for x, row in zip(elements, mono.mul):
         for y, k in zip(elements, row):
             assert elements[k] == oracle_monoid_compose(x, y, mp, evals)
+
+
+def _table_oracle_cases():
+    # (family, n, params, row step): every n = 1 monoid up to K = 3 and the
+    # n = 2 monoids at K = 1, on every 5th row where they are large
+    cases = []
+    for f in Family:
+        cases += [(f, 1, MonoidParams(K, 3 if K == 3 else 1), 1) for K in (1, 2, 3)]
+        cases.append((f, 2, MonoidParams(1, 1), 5))
+    cases.append((Family.TEMPERLEY_LIEB, 3, MonoidParams(1, 1), 5))
+    cases += [(Family.BRAUER, 2, MonoidParams(K, r), 5) for K, r in ((2, 1), (3, 1), (3, 3))]
+    return [
+        pytest.param(f, n, mp, step, id=f"{f.value}-n{n}-K{mp.K}-r{mp.r}")
+        for f, n, mp, step in cases
+    ]
+
+
+@pytest.mark.parametrize("f, n, mp, step", _table_oracle_cases())
+def test_monoid_table_matches_per_product_composition(f, n, mp, step):
+    # one topology per shape pair and M's own table give the rows that
+    # CayleyMonoid.from_op(elements, monoid_compose) builds
+    elements = enumerate_family_monoid(f, n, mp)
+    table = monoid_table(elements, mp)
+    evals = all_ones_evals(mp)
+    index = {e: i for i, e in enumerate(elements)}
+    assert len(table) == len(elements)
+    for x, row in zip(elements[::step], table[::step]):
+        assert row == [index[monoid_compose(x, y, mp, evals)] for y in elements], x
+
+
+def test_monoid_table_rejects_bad_element_lists():
+    mp = MonoidParams(2, 1)
+    elements = enumerate_family_monoid(Family.BRAUER, 2, mp)
+    with pytest.raises(PreconditionError, match="multiplication leaves the element list"):
+        monoid_table(elements[:-1], mp)
+    with pytest.raises(PreconditionError, match="duplicate elements"):
+        monoid_table(elements + elements[:1], mp)
+    with pytest.raises(PreconditionError, match="handle counts below K"):
+        monoid_table(elements, MonoidParams(1, 1))
+    with pytest.raises(PreconditionError, match="2->2 diagrams"):
+        monoid_table(elements + [parse_diagram("1;1;{1,1'}[0,0]")], mp)
 
 
 def test_merge_rejects_a_boundary_mismatch():

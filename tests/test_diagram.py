@@ -22,9 +22,9 @@ from moebius import (
     through_strands,
 )
 from moebius.cells import enumerate_half_diagrams
-from moebius.diagram import Diagram, _star_layout, is_planar, wreath_to_diagram
+from moebius.diagram import Diagram, Factorization, _star_layout, is_planar, wreath_to_diagram
 from moebius.families import admissible_lambdas
-from moebius.msmall import MElem, WreathElem
+from moebius.msmall import MElem, WreathElem, wreath_elements
 
 from conftest import family_shapes, oracle_star, random_diagram
 
@@ -332,6 +332,59 @@ def test_factorize_roundtrip_random():
         for nodes, h, mob in fact.bottom.blocks:
             if any(v < 0 for v in nodes):
                 assert (h, mob) == (0, 0)
+
+
+def _make_factorize(d: Diagram, mp: MonoidParams) -> Factorization:
+    """factorize with both halves built by Diagram.make, which re-sorts
+    and re-validates them; the oracle for the constructor-built halves."""
+    through, bottom_blocks, top_blocks = [], [], []
+    for nodes, h, mob in d.blocks:
+        bots = tuple(v for v in nodes if v > 0)
+        tops = tuple(v for v in nodes if v < 0)
+        if bots and tops:
+            through.append((bots, tops, h, mob))
+        elif bots:
+            bottom_blocks.append((bots, h, mob))
+        else:
+            top_blocks.append((tops, h, mob))
+    lam = len(through)
+    by_bottom = sorted(range(lam), key=lambda t: through[t][0][0])
+    by_top = sorted(range(lam), key=lambda t: -max(through[t][1]))
+    bottom_rank = {t: i + 1 for i, t in enumerate(by_bottom)}
+    top_rank = {t: j + 1 for j, t in enumerate(by_top)}
+    strands = [MElem(0, 0)] * lam
+    perm = [0] * lam
+    for t in range(lam):
+        bottom_blocks.append((through[t][0] + (-bottom_rank[t],), 0, 0))
+        top_blocks.append(((top_rank[t],) + through[t][1], 0, 0))
+        perm[bottom_rank[t] - 1] = top_rank[t]
+        strands[top_rank[t] - 1] = MElem(through[t][2], through[t][3])
+    return Factorization(
+        top=Diagram.make(lam, d.m, top_blocks),
+        middle=WreathElem(tuple(strands), tuple(perm)),
+        bottom=Diagram.make(d.n, lam, bottom_blocks),
+        lambda_ts=lam,
+    )
+
+
+def test_factorize_matches_the_make_oracle():
+    # sampled J-cell elements of every family at n <= 3, K in {1, 3} and
+    # r in {1, 3}: the halves are already canonical without Diagram.make
+    rng = random.Random(9)
+    checked = 0
+    for f in Family:
+        for n in (1, 2, 3):
+            for mp in (MonoidParams(1, 1), MonoidParams(3, 1), MonoidParams(3, 3)):
+                for lam in admissible_lambdas(f, n):
+                    halves = enumerate_half_diagrams(f, n, lam, mp.K)
+                    mids = list(wreath_elements(mp, lam, planar=f.planar))
+                    for _ in range(6):
+                        fact = Factorization(star(rng.choice(halves)), rng.choice(mids),
+                                             rng.choice(halves), lam)
+                        d = recompose(fact)
+                        assert factorize(d, mp) == _make_factorize(d, mp) == fact, d
+                        checked += 1
+    assert checked > 1000
 
 
 def test_wreath_to_diagram():

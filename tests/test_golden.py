@@ -2,7 +2,9 @@
 documents.  The cells, gram, idempotents and compose digests were recorded
 from the node-level composition that the block-level merge replaced; the
 conjugacy and monoid-m digests from the index/period omega power and the
-private union-find that the shared index union-find replaced.  The `input`
+private union-find that the shared index union-find replaced; the rook,
+planar-partition and Brauer K=3 cells digests from the per-product Cayley
+table that the shape-pair table replaced.  The `input`
 part is left out because it echoes the parameter file's temporary path."""
 import hashlib
 import json
@@ -28,6 +30,18 @@ GOLDEN = {
     "cells-brauer-2-K2": (
         ["cells", "--family", "brauer", "--n", "2", "--K", "2"],
         "9c14ab88496e9b0d7d8fe110f42a2fab30a30b5351aa424c6cc250ed4b914113",
+    ),
+    "cells-rook-2": (
+        ["cells", "--family", "rook", "--n", "2"],
+        "f5a21d0951370be514636f04e1a14d3dd3bca7c81a8d473818932639b08ed0eb",
+    ),
+    "cells-planar-partition-2": (
+        ["cells", "--family", "planar-partition", "--n", "2"],
+        "373e84961a8c505e648aee9a2c01670b44cbb60de6329fba41147e1ad2773fd6",
+    ),
+    "cells-brauer-2-K3-r3": (
+        ["cells", "--family", "brauer", "--n", "2", "--K", "3", "--r", "3"],
+        "b8bec4bd1ef33b7b574cc5d048298e8af15f0f9077c7551935d9ab5f8a2ec1f6",
     ),
     "gram-rook-3-1": (
         ["gram", "--family", "rook", "--n", "3", "--lambda", "1", "--params", "@p211"],

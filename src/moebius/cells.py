@@ -81,26 +81,30 @@ def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
     """Undecorated family-admissible bottoms with lam through blocks, sorted.
     One walk places bottom nodes 1..n: each joins an earlier block, opens a
     dead block, or opens the next through block (top -(tops + 1)), so tops
-    follow least nodes; is_member filters each lam-through candidate."""
+    follow least nodes; is_member filters each lam-through candidate.
+    Each block keeps its bottoms apart from its one optional top, and
+    blocks open in least-node order, so a candidate is canonical as built
+    and the Diagram constructor makes it."""
     shapes = []
-    blocks: list[list[int]] = []
+    blocks: list[tuple[list[int], tuple[int, ...]]] = []  # (bottoms, top)
 
     def place(k: int, tops: int) -> None:
         if tops + (n - k + 1) < lam:
             return
         if k > n:
-            d = Diagram.make(n, lam, [(tuple(b), 0, 0) for b in blocks])
+            d = Diagram(n, lam, tuple([(tuple(bots) + top, 0, 0) for bots, top in blocks]))
             if is_member(d, f):
                 shapes.append(d)
             return
-        for b in blocks:
-            b.append(k)
+        for bots, _ in blocks:
+            bots.append(k)
             place(k + 1, tops)
-            b.pop()
-        blocks.append([k])
+            bots.pop()
+        bots = [k]
+        blocks.append((bots, ()))
         place(k + 1, tops)
         if tops < lam:
-            blocks[-1].append(-(tops + 1))
+            blocks[-1] = (bots, (-(tops + 1),))
             place(k + 1, tops + 1)
         blocks.pop()
 
@@ -110,7 +114,9 @@ def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
 
 
 def _decorate(shape: Diagram, K: int):
-    """All (h, mob) in [0, K) x {0, 1, 2} assignments on dead blocks."""
+    """All (h, mob) in [0, K) x {0, 1, 2} assignments on dead blocks.
+    Decorating moves no node, so each half keeps the shape's canonical
+    blocks and the Diagram constructor makes it."""
     dead = [i for i, (nodes, _, _) in enumerate(shape.blocks) if all(v > 0 for v in nodes)]
     decos = [(h, mob) for h in range(K) for mob in range(3)]
     for assignment in itertools.product(decos, repeat=len(dead)):
@@ -118,7 +124,7 @@ def _decorate(shape: Diagram, K: int):
         for slot, (h, mob) in zip(dead, assignment):
             nodes, _, _ = blocks[slot]
             blocks[slot] = (nodes, h, mob)
-        yield Diagram.make(shape.n, shape.m, blocks)
+        yield Diagram(shape.n, shape.m, tuple(blocks))
 
 
 def enumerate_half_diagrams(
@@ -296,6 +302,8 @@ def apex_set(f: Family, n: int, zero_pattern: ZeroPattern) -> ApexSet:
     per column, and parameter sets exercised in the test suite satisfy
     both readings.
     """
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
     full = set(range(0, n + 1))
     parity = {lam for lam in full if (n - lam) % 2 == 0}
     if f in (Family.SYMMETRIC, Family.PLANAR_SYMMETRIC):

@@ -89,8 +89,10 @@ def cmd_compose(args, t0):
 
 
 def cmd_normalize(args, t0):
+    if (args.K is None) != (args.r is None):
+        raise PreconditionError("handle normalization needs both --K and --r")
     d = normalize_mob(parse_diagram(args.diagram))
-    if args.K is not None and args.r is not None:
+    if args.K is not None:
         d = normalize_handles(d, MonoidParams(args.K, args.r))
     _emit(args, {"diagram": render_diagram(d)}, t0)
 
@@ -224,8 +226,10 @@ def cmd_conjugacy(args, t0):
         mono = msmall.symmetric_group_cayley(args.sym)
         label = f"S_{args.sym}"
     else:
+        if args.K is None or args.r is None:
+            raise PreconditionError("conjugacy needs --K and --r, or --sym")
         mp = MonoidParams(args.K, args.r)
-        if args.wreath_lambda:
+        if args.wreath_lambda is not None:
             mono = msmall.wreath_cayley(mp, args.wreath_lambda)
             label = f"M({args.K},{args.r}) wr S_{args.wreath_lambda}"
         else:

@@ -43,34 +43,41 @@ class Diagram:
 
     @staticmethod
     def make(n: int, m: int, raw_blocks) -> "Diagram":
-        """Canonicalize and validate: blocks cover each boundary node once.
+        """Canonicalize and validate input from outside the program.
 
-        Nodes sort by their position in the boundary-rank table of (n, m);
-        a node outside the table, an empty block, a negative decoration, a
-        wrong node count or a repeated node sends the input to
-        ``_invalid_cover``, which names the first fault.
+        One pass sorts each block's nodes by ``node_key`` and names the
+        first fault in block order: an empty block, a negative decoration
+        or a repeated node; else the missing and unexpected nodes.  The
+        blocks are then sorted by least node.  Code that already holds
+        canonical blocks calls the constructor instead.
         """
         if n < 0 or m < 0:
             raise PreconditionError("boundary sizes must be nonnegative")
-        if not isinstance(raw_blocks, (list, tuple)):
-            raw_blocks = list(raw_blocks)  # read again if invalid
-        key = _boundary_rank(n, m).__getitem__
-        size = n + m
-        slots: list = [None] * size  # block by the rank of its least node
-        flat: list[int] = []
-        try:
-            for nodes, h, mob in raw_blocks:
-                nodes = sorted(nodes, key=key)
-                if not nodes or h < 0 or mob < 0:
-                    break
-                flat += nodes
-                slots[key(nodes[0])] = (tuple(nodes), h, mob)
-            else:
-                if len(flat) == size and len(set(flat)) == size:
-                    return Diagram(n, m, tuple([b for b in slots if b]))
-        except KeyError:
-            pass
-        raise PreconditionError(_invalid_cover(n, m, raw_blocks))
+        blocks = []
+        seen: set[int] = set()
+        for nodes, h, mob in raw_blocks:
+            nodes = tuple(sorted(nodes, key=node_key))
+            if not nodes:
+                raise PreconditionError("blocks must be nonempty")
+            if h < 0 or mob < 0:
+                raise PreconditionError("decorations must be nonnegative")
+            for v in nodes:
+                if v in seen:
+                    raise PreconditionError(f"node {_node_str(v)} appears twice")
+                seen.add(v)
+            blocks.append((nodes, h, mob))
+        expected = {*range(1, n + 1), *range(-m, 0)}
+        if seen != expected:
+            missing = sorted(expected - seen, key=node_key)
+            extra = sorted(seen - expected, key=node_key)
+            detail = []
+            if missing:
+                detail.append("missing " + ",".join(_node_str(v) for v in missing))
+            if extra:
+                detail.append("unexpected " + ",".join(_node_str(v) for v in extra))
+            raise PreconditionError("bad node cover: " + "; ".join(detail))
+        blocks.sort(key=least_node_key)
+        return Diagram(n, m, tuple(blocks))
 
     def sort_key(self):
         return (
@@ -81,39 +88,6 @@ class Diagram:
                 for nodes, h, mob in self.blocks
             ),
         )
-
-
-@lru_cache(maxsize=256)
-def _boundary_rank(n: int, m: int) -> dict[int, int]:
-    """Position of each node of an (n, m) boundary in the canonical order:
-    bottoms 1..n, then tops 1'..m'."""
-    return {v: i for i, v in enumerate([*range(1, n + 1), *range(-1, -m - 1, -1)])}
-
-
-def _invalid_cover(n: int, m: int, raw_blocks) -> str:
-    """Message for the first fault of blocks that fail to cover an (n, m)
-    boundary once: in block order an empty block, a negative decoration
-    or a repeated node, else the missing and unexpected nodes."""
-    seen: set[int] = set()
-    for nodes, h, mob in raw_blocks:
-        nodes = sorted(nodes, key=node_key)
-        if not nodes:
-            return "blocks must be nonempty"
-        if h < 0 or mob < 0:
-            return "decorations must be nonnegative"
-        for v in nodes:
-            if v in seen:
-                return f"node {_node_str(v)} appears twice"
-            seen.add(v)
-    expected = {i for i in range(1, n + 1)} | {-j for j in range(1, m + 1)}
-    missing = sorted(expected - seen, key=node_key)
-    extra = sorted(seen - expected, key=node_key)
-    detail = []
-    if missing:
-        detail.append("missing " + ",".join(_node_str(v) for v in missing))
-    if extra:
-        detail.append("unexpected " + ",".join(_node_str(v) for v in extra))
-    return "bad node cover: " + "; ".join(detail)
 
 
 def _node_str(v: int) -> str:

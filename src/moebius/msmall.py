@@ -370,20 +370,27 @@ def wreath_mul(x: WreathElem, y: WreathElem, mp: MonoidParams) -> WreathElem:
 
 
 def wreath_elements(mp: MonoidParams, lam: int, planar: bool = False):
-    """All of M^lam (planar) or M wr S_lam."""
+    """All of M^lam (planar) or M wr S_lam, as an iterator; a negative lam
+    is rejected on the call, before the first element."""
+    if lam < 0:
+        raise PreconditionError("lambda must be nonnegative")
     melems = m_elements(mp)
     perms = (
         [tuple(range(1, lam + 1))]
         if planar
         else [tuple(p) for p in itertools.permutations(range(1, lam + 1))]
     )
-    for strands in itertools.product(melems, repeat=lam):
-        for perm in perms:
-            yield WreathElem(strands, perm)
+    return (
+        WreathElem(strands, perm)
+        for strands in itertools.product(melems, repeat=lam)
+        for perm in perms
+    )
 
 
 def wreath_order(mp: MonoidParams, lam: int, planar: bool = False) -> int:
     """|M^lam| (planar) or |M wr S_lam|, without enumerating."""
+    if lam < 0:
+        raise PreconditionError("lambda must be nonnegative")
     return (3 * mp.K) ** lam * (1 if planar else math.factorial(lam))
 
 

@@ -113,6 +113,30 @@ def test_half_shapes_match_the_set_partition_oracle(monkeypatch):
                 assert calls["walk"] == calls["oracle"], (f, n, lam)
 
 
+def test_halves_are_canonical_as_built(tmp_path, monkeypatch):
+    # halves come from the Diagram constructor, so each must already be
+    # what Diagram.make makes of its blocks, from walked or cached shapes
+    cache = str(tmp_path)
+    cases = [
+        (f, n, lam, K)
+        for f in Family
+        for n in range(5)
+        for lam in admissible_lambdas(f, n)
+        for K in (1, 2)
+    ]
+    walked = {c: enumerate_half_diagrams(*c, cache_dir=cache) for c in cases}
+
+    def refuse(*args):
+        raise AssertionError("shapes walked again on a warm cache")
+
+    monkeypatch.setattr(cells_mod, "_half_shapes", refuse)
+    for case in cases:
+        loaded = enumerate_half_diagrams(*case, cache_dir=cache)
+        assert loaded == walked[case], case
+        for h in walked[case] + loaded:
+            assert h == Diagram.make(h.n, h.m, h.blocks), (case, h)
+
+
 def test_enumerate_tl_worked_example():
     halves = enumerate_half_diagrams(Family.TEMPERLEY_LIEB, 3, 1, 2)
     assert len(halves) == 12
@@ -276,6 +300,8 @@ def test_apex_set_rows():
     assert apex_set(Family.TEMPERLEY_LIEB, 4, ZeroPattern.SOME_NONZERO).apexes == {0, 2, 4}
     assert apex_set(Family.MOTZKIN, 3, ZeroPattern.ALL_ZERO).apexes == {1, 3}
     assert apex_set(Family.MOTZKIN, 3, ZeroPattern.SOME_NONZERO).apexes == {0, 1, 2, 3}
+    with pytest.raises(PreconditionError):
+        apex_set(Family.ROOK, -1, ZeroPattern.ALL_ZERO)
 
 
 def test_enumeration_cache_roundtrip(tmp_path):

@@ -113,6 +113,25 @@ def test_conjugacy_rejects_a_negative_sym(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--stable", "conjugacy"),
+        ("conjugacy", "--K", "2"),
+        ("conjugacy", "--r", "1"),
+        ("wreath-types", "--K", "2", "--r", "1", "--lambda", "-1"),
+        ("conjugacy", "--K", "2", "--r", "1", "--wreath-lambda", "-1"),
+        ("apex", "--family", "rook", "--n", "-1", "--zero-pattern", "all-zero"),
+        ("normalize", "1;1;{1,1'}[5,0]", "--K", "3"),
+        ("normalize", "1;1;{1,1'}[5,0]", "--r", "1"),
+    ],
+)
+def test_incomplete_or_negative_arguments_exit_3(capsys, argv):
+    assert main(list(argv)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("precondition violated: ")
+
+
 def test_stable_output_is_deterministic(capsys, params_file_201):
     _, out1 = run_cli(capsys, "--stable", "gram", "--family", "rook", "--n", "1",
                       "--lambda", "0", "--params", params_file_201)
@@ -185,6 +204,9 @@ def test_monoid_m_and_conjugacy(capsys):
     assert doc["result"]["class_count"] == 10
     doc = run_json(capsys, "conjugacy", "--sym", "3")
     assert doc["result"]["class_count"] == 3
+    doc = run_json(capsys, "conjugacy", "--K", "2", "--r", "1", "--wreath-lambda", "0")
+    assert doc["result"]["monoid"] == "M(2,1) wr S_0"
+    assert (doc["result"]["size"], doc["result"]["class_count"]) == (1, 1)
 
 
 def test_wreath_types(capsys):

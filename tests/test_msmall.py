@@ -32,6 +32,7 @@ from moebius.msmall import (
     wreath_cayley,
     wreath_elements,
     wreath_identity,
+    wreath_order,
 )
 from moebius.repcount import count_types, partition_count
 
@@ -448,6 +449,17 @@ def test_wreath_conjugacy_matches_type_fibers():
 def test_wreath_cayley_guard():
     with pytest.raises(ResourceGuardError):
         wreath_cayley(MonoidParams(2, 1), 3)
+
+
+def test_wreath_lambda_must_be_nonnegative():
+    mp = MonoidParams(2, 1)
+    for planar in (False, True):
+        with pytest.raises(PreconditionError):
+            wreath_order(mp, -1, planar)
+        with pytest.raises(PreconditionError):
+            wreath_elements(mp, -1, planar)
+    assert list(wreath_elements(mp, 0)) == [WreathElem((), ())]
+    assert wreath_order(mp, 0) == 1
 
 
 def test_wreath_elem_validation():

@@ -1,5 +1,6 @@
-"""Sandwich cell machinery: half-diagram enumeration, cell coordinates,
-strict-idempotent search, apex tables, and a JSON cache of half-diagram shapes.
+"""Sandwich cell machinery: half diagrams from one walk that builds only
+family members, cell coordinates, strict-idempotent search, apex tables,
+and a JSON cache of half-diagram shapes.
 
 A half diagram (bottom of a cell) is a plain Diagram n -> lambda, so
 lambda is its top size m; its lambda through blocks each contain exactly
@@ -78,37 +79,47 @@ HALVES_GUARD = 2_000_000
 
 
 def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
-    """Undecorated family-admissible bottoms with lam through blocks, sorted.
-    One walk places bottom nodes 1..n: each joins an earlier block, opens a
-    dead block, or opens the next through block (top -(tops + 1)), so tops
-    follow least nodes; is_member filters each lam-through candidate.
-    Each block keeps its bottoms apart from its one optional top, and
-    blocks open in least-node order, so a candidate is canonical as built
-    and the Diagram constructor makes it."""
+    """Undecorated family bottoms with lam through blocks, sorted.
+    One walk places bottom nodes 1..n: each joins an open block that the
+    block rule lets grow, opens a dead block, or opens the next through
+    block (top -(tops + 1)), so tops follow least nodes and each shape is
+    canonical as built.  In a planar family the open blocks are a stack
+    from the innermost through block up; joining one closes those above.
+    A branch stops once it closes a block below the rule's minimum, or
+    its nodes left cannot fill such blocks and open the missing through
+    blocks, so every branch ends in a member."""
+    low, high, side = f.block_rule
     shapes = []
     blocks: list[tuple[list[int], tuple[int, ...]]] = []  # (bottoms, top)
 
-    def place(k: int, tops: int) -> None:
-        if tops + (n - k + 1) < lam:
+    def lacking(reach: tuple[int, ...]) -> bool:
+        return any(len(blocks[b][0]) + len(blocks[b][1]) < low for b in reach)
+
+    def place(k: int, tops: int, short: int, reach: tuple[int, ...]) -> None:
+        # reach: the blocks node k may join, in opening order; short: the
+        # nodes that blocks below the rule's minimum still lack
+        if short + lam - tops > n - k + 1:
             return
         if k > n:
-            d = Diagram(n, lam, tuple([(tuple(bots) + top, 0, 0) for bots, top in blocks]))
-            if is_member(d, f):
-                shapes.append(d)
+            shapes.append(Diagram(n, lam, tuple([(tuple(bots) + top, 0, 0) for bots, top in blocks])))
             return
-        for bots, _ in blocks:
-            bots.append(k)
-            place(k + 1, tops)
-            bots.pop()
+        for i, b in enumerate(reach):
+            bots, top = blocks[b]
+            size = len(bots) + len(top)
+            if len(bots) < side and size < high and not (f.planar and lacking(reach[i + 1 :])):
+                bots.append(k)
+                place(k + 1, tops, short - (size < low), reach[: i + 1] if f.planar else reach)
+                bots.pop()
+        new = len(blocks)
         bots = [k]
         blocks.append((bots, ()))
-        place(k + 1, tops)
-        if tops < lam:
+        place(k + 1, tops, short + low - 1, reach + (new,))
+        if tops < lam and not (f.planar and lacking(reach)):
             blocks[-1] = (bots, (-(tops + 1),))
-            place(k + 1, tops + 1)
+            place(k + 1, tops + 1, short, (new,) if f.planar else reach + (new,))
         blocks.pop()
 
-    place(1, 0)
+    place(1, 0, 0, ())
     shapes.sort(key=Diagram.sort_key)
     return shapes
 

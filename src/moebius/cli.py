@@ -222,6 +222,8 @@ def cmd_conjugacy(args, t0):
     if args.sym is not None:
         if args.sym < 0:
             raise PreconditionError("--sym must be nonnegative")
+        if (args.K, args.r, args.wreath_lambda) != (None, None, None):
+            raise PreconditionError("--sym takes no --K, --r or --wreath-lambda")
         msmall.check_conjugacy_size(math.factorial(args.sym))
         mono = msmall.symmetric_group_cayley(args.sym)
         label = f"S_{args.sym}"

@@ -211,51 +211,34 @@ def through_strands(d: Diagram) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _circular_positions(d: Diagram, nodes: tuple[int, ...]) -> list[int]:
-    # traversal order: bottom 1..n, then top m..1
-    return sorted(v - 1 if v > 0 else d.n + (d.m + v) for v in nodes)
-
-
-def _blocks_cross(pos_a: list[int], pos_b: list[int]) -> bool:
-    # merge the position lists and count label alternations; chords of a
-    # circle cross iff the merged cyclic word alternates ABAB
-    merged = sorted((p, 0) for p in pos_a) + sorted((p, 1) for p in pos_b)
-    merged.sort()
-    runs = 1
-    for i in range(1, len(merged)):
-        if merged[i][1] != merged[i - 1][1]:
-            runs += 1
-    return runs >= 4
-
-
 def is_planar(d: Diagram) -> bool:
-    """Non-crossing in the circular boundary order B1..Bn, Tm..T1."""
-    pos = [_circular_positions(d, nodes) for nodes, _, _ in d.blocks]
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if _blocks_cross(pos[i], pos[j]):
-                return False
+    """Non-crossing in the circular boundary order B1..Bn, Tm..T1: one
+    scan in that order keeps a stack of open blocks, and a block may take
+    a node only while every block opened after it has closed."""
+    order = [*range(1, d.n + 1), *range(-d.m, 0)]
+    block_of = {v: i for i, (nodes, _, _) in enumerate(d.blocks) for v in nodes}
+    last = {block_of[v]: v for v in order}
+    stack: list[int] = []
+    for v in order:
+        b = block_of[v]
+        if b not in stack:
+            stack.append(b)
+        elif stack[-1] != b:
+            return False
+        if last[b] == v:
+            stack.pop()
     return True
 
 
 def is_member(d: Diagram, f: Family) -> bool:
-    """Family membership; decorations are ignored."""
-    core = f.nonplanar_core
+    """Family membership by the family's block rule, then planarity;
+    decorations are ignored."""
+    low, high, side = f.block_rule
     for nodes, _, _ in d.blocks:
-        size = len(nodes)
         bottoms = sum(1 for v in nodes if v > 0)
-        tops = size - bottoms
-        if core is Family.ROOK_BRAUER and size > 2:
+        if not low <= len(nodes) <= high or max(bottoms, len(nodes) - bottoms) > side:
             return False
-        if core is Family.BRAUER and size != 2:
-            return False
-        if core is Family.ROOK and (size > 2 or bottoms > 1 or tops > 1):
-            return False
-        if core is Family.SYMMETRIC and (bottoms != 1 or tops != 1):
-            return False
-    if f.planar and not is_planar(d):
-        return False
-    return True
+    return not f.planar or is_planar(d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The ten diagram families and their admissibility rules.
 
 A family is a constraint on the underlying set partition of a diagram:
-block sizes, per-side node limits, and planarity.  Decorations never
-affect membership.
+its nonplanar core's block rule (fewest nodes in a block, most nodes in a
+block, most nodes on one side of a block) and, for the five planar
+families, planarity.  Decorations never affect membership.
 """
 from __future__ import annotations
 
 import enum
+from math import inf
 
 from .errors import PreconditionError
 
@@ -25,33 +27,35 @@ class Family(enum.Enum):
 
     @property
     def planar(self) -> bool:
-        return self in _PLANAR
+        return self in _PLANAR_CORE
 
     @property
     def nonplanar_core(self) -> "Family":
         """The family with the planarity constraint dropped."""
-        return _CORE[self]
+        return _PLANAR_CORE.get(self, self)
+
+    @property
+    def block_rule(self) -> tuple[int, float, float]:
+        """(fewest nodes in a block, most nodes in a block, most nodes on
+        one side of a block), set by the nonplanar core."""
+        return _BLOCK_RULE[self.nonplanar_core]
 
 
-_PLANAR = {
-    Family.PLANAR_PARTITION,
-    Family.MOTZKIN,
-    Family.TEMPERLEY_LIEB,
-    Family.PLANAR_ROOK,
-    Family.PLANAR_SYMMETRIC,
+# each planar family and the nonplanar core it restricts
+_PLANAR_CORE = {
+    Family.PLANAR_PARTITION: Family.PARTITION,
+    Family.MOTZKIN: Family.ROOK_BRAUER,
+    Family.TEMPERLEY_LIEB: Family.BRAUER,
+    Family.PLANAR_ROOK: Family.ROOK,
+    Family.PLANAR_SYMMETRIC: Family.SYMMETRIC,
 }
 
-_CORE = {
-    Family.PARTITION: Family.PARTITION,
-    Family.PLANAR_PARTITION: Family.PARTITION,
-    Family.ROOK_BRAUER: Family.ROOK_BRAUER,
-    Family.MOTZKIN: Family.ROOK_BRAUER,
-    Family.BRAUER: Family.BRAUER,
-    Family.TEMPERLEY_LIEB: Family.BRAUER,
-    Family.ROOK: Family.ROOK,
-    Family.PLANAR_ROOK: Family.ROOK,
-    Family.SYMMETRIC: Family.SYMMETRIC,
-    Family.PLANAR_SYMMETRIC: Family.SYMMETRIC,
+_BLOCK_RULE = {
+    Family.PARTITION: (1, inf, inf),
+    Family.ROOK_BRAUER: (1, 2, inf),
+    Family.BRAUER: (2, 2, inf),
+    Family.ROOK: (1, 2, 1),
+    Family.SYMMETRIC: (2, 2, 1),
 }
 
 # accepted spellings on the CLI

@@ -1,8 +1,10 @@
 """Shared fixtures: parameter sets, random diagram generators, an
 independent partition-composition oracle (BFS over an adjacency map, no
-union-find) used to cross-check the production composition, and
+union-find) used to cross-check the production composition,
 ``Diagram.make``-based star, linear and monoid composition, which the
-replayed canonical layouts must equal exactly."""
+replayed canonical layouts must equal exactly, and a per-family
+membership oracle (an if-chain per core and a pairwise crossing test)
+for the block-rule ``is_member`` and the stack-scan ``is_planar``."""
 from __future__ import annotations
 
 import random
@@ -10,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from moebius import Family, LinComb, evaluate_closed, is_member, validate_params
+from moebius import Family, LinComb, evaluate_closed, validate_params
 from moebius.diagram import Diagram
 from moebius.params import handle_reduce_monoid, reduce_mob_pair
 
@@ -77,13 +79,60 @@ def random_diagram(rng: random.Random, n: int, m: int, max_h: int = 2, max_mob: 
     return Diagram.make(n, m, blocks)
 
 
+def _circular_positions(d: Diagram, nodes: tuple[int, ...]) -> list[int]:
+    # traversal order: bottom 1..n, then top m..1
+    return sorted(v - 1 if v > 0 else d.n + (d.m + v) for v in nodes)
+
+
+def _blocks_cross(pos_a: list[int], pos_b: list[int]) -> bool:
+    # merge the position lists and count label alternations; chords of a
+    # circle cross iff the merged cyclic word alternates ABAB
+    merged = sorted((p, 0) for p in pos_a) + sorted((p, 1) for p in pos_b)
+    merged.sort()
+    runs = 1
+    for i in range(1, len(merged)):
+        if merged[i][1] != merged[i - 1][1]:
+            runs += 1
+    return runs >= 4
+
+
+def planar_oracle(d: Diagram) -> bool:
+    """Non-crossing in the circular order B1..Bn, Tm..T1, block pair by pair."""
+    pos = [_circular_positions(d, nodes) for nodes, _, _ in d.blocks]
+    for i in range(len(pos)):
+        for j in range(i + 1, len(pos)):
+            if _blocks_cross(pos[i], pos[j]):
+                return False
+    return True
+
+
+def member_oracle(d: Diagram, f: Family) -> bool:
+    """Family membership written out per nonplanar core."""
+    core = f.nonplanar_core
+    for nodes, _, _ in d.blocks:
+        size = len(nodes)
+        bottoms = sum(1 for v in nodes if v > 0)
+        tops = size - bottoms
+        if core is Family.ROOK_BRAUER and size > 2:
+            return False
+        if core is Family.BRAUER and size != 2:
+            return False
+        if core is Family.ROOK and (size > 2 or bottoms > 1 or tops > 1):
+            return False
+        if core is Family.SYMMETRIC and (bottoms != 1 or tops != 1):
+            return False
+    if f.planar and not planar_oracle(d):
+        return False
+    return True
+
+
 def family_shapes(f: Family, n: int, m: int) -> list[Diagram]:
-    """All undecorated family members from n to m."""
+    """All undecorated family members from n to m, by the membership oracle."""
     ids = list(range(1, n + 1)) + [-j for j in range(1, m + 1)]
     shapes = []
     for part in _set_partitions(ids):
         d = Diagram.make(n, m, [(tuple(b), 0, 0) for b in part])
-        if is_member(d, f):
+        if member_oracle(d, f):
             shapes.append(d)
     shapes.sort(key=Diagram.sort_key)
     return shapes

@@ -1,6 +1,7 @@
 """Half-diagram enumeration, cell coordinates, Green's cross-checks,
 strict idempotents, apex tables, and the enumeration cache."""
 import itertools
+import sys
 
 import pytest
 
@@ -29,11 +30,11 @@ from moebius.cells import (
     jcell_size,
     predicted_cells,
 )
-from moebius.diagram import Diagram, factorize, is_member
+from moebius.diagram import Diagram, factorize
 from moebius.families import admissible_lambdas
 from moebius.repcount import dim_left_cell
 
-from conftest import _set_partitions, family_shapes
+from conftest import _set_partitions, family_shapes, member_oracle
 
 
 def _decorated_monoid_oracle(f: Family, n: int, K: int) -> list[Diagram]:
@@ -74,10 +75,10 @@ def test_family_monoid_guard_trips_before_enumerating(monkeypatch):
         family_monoid_cayley(Family.PARTITION, 3, MonoidParams(1, 1))
 
 
-def _half_shapes_oracle(f: Family, n: int, lam: int, member) -> list[Diagram]:
+def _half_shapes_oracle(f: Family, n: int, lam: int) -> list[Diagram]:
     """Every set partition of the bottom nodes, with every lam-subset of its
     blocks made through and given tops 1..lam in the order of least nodes,
-    filtered by member."""
+    filtered by the membership oracle."""
     shapes = []
     for part in _set_partitions(list(range(1, n + 1))):
         for through in itertools.combinations(range(len(part)), lam):
@@ -87,30 +88,55 @@ def _half_shapes_oracle(f: Family, n: int, lam: int, member) -> list[Diagram]:
                 for i, block in enumerate(part)
             ]
             d = Diagram.make(n, lam, blocks)
-            if member(d, f):
+            if member_oracle(d, f):
                 shapes.append(d)
     shapes.sort(key=Diagram.sort_key)
     return shapes
 
 
 def test_half_shapes_match_the_set_partition_oracle(monkeypatch):
-    calls = {"walk": 0, "oracle": 0}
+    # the walk builds only members, so it never asks is_member
+    def refuse(*args):
+        raise AssertionError("the walk filtered a candidate with is_member")
 
-    def counted(key):
-        def member(d, f):
-            calls[key] += 1
-            return is_member(d, f)
+    monkeypatch.setattr(cells_mod, "is_member", refuse)
+    for f in Family:
+        for n in range(8):
+            for lam in admissible_lambdas(f, n):
+                expected = _half_shapes_oracle(f, n, lam)
+                assert cells_mod._half_shapes(f, n, lam) == expected, (f, n, lam)
 
-        return member
 
-    monkeypatch.setattr(cells_mod, "is_member", counted("walk"))
+def test_every_branch_of_the_half_shape_walk_ends_in_a_member():
+    # a call of the walk either stops at once (no further call), keeps a
+    # shape, or makes further calls; one that makes further calls must
+    # keep at least one shape below it, so the walk's work is bounded by
+    # its output: at most k + 1 calls from the call that places node k
+    stack = []  # [shapes kept at entry, further calls made]
+    dead = []
+
+    def watch(frame, event, arg):
+        if frame.f_code.co_name != "place":
+            return
+        kept = len(frame.f_locals["shapes"])
+        if event == "call":
+            if stack:
+                stack[-1][1] += 1
+            stack.append([kept, 0])
+        elif event == "return":
+            entry, calls = stack.pop()
+            if calls and kept == entry:
+                dead.append(frame.f_locals["k"])
+
     for f in Family:
         for n in range(7):
             for lam in admissible_lambdas(f, n):
-                calls.update(walk=0, oracle=0)
-                expected = _half_shapes_oracle(f, n, lam, counted("oracle"))
-                assert cells_mod._half_shapes(f, n, lam) == expected, (f, n, lam)
-                assert calls["walk"] == calls["oracle"], (f, n, lam)
+                sys.setprofile(watch)
+                try:
+                    cells_mod._half_shapes(f, n, lam)
+                finally:
+                    sys.setprofile(None)
+                assert not dead, (f, n, lam, dead)
 
 
 def test_halves_are_canonical_as_built(tmp_path, monkeypatch):

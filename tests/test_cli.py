@@ -124,6 +124,8 @@ def test_conjugacy_rejects_a_negative_sym(capsys):
         ("apex", "--family", "rook", "--n", "-1", "--zero-pattern", "all-zero"),
         ("normalize", "1;1;{1,1'}[5,0]", "--K", "3"),
         ("normalize", "1;1;{1,1'}[5,0]", "--r", "1"),
+        ("--stable", "conjugacy", "--K", "2", "--r", "1", "--sym", "2"),
+        ("conjugacy", "--wreath-lambda", "1", "--sym", "2"),
     ],
 )
 def test_incomplete_or_negative_arguments_exit_3(capsys, argv):

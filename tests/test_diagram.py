@@ -26,7 +26,7 @@ from moebius.diagram import Diagram, Factorization, _star_layout, is_planar, wre
 from moebius.families import admissible_lambdas
 from moebius.msmall import MElem, WreathElem, wreath_elements
 
-from conftest import family_shapes, oracle_star, random_diagram
+from conftest import _set_partitions, family_shapes, member_oracle, oracle_star, planar_oracle, random_diagram
 
 A_LITERAL = "6;6;{1,2'}[0,0]|{2,4,5}[0,0]|{3,3'}[0,0]|{6,1',4',6'}[0,0]|{5'}[0,0]"
 
@@ -256,6 +256,21 @@ def test_planarity_wrapping_block():
     assert not is_planar(d)
     d2 = parse_diagram("3;1;{1,3,1'}[0,0]|{2}[0,0]")
     assert is_planar(d2)
+
+
+def test_membership_matches_the_oracle_on_every_small_diagram():
+    # every diagram with n, m <= 4: 6,815 set partitions of the boundary
+    count = 0
+    for n in range(5):
+        for m in range(5):
+            ids = list(range(1, n + 1)) + [-j for j in range(1, m + 1)]
+            for part in _set_partitions(ids):
+                d = Diagram.make(n, m, [(tuple(b), 0, 0) for b in part])
+                count += 1
+                assert is_planar(d) == planar_oracle(d), render_diagram(d)
+                for f in Family:
+                    assert is_member(d, f) == member_oracle(d, f), (render_diagram(d), f)
+    assert count == 6815
 
 
 def test_membership_monotonicity_exhaustive():

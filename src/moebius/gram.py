@@ -5,8 +5,12 @@ The entry for a (row, column) pair of half diagrams is the eigenvalue of
 the corresponding H-cell's pseudo-idempotent when one exists, else 0:
 composing bottom o star(top) gives a scalar multiple c of one basis
 diagram (the handle rewrite is monomial here); the entry is c when the
-through strands survive and the middle of the composite admits a basis
-middle m with m w m = m in the sandwiched monoid.
+through strands survive and the middle w of the composite admits a basis
+middle m with m w m = m in the sandwiched monoid.  That regularity
+depends on w alone, and a matrix has few distinct middles, so it is
+decided once per distinct w for each matrix, by drawing the wreath
+elements lazily and stopping at the first regular m; the middles are
+never listed.
 """
 from __future__ import annotations
 
@@ -54,12 +58,13 @@ def gram_entry(
     bottom: Diagram, top_star: Diagram, ps: ParamSet, mp: MonoidParams
 ) -> Rat:
     """Entry for the H-cell with the given bottom (column) and top
-    (row, given as its star image)."""
+    (row, given as its star image).  The family is not given, so the
+    middle's regularity is searched over M wr S_lambda (nonplanar)."""
     if mp != monoid_params_of(ps):
         raise PreconditionError("monoid parameters do not match the parameter set")
     if top_star.m != bottom.m:
         raise PreconditionError("half diagrams come from different cells")
-    return _entry(bottom, top_star, ps, mp, list(wreath_elements(mp, bottom.m, planar=False)))
+    return _entry(bottom, top_star, ps, mp, False, {})
 
 
 def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
@@ -71,17 +76,21 @@ def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
     if dim > SIZE_GUARD:
         raise ResourceGuardError(f"Gram dimension {dim} exceeds guard {SIZE_GUARD}")
     halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
-    middles = list(wreath_elements(mp, lambda_ts, planar=f.planar))
+    regular: dict = {}  # middle -> regular?, for this matrix only
     rows = []
     for top in halves:
         row = []
         for bottom in halves:
-            row.append(_entry(bottom, top, ps, mp, middles))
+            row.append(_entry(bottom, top, ps, mp, f.planar, regular))
         rows.append(tuple(row))
     return GramMatrix(f, n, lambda_ts, tuple(halves), tuple(rows))
 
 
-def _entry(bottom, top_star, ps, mp, middles) -> Rat:
+def _entry(bottom, top_star, ps, mp, planar, regular) -> Rat:
+    """c when bottom o star(top_star) = c w keeps every through strand and
+    w's middle is regular, else 0.  ``regular`` holds the answer for each
+    middle already decided (by the caller, for one matrix); a new middle
+    is decided by ``_has_regular_middle``'s lazy search."""
     lam = bottom.m
     x = algebra.compose_diagrams(bottom, star(top_star), ps)
     if x.is_zero():
@@ -90,10 +99,20 @@ def _entry(bottom, top_star, ps, mp, middles) -> Rat:
     if through_strands(w) < lam:
         return _ZERO
     w_mid = factorize(w, mp).middle
-    for m in middles:
-        if wreath_mul(wreath_mul(m, w_mid, mp), m, mp) == m:
-            return c
-    return _ZERO
+    if w_mid not in regular:
+        regular[w_mid] = _has_regular_middle(w_mid, lam, mp, planar)
+    return c if regular[w_mid] else _ZERO
+
+
+def _has_regular_middle(w_mid, lam, mp, planar) -> bool:
+    """Whether some m in M^lam (planar) or M wr S_lam has m w m = m.
+
+    The elements are drawn one at a time and the search stops at the
+    first such m; only a middle with no such m walks them all."""
+    return any(
+        wreath_mul(wreath_mul(m, w_mid, mp), m, mp) == m
+        for m in wreath_elements(mp, lam, planar=planar)
+    )
 
 
 # ---------------------------------------------------------------------------

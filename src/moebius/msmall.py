@@ -20,7 +20,7 @@ from operator import itemgetter
 from .errors import PreconditionError, ResourceGuardError
 from .params import MonoidParams, handle_reduce_monoid, reduce_mob_pair
 
-CAYLEY_GUARD = 5000
+CAYLEY_GUARD = 2_000_000  # products in one table, size squared
 CONJUGACY_GUARD = 300
 WREATH_BRUTE_LAMBDA = 2
 WREATH_BRUTE_MSIZE = 6
@@ -94,8 +94,13 @@ class CayleyMonoid:
 
 
 def _check_cayley_size(size: int) -> None:
-    if size > CAYLEY_GUARD:
-        raise ResourceGuardError(f"monoid of size {size} exceeds the Cayley guard {CAYLEY_GUARD}")
+    """Raise before building a table whose size * size products exceed
+    CAYLEY_GUARD; callers pass the size from a closed form."""
+    if size * size > CAYLEY_GUARD:
+        raise ResourceGuardError(
+            f"monoid of size {size} needs {size * size} products, "
+            f"over the Cayley guard of {CAYLEY_GUARD} products"
+        )
 
 
 def cayley_of_m(mp: MonoidParams) -> CayleyMonoid:

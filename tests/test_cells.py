@@ -71,7 +71,7 @@ def test_family_monoid_guard_trips_before_enumerating(monkeypatch):
         raise AssertionError("enumerated before the guard")
 
     monkeypatch.setattr(cells_mod, "enumerate_family_monoid", refuse)
-    with pytest.raises(ResourceGuardError, match="Cayley guard 5000"):
+    with pytest.raises(ResourceGuardError, match="Cayley guard of 2000000 products"):
         family_monoid_cayley(Family.PARTITION, 3, MonoidParams(1, 1))
 
 

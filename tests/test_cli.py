@@ -94,7 +94,8 @@ def test_dims_guard_trips_before_enumerating(capsys, monkeypatch):
         (("conjugacy", "--sym", "7"), "conjugacy guard 300"),
         (("conjugacy", "--K", "400", "--r", "1"), "conjugacy guard 300"),
         (("wreath-types", "--K", "400", "--r", "1", "--lambda", "1"), "conjugacy guard 300"),
-        (("monoid-m", "--K", "1667", "--r", "1"), "Cayley guard 5000"),
+        (("monoid-m", "--K", "1667", "--r", "1"), "Cayley guard of 2000000 products"),
+        (("monoid-m", "--K", "600", "--r", "1"), "needs 3240000 products"),
     ],
 )
 def test_cayley_guards_trip_before_the_table(capsys, monkeypatch, argv, guard):

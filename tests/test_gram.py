@@ -422,3 +422,132 @@ def test_make_calls_repeat_with_cold_and_warm_memos(monkeypatch):
         counts.append(len(calls))
     assert exact_rank(g).rank == 3
     assert counts == [0, 0]
+
+
+def _full_scan_matrix(f, n, lam, ps):
+    """The Gram matrix as built before regularity was decided per
+    distinct middle: every middle listed up front, and every surviving
+    entry scanning them for an m with m w m = m."""
+    from moebius import algebra
+    from moebius.diagram import factorize, star, through_strands
+    from moebius.msmall import wreath_elements, wreath_mul
+
+    mp = monoid_params_of(ps)
+    halves = enumerate_half_diagrams(f, n, lam, mp.K)
+    middles = list(wreath_elements(mp, lam, planar=f.planar))
+
+    def entry(bottom, top_star):
+        x = algebra.compose_diagrams(bottom, star(top_star), ps)
+        if x.is_zero():
+            return Fraction(0)
+        w, c = x.single()
+        if through_strands(w) < lam:
+            return Fraction(0)
+        w_mid = factorize(w, mp).middle
+        for m in middles:
+            if wreath_mul(wreath_mul(m, w_mid, mp), m, mp) == m:
+                return c
+        return Fraction(0)
+
+    return tuple(tuple(entry(b, t) for b in halves) for t in halves)
+
+
+ORACLE_PARAMS = {
+    "(1,1,1)": geometric(1, 1, 1),
+    "(2,1,1)": geometric(2, 1, 1),
+    "K2": validate_params([1, 1], [1], [1], [1, -1]),  # K = 2, r = 1
+    "K3": validate_params([2], [1, 1], [0, 1], [1, 0, 0, -1]),  # K = 3, r = 3
+}
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_PARAMS))
+def test_gram_matrix_matches_the_full_scan_oracle(label):
+    ps = ORACLE_PARAMS[label]
+    K = monoid_params_of(ps).K
+    cells = [
+        (f, n, lam)
+        for f in Family
+        for n in range(4)
+        for lam in admissible_lambdas(f, n)
+        if dim_left_cell(f, n, lam, K) <= 150
+    ]
+    nonzero = 0
+    for f, n, lam in cells:
+        g = gram_matrix(f, n, lam, ps)
+        assert g.entries == _full_scan_matrix(f, n, lam, ps), (label, f, n, lam)
+        nonzero += sum(1 for row in g.entries for x in row if x)
+    assert len(cells) > 60 and nonzero > 1000
+
+
+def test_a_middle_with_no_regular_m_gives_zero(monkeypatch):
+    # every real middle is regular, so drive the other branch with an
+    # empty search: each entry that composes to a survivor becomes 0
+    from moebius import gram as gram_mod
+
+    ps = geometric(2, 1, 1)
+    assert any(any(row) for row in gram_matrix(Family.MOTZKIN, 3, 1, ps).entries)
+    monkeypatch.setattr(gram_mod, "wreath_elements", lambda *args, **kwargs: iter(()))
+    g = gram_matrix(Family.MOTZKIN, 3, 1, ps)
+    assert not any(any(row) for row in g.entries)
+    half = g.labels[0]
+    assert gram_entry(half, half, ps, monoid_params_of(ps)) == 0
+
+
+def _recording(results, fn):
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        results.append(result)
+        return result
+
+    return wrapper
+
+
+def test_regularity_calls_repeat_with_cold_and_warm_memos(monkeypatch):
+    # the regularity answers live for one gram_matrix call: a memo kept
+    # across calls would make the second call multiply fewer middles
+    from moebius import algebra, diagram
+    from moebius import gram as gram_mod
+
+    algebra._topology.cache_clear()
+    diagram._star_layout.cache_clear()
+    muls, facts, searches = [], [], []
+    monkeypatch.setattr(gram_mod, "wreath_mul", _recording(muls, gram_mod.wreath_mul))
+    monkeypatch.setattr(gram_mod, "factorize", _recording(facts, gram_mod.factorize))
+    monkeypatch.setattr(
+        gram_mod, "wreath_elements", _recording(searches, gram_mod.wreath_elements)
+    )
+    counts = []
+    for _ in range(2):
+        for calls in (muls, facts, searches):
+            calls.clear()
+        g = gram_matrix(Family.PARTITION, 3, 2, ORACLE_PARAMS["K3"])
+        counts.append((len(muls), len(facts)))
+    nonzero = sum(1 for row in g.entries for x in row if x)
+    assert counts[0] == counts[1] and counts[0][0] > 0
+    # one factorize per surviving entry, one search per distinct middle
+    assert len(facts) == nonzero
+    assert len(searches) == len({fact.middle for fact in facts}) < nonzero
+
+
+def test_regularity_search_draws_few_wreath_elements(monkeypatch):
+    # symmetric n=5 lambda=5 at K=3 is 1x1, but M wr S_5 has 9^5 * 5!
+    # (about 7.1 million) elements; the search stops at the first regular m
+    from moebius import gram as gram_mod
+
+    draws = []
+    wreath_elements = gram_mod.wreath_elements
+
+    def counting_elements(*args, **kwargs):
+        for m in wreath_elements(*args, **kwargs):
+            draws.append(m)
+            yield m
+
+    monkeypatch.setattr(gram_mod, "wreath_elements", counting_elements)
+    ps = ORACLE_PARAMS["K3"]
+    g = gram_matrix(Family.SYMMETRIC, 5, 5, ps)
+    assert g.entries == ((Fraction(1),),)
+    assert 1 <= len(draws) <= 3
+    draws.clear()
+    half = g.labels[0]
+    assert gram_entry(half, half, ps, monoid_params_of(ps)) == 1
+    assert 1 <= len(draws) <= 3

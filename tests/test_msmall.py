@@ -324,14 +324,23 @@ def test_cayley_guards_trip_before_the_table(monkeypatch):
 
     monkeypatch.setattr(CayleyMonoid, "from_op", refuse)
     monkeypatch.setattr(msmall, "m_elements", refuse)
-    with pytest.raises(ResourceGuardError, match="Cayley guard 5000"):
+    with pytest.raises(ResourceGuardError, match="Cayley guard of 2000000 products"):
         cayley_of_m(MonoidParams(1667, 1))
-    with pytest.raises(ResourceGuardError, match="Cayley guard 5000"):
+    with pytest.raises(ResourceGuardError, match="Cayley guard of 2000000 products"):
         symmetric_group_cayley(7)
-    with pytest.raises(ResourceGuardError, match="Cayley guard 5000"):
+    with pytest.raises(ResourceGuardError, match="Cayley guard of 2000000 products"):
         wreath_cayley(MonoidParams(6, 1), 3, planar=True)
     with pytest.raises(ResourceGuardError, match="conjugacy guard 300"):
         m_conjugacy_classes(MonoidParams(101, 1))
+
+
+def test_cayley_guard_bounds_products():
+    # 1,414^2 = 1,999,396 products are admitted, 1,415^2 = 2,002,225 are not;
+    # the TL n=4 monoid (1,134 elements, 1,285,956 products) is the largest
+    # table the tests, scripts and benchmark build
+    msmall._check_cayley_size(1414)
+    with pytest.raises(ResourceGuardError, match="needs 2002225 products"):
+        msmall._check_cayley_size(1415)
 
 
 def test_from_op_rejects_a_product_outside_the_elements():

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -139,8 +138,7 @@ def cmd_member(args, t0):
 def cmd_dims(args, t0):
     fam = family_from_name(args.family)
     if args.check:
-        cache_dir = args.cache_dir or os.environ.get("MOEBIUS_CACHE_DIR")
-        dims = cells.checked_dims(fam, args.n, args.K, cache_dir=cache_dir)
+        dims = cells.checked_dims(fam, args.n, args.K, cache_dir=args.cache_dir)
     else:
         dims = {
             lam: repcount.dim_left_cell(fam, args.n, lam, args.K)
@@ -284,6 +282,8 @@ def cmd_count_simples(args, t0):
         if args.p is None:
             raise PreconditionError("--field fp needs --p")
         field = repcount.prime_field(args.p)
+    elif args.p is not None:
+        raise PreconditionError("--p applies to --field fp only")
     elif args.field == "rationals":
         field = repcount.RATIONALS
     else:
@@ -294,6 +294,8 @@ def cmd_count_simples(args, t0):
 
 
 def cmd_gram(args, t0):
+    if args.no_matrix and args.output == "csv":
+        raise PreconditionError("--no-matrix has no CSV form: the CSV output is the matrix")
     fam = family_from_name(args.family)
     ps = _load_params(args.params)
     matrix = gram.gram_matrix(fam, args.n, args.lam, ps)

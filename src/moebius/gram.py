@@ -2,15 +2,17 @@
 elimination, closed-form predictions, and the full-rank condition check.
 
 The entry for a (row, column) pair of half diagrams is the eigenvalue of
-the corresponding H-cell's pseudo-idempotent when one exists, else 0:
-composing bottom o star(top) gives a scalar multiple c of one basis
-diagram (the handle rewrite is monomial here); the entry is c when the
-through strands survive and the middle w of the composite admits a basis
-middle m with m w m = m in the sandwiched monoid.  That regularity
-depends on w alone, and a matrix has few distinct middles, so it is
-decided once per distinct w for each matrix, by drawing the wreath
-elements lazily and stopping at the first regular m; the middles are
-never listed.
+the corresponding H-cell's pseudo-idempotent: composing bottom o
+star(top) gives a scalar multiple c of one basis diagram (the handle
+rewrite is monomial here), and the entry is c when the through strands
+survive, else 0.  The pseudo-idempotent exists because the middle w of
+the composite always has an m with m w m = m among its own powers: if w
+has index i and period t, then m = w^p for any p >= i with t | p + 1
+gives m w m = w^(2p+1) = w^p.  Such a p lies below i + t, before the
+first repeated power, so each distinct middle of a matrix is checked
+once by walking w, w^2, ... to the first m that passes m w m = m.  A
+power that repeats first means the product is not associative, an
+internal error.
 """
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ from math import comb, lcm
 from . import algebra
 from .cells import enumerate_half_diagrams
 from .diagram import Diagram, factorize, star, through_strands
-from .errors import PreconditionError, ResourceGuardError
+from .errors import InternalCheckError, PreconditionError, ResourceGuardError
 from .families import Family, check_lambda
-from .msmall import _index_components, wreath_elements, wreath_mul
+from .msmall import _index_components, wreath_mul
 from .params import (
     MonoidParams,
     ParamSet,
@@ -58,13 +60,15 @@ def gram_entry(
     bottom: Diagram, top_star: Diagram, ps: ParamSet, mp: MonoidParams
 ) -> Rat:
     """Entry for the H-cell with the given bottom (column) and top
-    (row, given as its star image).  The family is not given, so the
-    middle's regularity is searched over M wr S_lambda (nonplanar)."""
+    (row, given as its star image).  As in ``gram_matrix``, the
+    composite's middle w is walked to a power m = w^p with m w m = m,
+    which exists for every p >= the index of w with its period dividing
+    p + 1."""
     if mp != monoid_params_of(ps):
         raise PreconditionError("monoid parameters do not match the parameter set")
     if top_star.m != bottom.m:
         raise PreconditionError("half diagrams come from different cells")
-    return _entry(bottom, top_star, ps, mp, False, {})
+    return _entry(bottom, top_star, ps, mp, set())
 
 
 def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
@@ -76,21 +80,22 @@ def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
     if dim > SIZE_GUARD:
         raise ResourceGuardError(f"Gram dimension {dim} exceeds guard {SIZE_GUARD}")
     halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
-    regular: dict = {}  # middle -> regular?, for this matrix only
+    checked: set = set()  # middles already walked, for this matrix only
     rows = []
     for top in halves:
         row = []
         for bottom in halves:
-            row.append(_entry(bottom, top, ps, mp, f.planar, regular))
+            row.append(_entry(bottom, top, ps, mp, checked))
         rows.append(tuple(row))
     return GramMatrix(f, n, lambda_ts, tuple(halves), tuple(rows))
 
 
-def _entry(bottom, top_star, ps, mp, planar, regular) -> Rat:
-    """c when bottom o star(top_star) = c w keeps every through strand and
-    w's middle is regular, else 0.  ``regular`` holds the answer for each
-    middle already decided (by the caller, for one matrix); a new middle
-    is decided by ``_has_regular_middle``'s lazy search."""
+def _entry(bottom, top_star, ps, mp, checked) -> Rat:
+    """c when bottom o star(top_star) = c w keeps every through strand,
+    else 0.  w's middle always has a power m with m w m = m (index i,
+    period t: m = w^p with p >= i and t | p + 1); ``checked`` holds the
+    middles already walked to theirs (by the caller, for one matrix), and
+    a new middle is walked by ``_check_regular_power``."""
     lam = bottom.m
     x = algebra.compose_diagrams(bottom, star(top_star), ps)
     if x.is_zero():
@@ -99,19 +104,27 @@ def _entry(bottom, top_star, ps, mp, planar, regular) -> Rat:
     if through_strands(w) < lam:
         return _ZERO
     w_mid = factorize(w, mp).middle
-    if w_mid not in regular:
-        regular[w_mid] = _has_regular_middle(w_mid, lam, mp, planar)
-    return c if regular[w_mid] else _ZERO
+    if w_mid not in checked:
+        _check_regular_power(w_mid, mp)
+        checked.add(w_mid)
+    return c
 
 
-def _has_regular_middle(w_mid, lam, mp, planar) -> bool:
-    """Whether some m in M^lam (planar) or M wr S_lam has m w m = m.
+def _check_regular_power(w_mid, mp) -> None:
+    """Walk m = w, w^2, ... to the first m with m w m = m.
 
-    The elements are drawn one at a time and the search stops at the
-    first such m; only a middle with no such m walks them all."""
-    return any(
-        wreath_mul(wreath_mul(m, w_mid, mp), m, mp) == m
-        for m in wreath_elements(mp, lam, planar=planar)
+    With an associative product one comes before the first repeated
+    power; a repeat reached first raises InternalCheckError."""
+    seen = set()
+    m = w_mid
+    while m not in seen:
+        seen.add(m)
+        nxt = wreath_mul(m, w_mid, mp)
+        if wreath_mul(nxt, m, mp) == m:
+            return
+        m = nxt
+    raise InternalCheckError(
+        f"the powers of middle {w_mid} repeat with no m w m = m: the product is not associative"
     )
 
 

@@ -127,6 +127,12 @@ def test_conjugacy_rejects_a_negative_sym(capsys):
         ("normalize", "1;1;{1,1'}[5,0]", "--r", "1"),
         ("--stable", "conjugacy", "--K", "2", "--r", "1", "--sym", "2"),
         ("conjugacy", "--wreath-lambda", "1", "--sym", "2"),
+        ("count-simples", "--family", "rook", "--n", "3", "--lambda", "1",
+         "--field", "rationals", "--p", "5", "--r", "1"),
+        ("count-simples", "--family", "rook", "--n", "3", "--lambda", "1",
+         "--field", "char0bar", "--p", "5", "--r", "1"),
+        ("gram", "--family", "rook", "--n", "1", "--lambda", "0", "--params", "unread.json",
+         "--output", "csv", "--no-matrix"),
     ],
 )
 def test_incomplete_or_negative_arguments_exit_3(capsys, argv):
@@ -261,10 +267,3 @@ def test_selftest(capsys):
     code, out = run_cli(capsys, "--stable", "selftest", "--seed", "1")
     assert code == 0
     assert json.loads(out)["result"]["ok"] is True
-
-
-def test_env_cache_dir(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("MOEBIUS_CACHE_DIR", str(cache))
-    run_json(capsys, "dims", "--family", "rook", "--n", "2", "--K", "1", "--check")
-    assert cache.exists() and any(cache.iterdir())

@@ -5,13 +5,34 @@ conjugacy and monoid-m digests from the index/period omega power and the
 private union-find that the shared index union-find replaced; the rook,
 planar-partition and Brauer K=3 cells digests from the per-product Cayley
 table that the shape-pair table replaced.  The `input`
-part is left out because it echoes the parameter file's temporary path."""
+part is left out because it echoes the parameter file's temporary path.
+
+The corpus in golden_corpus.json widens these pins to every subcommand:
+it maps each argv of ``corpus_argvs`` to the digest of its `result` (of
+stdout for CSV output), or, for an error exit, to the exit code and the
+digest of stderr.  Its "tier1" cases run here; its "ci" cases, Gram
+matrices of dimension 101 to 400, run in CI through
+
+    python tests/test_golden.py check ci
+
+and ``python tests/test_golden.py record`` re-records the whole file with
+the ``moebius`` package it imports.  A digest that changes is re-recorded with the
+change that changes it, and the reason goes in CHANGES.md."""
 import hashlib
+import io
 import json
+import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from moebius.cli import main
+from moebius import Family
+from moebius.cli import build_parser, main
+from moebius.families import admissible_lambdas
+from moebius.repcount import dim_left_cell
 
 PARAMS = {
     "p211": '{"p_alpha":["2"],"p_beta":["1"],"p_gamma":["1"],"q":["1","-1"]}',
@@ -95,3 +116,269 @@ def test_stable_result_digest(case, tmp_path, capsys):
     assert main(["--stable", *argv]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the corpus
+# ---------------------------------------------------------------------------
+
+CORPUS = Path(__file__).with_name("golden_corpus.json")
+RECORDED_AT = "57c8766"
+
+# files a corpus argv names as "@name", written to one folder per run
+FILES = {
+    "p211.json": PARAMS["p211"],
+    "pK2.json": PARAMS["pK2"],
+    "pK3.json": '{"p_alpha":["2"],"p_beta":["1","1"],"p_gamma":["0","1"],"q":["1","0","0","-1"]}',
+    "truncated.json": '{"p_alpha": ["1"',
+    "nokey.json": '{"p_alpha":["1"],"p_beta":[],"p_gamma":[]}',
+    "notarrays.json": '{"p_alpha":"1","p_beta":[],"p_gamma":[],"q":["1","-1"]}',
+    "q0.json": '{"p_alpha":["1"],"p_beta":[],"p_gamma":[],"q":["2","-1"]}',
+    "nonmonomial.json": '{"p_alpha":["1"],"p_beta":[],"p_gamma":[],"q":["1","-1","-1"]}',
+    "m.csv": "1,2,3\n2,4,6\n1,0,1/2\n",
+    "m.json": "[[1, 2], [3, 4]]",
+    "tall.csv": "1,2\n3,4\n5,6\n",
+    "ragged.csv": "1,2\n3\n",
+    "truncated-matrix.json": "[[1, 2], [3,",
+}
+K_PARAMS = {1: "@p211.json", 2: "@pK2.json", 3: "@pK3.json"}
+TIER1_DIM = 100  # Gram cells above this go to the CI tier
+CI_DIM = 400  # and above this, where one matrix takes a minute, to neither
+
+
+def corpus_argvs() -> list[tuple[list[str], str]]:
+    """Every corpus argv with its tier, "tier1" or "ci"."""
+    cases = []
+
+    def add(*argv, tier="tier1"):
+        cases.append((list(argv), tier))
+
+    for fam in Family:
+        f = fam.value
+        for n in range(4):
+            for K in (1, 2, 3):
+                add("dims", "--family", f, "--n", str(n), "--K", str(K), "--check")
+        add("dims", "--family", f, "--n", "5", "--K", "2")
+        for n in range(3):
+            add("cells", "--family", f, "--n", str(n))
+            add("cells", "--family", f, "--n", str(n), "--K", "2", "--r", "1")
+            add("idempotents", "--family", f, "--n", str(n), "--params", "@p211.json")
+        for n in range(4):
+            for lam in admissible_lambdas(fam, n):
+                for K, params in K_PARAMS.items():
+                    dim = dim_left_cell(fam, n, lam, K)
+                    if dim <= CI_DIM:
+                        add("gram", "--family", f, "--n", str(n), "--lambda", str(lam),
+                            "--params", params, tier="tier1" if dim <= TIER1_DIM else "ci")
+        for pattern in ("all-zero", "some-nonzero"):
+            add("apex", "--family", f, "--n", "3", "--zero-pattern", pattern)
+        for field in (("char0bar",), ("rationals",), ("fp", "--p", "2"), ("fp", "--p", "3")):
+            add("count-simples", "--family", f, "--n", "3",
+                "--lambda", str(admissible_lambdas(fam, 3)[-1]), "--field", *field, "--r", "3")
+        add("member", DECORATED_F, "--family", f)
+
+    add("dims", "--family", "tl", "--n", "6", "--K", "2", "--output", "csv")
+    add("dims", "--family", "pp", "--n", "3", "--K", "1", "--check", "--output", "csv")
+    add("idempotents", "--family", "rook", "--n", "2", "--params", "@pK2.json")
+    add("idempotents", "--family", "motzkin", "--n", "2", "--params", "@pK3.json")
+    for argv in (
+        ("--family", "rook", "--n", "2", "--lambda", "0", "--params", "@p211.json"),
+        ("--family", "partition", "--n", "2", "--lambda", "1", "--params", "@pK2.json"),
+    ):
+        add("gram", *argv, "--order", "mob-grouped")
+        add("gram", *argv, "--no-matrix")
+        add("gram", *argv, "--output", "csv")
+        add("gram", *argv, "--order", "mob-grouped", "--output", "csv")
+    add("compose", DECORATED_G, DECORATED_F, "--params", "@p211.json")
+    add("compose", DECORATED_F, DECORATED_G, "--params", "@pK3.json")
+    add("compose", "1;1;{1,1'}[1,0]", "1;1;{1,1'}[1,2]", "--params", "@pK2.json")
+    add("compose", "2;2;{1,2}[0,0]|{1',2'}[0,0]", "2;2;{1,2}[1,1]|{1',2'}[0,2]",
+        "--params", "@pK3.json")
+    add("normalize", "1;1;{1,1'}[5,4]")
+    add("normalize", "1;1;{1,1'}[5,4]", "--K", "3", "--r", "3")
+    add("normalize", DECORATED_F, "--K", "2", "--r", "1")
+    add("tensor", DECORATED_F, "1;0;{1}[0,1]")
+    add("tensor", "0;0;", "2;2;{1,2'}[1,1]|{2,1'}[0,0]")
+    add("star", DECORATED_F)
+    add("star", "1;0;{1}[0,1]")
+    add("factorize", DECORATED_F, "--K", "2", "--r", "1")
+    add("factorize", "3;3;{1,2'}[0,1]|{2,1'}[0,0]|{3}[0,2]|{3'}[0,1]", "--K", "1", "--r", "1")
+    add("member", DECORATED_G)
+    for K, r in ((1, 1), (2, 1), (3, 1), (3, 3), (5, 5)):
+        add("monoid-m", "--K", str(K), "--r", str(r))
+        add("conjugacy", "--K", str(K), "--r", str(r))
+    for argv in (("--sym", "0"), ("--sym", "3"), ("--K", "2", "--r", "1", "--wreath-lambda", "0"),
+                 ("--K", "1", "--r", "1", "--wreath-lambda", "2")):
+        add("conjugacy", *argv)
+    add("wreath-types", "--K", "2", "--r", "1", "--lambda", "2")
+    add("wreath-types", "--K", "3", "--r", "3", "--lambda", "3")
+    add("count-simples", "--family", "partition", "--n", "5", "--lambda", "2",
+        "--field", "fp", "--p", "5", "--r", "1")
+    add("rank", "--matrix", "@m.csv")
+    add("rank", "--matrix", "@m.json")
+    add("rank", "--matrix", "@tall.csv")
+    for n in range(4):
+        add("gram-det", "--n", str(n), "--alpha0", "3", "--beta0", "1/2", "--gamma0", "-1")
+    add("gram-det", "--n", "2", "--alpha0", "2", "--beta0", "1", "--gamma0", "1", "--check")
+    add("gram-det", "--n", "1", "--alpha0", "1", "--beta0", "1", "--gamma0", "1", "--check")
+    add("deligne", "--alpha0", "2", "--beta0", "1", "--gamma0", "1", "--lam", "4", "--sqrt-lam", "2")
+    add("deligne", "--alpha0=-1/3", "--beta0", "0", "--gamma0", "5", "--lam", "1",
+        "--sqrt-lam", "-1")
+    add("selftest")
+    add("selftest", "--seed", "3")
+
+    # exit 2: malformed literals and files
+    add("star", "1;1")
+    add("star", "1;x;{1}[0,0]")
+    add("tensor", "1;1;{1,1'}[0,0", "1;1;{1,1'}[0,0]")
+    add("compose", "1;1;{1,}[0,0]|{1'}[0,0]", "1;1;{1,1'}[0,0]", "--params", "@p211.json")
+    add("gram-det", "--n", "2", "--alpha0", "1.5", "--beta0", "1", "--gamma0", "1")
+    add("deligne", "--alpha0", "1", "--beta0", "1/0", "--gamma0", "1", "--lam", "1",
+        "--sqrt-lam", "1")
+    # (notarrays.json exits 0: its string "1" is read as the array ["1"])
+    for bad in ("@truncated.json", "@nokey.json", "@notarrays.json"):
+        add("gram", "--family", "rook", "--n", "1", "--lambda", "0", "--params", bad)
+    add("rank", "--matrix", "@truncated-matrix.json")
+    # exit 3: contracts and flag combinations
+    add("dims", "--family", "nope", "--n", "2", "--K", "1")
+    add("dims", "--family", "rook", "--n", "-1", "--K", "1")
+    add("dims", "--family", "rook", "--n", "2", "--K", "0", "--check")
+    add("gram", "--family", "brauer", "--n", "2", "--lambda", "1", "--params", "@p211.json")
+    add("gram", "--family", "rook", "--n", "2", "--lambda", "-1", "--params", "@p211.json")
+    add("gram", "--family", "rook", "--n", "1", "--lambda", "0", "--params", "@q0.json")
+    add("gram", "--family", "rook", "--n", "1", "--lambda", "0", "--params", "@nonmonomial.json")
+    add("idempotents", "--family", "rook", "--n", "1", "--params", "@nonmonomial.json")
+    add("normalize", "1;1;{1,1'}[5,0]", "--K", "3")
+    add("normalize", "1;1;{1,1'}[5,0]", "--r", "1")
+    add("factorize", "1;1;{1,1'}[5,0]", "--K", "2", "--r", "1")
+    add("member", "1;1;{1}[0,0]")
+    add("compose", "1;1;{1,1'}[0,0]", "2;2;{1,1'}[0,0]|{2,2'}[0,0]", "--params", "@p211.json")
+    add("monoid-m", "--K", "2", "--r", "2")
+    add("monoid-m", "--K", "1", "--r", "3")
+    add("conjugacy")
+    add("conjugacy", "--K", "2")
+    add("conjugacy", "--sym", "-1")
+    add("conjugacy", "--sym", "2", "--K", "2", "--r", "1")
+    add("conjugacy", "--K", "2", "--r", "1", "--wreath-lambda", "-1")
+    add("wreath-types", "--K", "2", "--r", "1", "--lambda", "-1")
+    add("apex", "--family", "rook", "--n", "-1", "--zero-pattern", "all-zero")
+    add("count-simples", "--family", "rook", "--n", "3", "--lambda", "1", "--field", "fp",
+        "--r", "1")
+    add("count-simples", "--family", "rook", "--n", "3", "--lambda", "1", "--field", "fp",
+        "--p", "4", "--r", "1")
+    add("count-simples", "--family", "rook", "--n", "3", "--lambda", "1", "--field",
+        "char0bar", "--r", "2")
+    add("rank", "--matrix", "@ragged.csv")
+    add("deligne", "--alpha0", "2", "--beta0", "1", "--gamma0", "1", "--lam", "4",
+        "--sqrt-lam", "3")
+    # exit 4: each guard, before its work
+    add("gram", "--family", "rook", "--n", "7", "--lambda", "0", "--params", "@p211.json")
+    add("dims", "--family", "partition", "--n", "8", "--K", "3", "--check")
+    add("idempotents", "--family", "symmetric", "--n", "5", "--params", "@pK2.json")
+    add("monoid-m", "--K", "600", "--r", "1")
+    add("conjugacy", "--K", "101", "--r", "1")
+    add("conjugacy", "--sym", "6")
+    add("conjugacy", "--K", "2", "--r", "1", "--wreath-lambda", "4")
+    add("wreath-types", "--K", "3", "--r", "1", "--lambda", "5")
+    add("gram-det", "--n", "5", "--alpha0", "2", "--beta0", "1", "--gamma0", "1", "--check")
+    return cases
+
+
+def _key(argv) -> str:
+    return " ".join(argv)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_files(folder: Path) -> Path:
+    for name, text in FILES.items():
+        (folder / name).write_text(text)
+    return folder
+
+
+def run_case(argv, folder: Path):
+    """The corpus record of one argv, run with FILES written in folder:
+    the digest of its result (of stdout for CSV output), or
+    {"exit": code, "stderr": digest} on an error."""
+    argv = [str(folder / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["--stable", *argv])
+    except SystemExit:  # argparse's messages vary between Python versions
+        raise AssertionError(f"argparse refused {argv}: {err.getvalue()}") from None
+    if code:
+        assert str(folder) not in err.getvalue(), "stderr echoes the temporary folder"
+        return {"exit": code, "stderr": _sha(err.getvalue())}
+    if ["--output", "csv"] in [argv[i:i + 2] for i in range(len(argv))]:
+        return _sha(out.getvalue())
+    return _sha(json.dumps(json.loads(out.getvalue())["result"], sort_keys=True))
+
+
+EMPTY = {"recorded_at": None, "tier1": {}, "ci": {}}
+LOADED = json.loads(CORPUS.read_text()) if CORPUS.exists() else EMPTY
+
+
+@pytest.fixture(scope="module")
+def folder(tmp_path_factory):
+    return write_files(tmp_path_factory.mktemp("corpus"))
+
+
+@pytest.mark.parametrize("key", LOADED["tier1"])
+def test_corpus_digest(key, folder):
+    assert run_case(key.split(" "), folder) == LOADED["tier1"][key]
+
+
+def test_corpus_is_the_generated_argv_list():
+    assert LOADED["recorded_at"] == RECORDED_AT
+    for tier in ("tier1", "ci"):
+        assert list(LOADED[tier]) == [_key(a) for a, t in corpus_argvs() if t == tier]
+
+
+def test_corpus_covers_every_subcommand_family_and_exit():
+    cases = [key.split(" ") for tier in ("tier1", "ci") for key in LOADED[tier]]
+    records = [r for tier in ("tier1", "ci") for r in LOADED[tier].values()]
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in cases} == set(subcommands)
+    for fam in Family:
+        for command in ("dims", "cells", "gram", "idempotents"):
+            assert any(a[0] == command and fam.value in a for a in cases), (command, fam)
+    assert {r["exit"] for r in records if isinstance(r, dict)} == {2, 3, 4}
+
+
+def _check(tier: str) -> int:
+    corpus = LOADED[tier]
+    bad = 0
+    with tempfile.TemporaryDirectory() as folder:
+        write_files(Path(folder))
+        for key, want in corpus.items():
+            if run_case(key.split(" "), Path(folder)) != want:
+                print(f"digest changed: {key}")
+                bad += 1
+    print(f"{len(corpus) - bad} of {len(corpus)} {tier} cases match")
+    return 1 if bad else 0
+
+
+def _record() -> int:
+    corpus = {"recorded_at": RECORDED_AT, "tier1": {}, "ci": {}}
+    spent = {"tier1": 0.0, "ci": 0.0}
+    with tempfile.TemporaryDirectory() as folder:
+        write_files(Path(folder))
+        for argv, tier in corpus_argvs():
+            t0 = time.perf_counter()
+            corpus[tier][_key(argv)] = run_case(argv, Path(folder))
+            spent[tier] += time.perf_counter() - t0
+    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
+    for tier, seconds in spent.items():
+        print(f"{tier}: {len(corpus[tier])} cases, {seconds:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["record"]:
+        sys.exit(_record())
+    if sys.argv[1:2] == ["check"] and len(sys.argv) == 3:
+        sys.exit(_check(sys.argv[2]))
+    sys.exit("usage: python tests/test_golden.py record | check tier1 | check ci")

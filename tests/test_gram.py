@@ -479,18 +479,30 @@ def test_gram_matrix_matches_the_full_scan_oracle(label):
     assert len(cells) > 60 and nonzero > 1000
 
 
-def test_a_middle_with_no_regular_m_gives_zero(monkeypatch):
-    # every real middle is regular, so drive the other branch with an
-    # empty search: each entry that composes to a survivor becomes 0
+def test_a_middle_with_no_regular_power_raises(monkeypatch, capsys, tmp_path):
+    # every middle has a power m with m w m = m when the product is
+    # associative; a product whose powers cycle with no such m is an
+    # internal error for gram_matrix, gram_entry and the CLI alike
+    from moebius import InternalCheckError
     from moebius import gram as gram_mod
+    from moebius.cli import main
 
     ps = geometric(2, 1, 1)
-    assert any(any(row) for row in gram_matrix(Family.MOTZKIN, 3, 1, ps).entries)
-    monkeypatch.setattr(gram_mod, "wreath_elements", lambda *args, **kwargs: iter(()))
-    g = gram_matrix(Family.MOTZKIN, 3, 1, ps)
-    assert not any(any(row) for row in g.entries)
-    half = g.labels[0]
-    assert gram_entry(half, half, ps, monoid_params_of(ps)) == 0
+    half = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 1)[0]
+    assert gram_entry(half, half, ps, monoid_params_of(ps)) != 0
+    # x y = ("f", y): the powers of w are w, ("f", w), ("f", w), ...
+    # and m w m = ("f", m) is never m
+    monkeypatch.setattr(gram_mod, "wreath_mul", lambda x, y, mp: ("f", y))
+    with pytest.raises(InternalCheckError, match="not associative"):
+        gram_matrix(Family.MOTZKIN, 3, 1, ps)
+    with pytest.raises(InternalCheckError, match="not associative"):
+        gram_entry(half, half, ps, monoid_params_of(ps))
+    params = tmp_path / "p.json"
+    params.write_text('{"p_alpha":["2"],"p_beta":["1"],"p_gamma":["1"],"q":["1","-1"]}')
+    argv = ["gram", "--family", "motzkin", "--n", "3", "--lambda", "1", "--params", str(params)]
+    assert main(argv) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal check failed: ")
 
 
 def _recording(results, fn):
@@ -503,51 +515,55 @@ def _recording(results, fn):
 
 
 def test_regularity_calls_repeat_with_cold_and_warm_memos(monkeypatch):
-    # the regularity answers live for one gram_matrix call: a memo kept
-    # across calls would make the second call multiply fewer middles
+    # the set of walked middles lives for one gram_matrix call: a memo
+    # kept across calls would make the second call multiply fewer middles
     from moebius import algebra, diagram
     from moebius import gram as gram_mod
 
     algebra._topology.cache_clear()
     diagram._star_layout.cache_clear()
-    muls, facts, searches = [], [], []
+    muls, facts, walks = [], [], []
     monkeypatch.setattr(gram_mod, "wreath_mul", _recording(muls, gram_mod.wreath_mul))
     monkeypatch.setattr(gram_mod, "factorize", _recording(facts, gram_mod.factorize))
+    walk = gram_mod._check_regular_power
     monkeypatch.setattr(
-        gram_mod, "wreath_elements", _recording(searches, gram_mod.wreath_elements)
+        gram_mod, "_check_regular_power", lambda w, mp: walks.append(w) or walk(w, mp)
     )
     counts = []
     for _ in range(2):
-        for calls in (muls, facts, searches):
+        for calls in (muls, facts, walks):
             calls.clear()
         g = gram_matrix(Family.PARTITION, 3, 2, ORACLE_PARAMS["K3"])
         counts.append((len(muls), len(facts)))
     nonzero = sum(1 for row in g.entries for x in row if x)
     assert counts[0] == counts[1] and counts[0][0] > 0
-    # one factorize per surviving entry, one search per distinct middle
+    # one factorize per surviving entry, one walk per distinct middle
     assert len(facts) == nonzero
-    assert len(searches) == len({fact.middle for fact in facts}) < nonzero
+    middles = {fact.middle for fact in facts}
+    assert len(walks) == len(set(walks)) == len(middles) < nonzero
+    assert set(walks) == middles
 
 
-def test_regularity_search_draws_few_wreath_elements(monkeypatch):
+def test_regularity_walk_makes_few_wreath_muls(monkeypatch):
     # symmetric n=5 lambda=5 at K=3 is 1x1, but M wr S_5 has 9^5 * 5!
-    # (about 7.1 million) elements; the search stops at the first regular m
+    # (about 7.1 million) elements; the walk stops at the first power of
+    # the middle that is regular
     from moebius import gram as gram_mod
 
-    draws = []
-    wreath_elements = gram_mod.wreath_elements
-
-    def counting_elements(*args, **kwargs):
-        for m in wreath_elements(*args, **kwargs):
-            draws.append(m)
-            yield m
-
-    monkeypatch.setattr(gram_mod, "wreath_elements", counting_elements)
+    calls = []
+    monkeypatch.setattr(gram_mod, "wreath_mul", _recording(calls, gram_mod.wreath_mul))
     ps = ORACLE_PARAMS["K3"]
     g = gram_matrix(Family.SYMMETRIC, 5, 5, ps)
     assert g.entries == ((Fraction(1),),)
-    assert 1 <= len(draws) <= 3
-    draws.clear()
+    assert 1 <= len(calls) <= 4
+    calls.clear()
     half = g.labels[0]
     assert gram_entry(half, half, ps, monoid_params_of(ps)) == 1
-    assert 1 <= len(draws) <= 3
+    assert 1 <= len(calls) <= 4
+    # partition n=5 lambda=4 at K=3: a search of M wr S_4 in listing
+    # order drew about 2.7 million elements for its 138 distinct middles
+    calls.clear()
+    g = gram_matrix(Family.PARTITION, 5, 4, ps)
+    assert 0 < len(calls) <= 10_000
+    report = exact_rank(g)
+    assert (len(g.entries), report.rank, report.det) == (55, 55, -9304092590625)

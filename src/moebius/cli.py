@@ -230,8 +230,17 @@ def cmd_conjugacy(args, t0):
             raise PreconditionError("conjugacy needs --K and --r, or --sym")
         mp = MonoidParams(args.K, args.r)
         if args.wreath_lambda is not None:
-            mono = msmall.wreath_cayley(mp, args.wreath_lambda)
-            label = f"M({args.K},{args.r}) wr S_{args.wreath_lambda}"
+            lam = args.wreath_lambda
+            if lam > msmall.CONJUGACY_GUARD:
+                # lam! alone is over the guard, and the exact order of a
+                # large lam is slow to form and too long to print
+                raise ResourceGuardError(
+                    f"M wr S_{lam} has more than {lam}! elements, "
+                    f"over the conjugacy guard {msmall.CONJUGACY_GUARD}"
+                )
+            msmall.check_conjugacy_size(msmall.wreath_order(mp, lam))
+            mono = msmall.wreath_cayley(mp, lam)
+            label = f"M({args.K},{args.r}) wr S_{lam}"
         else:
             msmall.check_conjugacy_size(3 * args.K)
             mono = msmall.cayley_of_m(mp)

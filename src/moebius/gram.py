@@ -1,18 +1,30 @@
 """Gram matrices per J-cell, exact rank and determinant via fraction-free
 elimination, closed-form predictions, and the full-rank condition check.
 
-The entry for a (row, column) pair of half diagrams is the eigenvalue of
-the corresponding H-cell's pseudo-idempotent: composing bottom o
-star(top) gives a scalar multiple c of one basis diagram (the handle
-rewrite is monomial here), and the entry is c when the through strands
-survive, else 0.  The pseudo-idempotent exists because the middle w of
-the composite always has an m with m w m = m among its own powers: if w
-has index i and period t, then m = w^p for any p >= i with t | p + 1
-gives m w m = w^(2p+1) = w^p.  Such a p lies below i + t, before the
-first repeated power, so each distinct middle of a matrix is checked
-once by walking w, w^2, ... to the first m that passes m w m = m.  A
-power that repeats first means the product is not associative, an
-internal error.
+The entry for a (row, column) pair of half diagrams (top, bottom) is the
+eigenvalue of the corresponding H-cell's pseudo-idempotent: composing
+bottom o star(top) gives a scalar multiple c of one basis diagram w, and
+the entry is c when w keeps all lambda through strands, else 0.  With
+q = 1 - T^r a handle rewrite multiplies by 1, so c is the product of
+``evaluate_closed`` over the closed components of the stack.  Which
+blocks form those components, and how many through strands survive,
+depends on the two half shapes alone, and only dead blocks carry
+decorations.  So the kernel takes one ``algebra._topology`` layout per
+ordered pair of half shapes, leaves a pair with fewer than lambda
+through components at 0, and fills every other pair's block from each
+half's decoration sums per component, evaluating each summed closed
+decoration once per matrix.
+
+The pseudo-idempotent exists because the middle w of the composite
+always has an m with m w m = m among its own powers: if w has index i
+and period t, then m = w^p for any p >= i with t | p + 1 gives
+m w m = w^(2p+1) = w^p.  Per shape pair, each distinct w (its through
+components' decorations) is checked once: its first nonzero entry is
+composed in full, the composite must agree with the kernel's entry, and
+its factorized middle is walked w, w^2, ... to the first m that passes
+m w m = m, once per distinct middle of the matrix.  A disagreement, or a
+power that repeats first (a non-associative product), is an internal
+error.
 """
 from __future__ import annotations
 
@@ -20,14 +32,15 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from . import algebra
+from .algebra import _summed, evaluate_closed
 from .cells import enumerate_half_diagrams
-from .diagram import Diagram, factorize, star, through_strands
+from .diagram import Diagram, _star_layout, factorize, star, through_strands
 from .errors import InternalCheckError, PreconditionError, ResourceGuardError
 from .families import Family, check_lambda
-from .msmall import _index_components, wreath_mul
+from .msmall import MElem, _index_components, m_mul, wreath_mul
 from .params import (
     MonoidParams,
     ParamSet,
@@ -39,6 +52,7 @@ from .repcount import dim_left_cell
 
 SIZE_GUARD = 2000
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -56,19 +70,15 @@ class RankReport:
     det: Rat | None = None
 
 
-def gram_entry(
-    bottom: Diagram, top_star: Diagram, ps: ParamSet, mp: MonoidParams
-) -> Rat:
-    """Entry for the H-cell with the given bottom (column) and top
-    (row, given as its star image).  As in ``gram_matrix``, the
-    composite's middle w is walked to a power m = w^p with m w m = m,
-    which exists for every p >= the index of w with its period dividing
-    p + 1."""
+def gram_entry(bottom: Diagram, top: Diagram, ps: ParamSet, mp: MonoidParams) -> Rat:
+    """Entry for the H-cell with the given bottom (column) and top (row)
+    half diagrams: the 1x1 case of ``gram_matrix``'s kernel, which stars
+    the top itself and runs the same regularity check."""
     if mp != monoid_params_of(ps):
         raise PreconditionError("monoid parameters do not match the parameter set")
-    if top_star.m != bottom.m:
+    if (top.n, top.m) != (bottom.n, bottom.m):
         raise PreconditionError("half diagrams come from different cells")
-    return _entry(bottom, top_star, ps, mp, set())
+    return _gram_rows([top], [bottom], bottom.n, bottom.m, ps, mp)[0][0]
 
 
 def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
@@ -80,34 +90,133 @@ def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
     if dim > SIZE_GUARD:
         raise ResourceGuardError(f"Gram dimension {dim} exceeds guard {SIZE_GUARD}")
     halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
-    checked: set = set()  # middles already walked, for this matrix only
-    rows = []
-    for top in halves:
-        row = []
-        for bottom in halves:
-            row.append(_entry(bottom, top, ps, mp, checked))
-        rows.append(tuple(row))
-    return GramMatrix(f, n, lambda_ts, tuple(halves), tuple(rows))
+    rows = _gram_rows(halves, halves, n, lambda_ts, ps, mp)
+    return GramMatrix(f, n, lambda_ts, tuple(halves), tuple(map(tuple, rows)))
 
 
-def _entry(bottom, top_star, ps, mp, checked) -> Rat:
-    """c when bottom o star(top_star) = c w keeps every through strand,
-    else 0.  w's middle always has a power m with m w m = m (index i,
-    period t: m = w^p with p >= i and t | p + 1); ``checked`` holds the
-    middles already walked to theirs (by the caller, for one matrix), and
-    a new middle is walked by ``_check_regular_power``."""
-    lam = bottom.m
-    x = algebra.compose_diagrams(bottom, star(top_star), ps)
-    if x.is_zero():
-        return _ZERO
-    w, c = x.single()
-    if through_strands(w) < lam:
-        return _ZERO
-    w_mid = factorize(w, mp).middle
-    if w_mid not in checked:
-        _check_regular_power(w_mid, mp)
-        checked.add(w_mid)
-    return c
+def _gram_rows(tops, bottoms, n, lam, ps, mp) -> list[list[Rat]]:
+    """Entries for rows tops (through their star images) and columns
+    bottoms, all halves n -> lam, one pair of half shapes at a time.
+
+    The stack of star(top) under bottom is laid out by
+    ``algebra._topology`` from the star's shape (``diagram._star_layout``,
+    which also maps its blocks back to the top's) and the bottom's shape.
+    A pair with fewer than lam through components stays 0.  Otherwise
+    each half's (h, mob) sums over its blocks in every component are
+    taken once, and an entry multiplies the values of the closed
+    components' summed decorations, each evaluated once per call."""
+    rows = [[_ZERO] * len(bottoms) for _ in tops]
+    values: dict[tuple[int, int], Rat] = {}  # summed closed decoration -> value
+    walked: set = set()  # middles already walked, for this call only
+
+    def value(dec):
+        x = values.get(dec)
+        if x is None:
+            x = values[dec] = evaluate_closed(dec, ps)
+        return x
+
+    bottom_groups = _group(dict(enumerate(map(_shape, bottoms)))).items()
+    for top_shape, top_idx in _group(dict(enumerate(map(_shape, tops)))).items():
+        layout = _star_layout(top_shape)
+        star_shape = tuple([nodes for nodes, _ in layout])
+        offset = len(layout)
+        for bottom_shape, bottom_idx in bottom_groups:
+            opened, closed = algebra._topology(star_shape, bottom_shape, n)
+            through = [members for nodes, members in opened if nodes[0] > 0 > nodes[-1]]
+            if len(through) < lam:
+                continue
+
+            def sums(comps):
+                # (top index -> sums, bottom index -> sums) over comps
+                top_parts = [[layout[i][1] for i in c if i < offset] for c in comps]
+                bottom_parts = [[i - offset for i in c if i >= offset] for c in comps]
+                return _sums(tops, top_idx, top_parts), _sums(bottoms, bottom_idx, bottom_parts)
+
+            top_closed, bottom_closed = sums(closed)
+            # digits below radix: a top's code plus a bottom's is the code
+            # of their summed closed decorations, with no carry
+            radix = _largest(top_closed) + _largest(bottom_closed) + 1
+            products: dict[int, Rat] = {}  # summed code -> entry, for this pair
+            bcodes = [(c, _code(b, radix), b) for c, b in bottom_closed.items()]
+            for r, t in top_closed.items():
+                row, tcode = rows[r], _code(t, radix)
+                for c, bcode, b in bcodes:
+                    x = products.get(tcode + bcode)
+                    if x is None:
+                        x = products[tcode + bcode] = prod(
+                            [value((th + bh, tm + bm)) for (th, tm), (bh, bm) in zip(t, b)],
+                            start=_ONE,
+                        )
+                    row[c] = x
+            _check_pair_keys(tops, bottoms, rows, *sums(through), ps, mp, walked)
+    return rows
+
+
+def _shape(half: Diagram) -> tuple:
+    return tuple([nodes for nodes, _, _ in half.blocks])
+
+
+def _sums(halves, idx, parts) -> dict[int, tuple]:
+    """Index -> the half's (h, mob) sums over each part's blocks."""
+    return {k: tuple([_summed(halves[k].blocks, part) for part in parts]) for k in idx}
+
+
+def _largest(sums) -> int:
+    return max((v for decs in sums.values() for dec in decs for v in dec), default=0)
+
+
+def _code(decs, radix) -> int:
+    """The (h, mob) pairs as the digits of one number in base radix."""
+    code = 0
+    for h, mob in decs:
+        code = (code * radix + h) * radix + mob
+    return code
+
+
+def _check_pair_keys(tops, bottoms, rows, top_through, bottom_through, ps, mp, walked) -> None:
+    """The regularity check, once per distinct key of one shape pair.
+
+    A key is the through components' summed decorations, multiplied in M
+    as a composite reduces them, so it names the composite w.  Its first
+    nonzero entry is composed in full: the coefficient must equal the
+    kernel's entry and every through strand must survive.  Then w's
+    factorized middle is walked by ``_check_regular_power``, once per
+    distinct middle."""
+    top_classes = _group(top_through)
+    bottom_classes = _group(bottom_through)
+    seen = set()
+    for t_through, rs in top_classes.items():
+        for b_through, cs in bottom_classes.items():
+            key = tuple(m_mul(MElem(*t), MElem(*b), mp) for t, b in zip(t_through, b_through))
+            if key in seen:
+                continue
+            rep = next(((r, c) for r in rs for c in cs if rows[r][c]), None)
+            if rep is None:
+                continue
+            seen.add(key)
+            r, c = rep
+            x = algebra.compose_diagrams(bottoms[c], star(tops[r]), ps)
+            if (
+                len(x.terms) != 1
+                or x.terms[0][1] != rows[r][c]
+                or through_strands(x.terms[0][0]) < bottoms[c].m
+            ):
+                raise InternalCheckError(
+                    f"shape-pair entry {format_rational(rows[r][c])} disagrees with "
+                    f"the composite {x.to_json()}"
+                )
+            w_mid = factorize(x.terms[0][0], mp).middle
+            if w_mid not in walked:
+                _check_regular_power(w_mid, mp)
+                walked.add(w_mid)
+
+
+def _group(keys: dict) -> dict[tuple, list[int]]:
+    """Key -> the indices that have it, in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for k, key in keys.items():
+        groups.setdefault(key, []).append(k)
+    return groups
 
 
 def _check_regular_power(w_mid, mp) -> None:

@@ -22,8 +22,6 @@ from .params import MonoidParams, handle_reduce_monoid, reduce_mob_pair
 
 CAYLEY_GUARD = 2_000_000  # products in one table, size squared
 CONJUGACY_GUARD = 300
-WREATH_BRUTE_LAMBDA = 2
-WREATH_BRUTE_MSIZE = 6
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +398,6 @@ def wreath_order(mp: MonoidParams, lam: int, planar: bool = False) -> int:
 
 
 def wreath_cayley(mp: MonoidParams, lam: int, planar: bool = False) -> CayleyMonoid:
-    if not planar and (lam > WREATH_BRUTE_LAMBDA or 3 * mp.K > WREATH_BRUTE_MSIZE):
-        raise ResourceGuardError(
-            f"wreath Cayley tables are only materialized for lambda <= {WREATH_BRUTE_LAMBDA} "
-            f"and |M| <= {WREATH_BRUTE_MSIZE}"
-        )
     _check_cayley_size(wreath_order(mp, lam, planar))
     return CayleyMonoid.from_op(
         wreath_elements(mp, lam, planar), lambda x, y: wreath_mul(x, y, mp)

@@ -136,12 +136,17 @@ def params_from_json(text: str) -> ParamSet:
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad parameter JSON: {exc}") from None
     try:
-        polys = [poly_from_strings(data[key]) for key in ("p_alpha", "p_beta", "p_gamma", "q")]
+        entries = [data[key] for key in ("p_alpha", "p_beta", "p_gamma", "q")]
     except KeyError as exc:
         raise ParseError(f"parameter file missing key {exc}") from None
     except TypeError:
-        raise ParseError("parameter file entries must be arrays of rational strings") from None
-    return validate_params(*polys)
+        entries = None  # not a JSON object
+    # a string is iterable too: "12" must not read as ["1", "2"]
+    if entries is None or not all(
+        isinstance(e, list) and all(isinstance(s, str) for s in e) for e in entries
+    ):
+        raise ParseError("parameter file entries must be arrays of rational strings")
+    return validate_params(*map(poly_from_strings, entries))
 
 
 def series_coeff(ps: ParamSet, kind: str, k: int) -> Rat:

@@ -96,6 +96,12 @@ def test_dims_guard_trips_before_enumerating(capsys, monkeypatch):
         (("wreath-types", "--K", "400", "--r", "1", "--lambda", "1"), "conjugacy guard 300"),
         (("monoid-m", "--K", "1667", "--r", "1"), "Cayley guard of 2000000 products"),
         (("monoid-m", "--K", "600", "--r", "1"), "needs 3240000 products"),
+        (("conjugacy", "--K", "2", "--r", "1", "--wreath-lambda", "3"),
+         "monoid of size 1296 exceeds the conjugacy guard 300"),
+        (("conjugacy", "--K", "5", "--r", "1", "--wreath-lambda", "2"),
+         "monoid of size 450 exceeds the conjugacy guard 300"),
+        (("conjugacy", "--K", "2", "--r", "1", "--wreath-lambda", "100000"),
+         "more than 100000! elements, over the conjugacy guard 300"),
     ],
 )
 def test_cayley_guards_trip_before_the_table(capsys, monkeypatch, argv, guard):

@@ -370,9 +370,11 @@ def test_gram_entry_rejects_halves_of_different_cells():
     ps = geometric(1, 1, 1)
     mp = monoid_params_of(ps)
     bottom = enumerate_half_diagrams(Family.ROOK, 2, 1, 1)[0]
-    top_star = enumerate_half_diagrams(Family.ROOK, 2, 0, 1)[0]
+    top = enumerate_half_diagrams(Family.ROOK, 2, 0, 1)[0]
     with pytest.raises(PreconditionError):
-        gram_entry(bottom, top_star, ps, mp)
+        gram_entry(bottom, top, ps, mp)
+    with pytest.raises(PreconditionError):
+        gram_entry(bottom, enumerate_half_diagrams(Family.ROOK, 3, 1, 1)[0], ps, mp)
 
 
 def test_gram_supports_monomial_higher_K():
@@ -479,6 +481,74 @@ def test_gram_matrix_matches_the_full_scan_oracle(label):
     assert len(cells) > 60 and nonzero > 1000
 
 
+def _entry_oracle(bottom, top, ps, mp, walked):
+    """One entry by composing bottom o star(top) in full: c when the
+    composite c w keeps every through strand, else 0.  A middle not in
+    walked is walked to a power m with m w m = m first."""
+    from moebius import algebra
+    from moebius.diagram import factorize, star, through_strands
+    from moebius.gram import _check_regular_power
+
+    x = algebra.compose_diagrams(bottom, star(top), ps)
+    if x.is_zero():
+        return Fraction(0)
+    w, c = x.single()
+    if through_strands(w) < bottom.m:
+        return Fraction(0)
+    w_mid = factorize(w, mp).middle
+    if w_mid not in walked:
+        _check_regular_power(w_mid, mp)
+        walked.add(w_mid)
+    return c
+
+
+ENTRY_ORACLE_PARAMS = {1: ORACLE_PARAMS["(2,1,1)"], 2: ORACLE_PARAMS["K2"], 3: ORACLE_PARAMS["K3"]}
+ENTRY_ORACLE_FULL_DIM = 100  # larger n <= 3 cells compare sampled rows
+
+
+@pytest.mark.parametrize("K", sorted(ENTRY_ORACLE_PARAMS))
+def test_gram_matrix_matches_the_per_entry_oracle(K):
+    # every family, every lambda: n <= 3, and the n = 4 cells of dim <= 100.
+    # A cell of dim <= 100 is compared entry by entry; a larger one on four
+    # seeded rows (dims 101-981: all their entries take about a minute)
+    ps = ENTRY_ORACLE_PARAMS[K]
+    mp = monoid_params_of(ps)
+    rng = random.Random(K)
+    cells = [
+        (f, n, lam, dim_left_cell(f, n, lam, K))
+        for f in Family
+        for n in range(5)
+        for lam in admissible_lambdas(f, n)
+        if n < 4 or dim_left_cell(f, n, lam, K) <= ENTRY_ORACLE_FULL_DIM
+    ]
+    sampled = 0
+    for f, n, lam, dim in cells:
+        g = gram_matrix(f, n, lam, ps)
+        rows = range(dim) if dim <= ENTRY_ORACLE_FULL_DIM else rng.sample(range(dim), 4)
+        sampled += dim > ENTRY_ORACLE_FULL_DIM
+        walked = set()
+        for i in rows:
+            want = tuple(_entry_oracle(b, g.labels[i], ps, mp, walked) for b in g.labels)
+            assert g.entries[i] == want, (K, f, n, lam, i)
+    assert len(cells) > 80 and (K == 1 or sampled >= 6)
+
+
+def test_a_tampered_closed_value_trips_the_cross_check(monkeypatch):
+    # each key's first entry is also composed in full; a kernel entry
+    # that disagrees with the composite is an internal error
+    from moebius import InternalCheckError
+    from moebius import gram as gram_mod
+
+    ps = geometric(2, 1, 1)
+    evaluate = gram_mod.evaluate_closed
+    monkeypatch.setattr(gram_mod, "evaluate_closed", lambda dec, ps: 2 * evaluate(dec, ps))
+    with pytest.raises(InternalCheckError, match="disagrees with the composite"):
+        gram_matrix(Family.ROOK, 3, 1, ps)
+    half = enumerate_half_diagrams(Family.ROOK, 1, 0, 1)[0]
+    with pytest.raises(InternalCheckError, match="disagrees with the composite"):
+        gram_entry(half, half, ps, monoid_params_of(ps))
+
+
 def test_a_middle_with_no_regular_power_raises(monkeypatch, capsys, tmp_path):
     # every middle has a power m with m w m = m when the product is
     # associative; a product whose powers cycle with no such m is an
@@ -514,6 +584,23 @@ def _recording(results, fn):
     return wrapper
 
 
+def _composites(g, ps):
+    """(top shape, bottom shape, composite w) -> the nonzero entries
+    whose bottom o star(top) is a multiple of w."""
+    from moebius import algebra, diagram
+
+    def shape(half):
+        return tuple(nodes for nodes, _, _ in half.blocks)
+
+    out = {}
+    for top, row in zip(g.labels, g.entries):
+        for bottom, x in zip(g.labels, row):
+            if x:
+                w = algebra.compose_diagrams(bottom, diagram.star(top), ps).single()[0]
+                out.setdefault((shape(top), shape(bottom), w), []).append(x)
+    return out
+
+
 def test_regularity_calls_repeat_with_cold_and_warm_memos(monkeypatch):
     # the set of walked middles lives for one gram_matrix call: a memo
     # kept across calls would make the second call multiply fewer middles
@@ -537,11 +624,28 @@ def test_regularity_calls_repeat_with_cold_and_warm_memos(monkeypatch):
         counts.append((len(muls), len(facts)))
     nonzero = sum(1 for row in g.entries for x in row if x)
     assert counts[0] == counts[1] and counts[0][0] > 0
-    # one factorize per surviving entry, one walk per distinct middle
-    assert len(facts) == nonzero
+    # one factorize per distinct key: a pair of half shapes and the
+    # composite w of a nonzero entry; one walk per distinct middle
+    assert len(facts) == len(_composites(g, ORACLE_PARAMS["K3"]))
     middles = {fact.middle for fact in facts}
     assert len(walks) == len(set(walks)) == len(middles) < nonzero
     assert set(walks) == middles
+
+
+def test_one_composition_per_distinct_composite(monkeypatch):
+    # in partition n=3 lambda=1 a through strand can join a dead block of
+    # each half, so different pairs of decorations sum to one composite w
+    # (K = 3, r = 3: handles 2 + 1 and 0 + 0 both give a^0); the check
+    # still factorizes once per pair of half shapes and composite
+    from moebius import gram as gram_mod
+
+    facts = []
+    monkeypatch.setattr(gram_mod, "factorize", _recording(facts, gram_mod.factorize))
+    ps = ORACLE_PARAMS["K3"]
+    g = gram_matrix(Family.PARTITION, 3, 1, ps)
+    composites = _composites(g, ps)
+    assert len(facts) == len(composites)
+    assert sum(map(len, composites.values())) > 3 * len(composites)
 
 
 def test_regularity_walk_makes_few_wreath_muls(monkeypatch):

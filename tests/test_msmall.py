@@ -456,8 +456,9 @@ def test_wreath_conjugacy_matches_type_fibers():
 
 
 def test_wreath_cayley_guard():
-    with pytest.raises(ResourceGuardError):
-        wreath_cayley(MonoidParams(2, 1), 3)
+    # M(2,1) wr S_4 has 6^4 * 4! = 31,104 elements: 967 million products
+    with pytest.raises(ResourceGuardError, match="31104"):
+        wreath_cayley(MonoidParams(2, 1), 4)
 
 
 def test_wreath_lambda_must_be_nonnegative():

@@ -215,3 +215,11 @@ def test_params_from_json():
         params_from_json('{"p_alpha":["2"]}')
     with pytest.raises(ParseError):
         params_from_json("not json")
+
+
+@pytest.mark.parametrize("p_alpha", ['"12"', '"1"', '1', '[1]', '{"0": "1"}', 'null'])
+def test_params_from_json_needs_arrays_of_strings(p_alpha):
+    # a string is iterable, so "12" once read as the array ["1", "2"]
+    text = f'{{"p_alpha":{p_alpha},"p_beta":[],"p_gamma":[],"q":["1","-1"]}}'
+    with pytest.raises(ParseError, match="entries must be arrays of rational strings"):
+        params_from_json(text)

@@ -32,16 +32,18 @@ from .diagram import (
     star,
     through_strands,
 )
-from .errors import InternalCheckError, ParseError, PreconditionError, ResourceGuardError
+from .errors import InternalCheckError, ParseError, PreconditionError, check_guard
 from .families import Family, admissible_lambdas, check_lambda
 from .msmall import (
+    CAYLEY_WHAT,
+    CAYLEY_GUARD,
     CayleyMonoid,
-    _check_cayley_size,
     _group,
     _membership,
+    check_wreath_cost,
     greens_cells_bruteforce,
+    wreath_cayley,
     wreath_elements,
-    wreath_mul,
     wreath_order,
 )
 from .params import MonoidParams, ParamSet
@@ -76,6 +78,10 @@ class ApexSet:
 
 # the one bound on the number of halves about to be enumerated
 HALVES_GUARD = 2_000_000
+HALVES_WHAT = "the number of halves to enumerate"
+# and on a J-cell's elements.  A Cayley table within CAYLEY_GUARD has at
+# most 1,414 elements, so this bound refuses no table that one admits
+JCELL_GUARD = 200_000
 
 
 def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
@@ -156,18 +162,13 @@ def enumerate_half_diagrams(
     return [d for shape in shapes for d in _decorate(shape, K)]
 
 
-def _check_halves(size: int) -> None:
-    if size > HALVES_GUARD:
-        raise ResourceGuardError(f"enumeration of {size} halves exceeds the guard {HALVES_GUARD}")
-
-
 def checked_dims(f: Family, n: int, K: int, cache_dir: str | None = None) -> dict[int, int]:
     """dim_left_cell for every admissible lambda, each compared with the
     number of enumerated halves; every guard check precedes the first
     enumeration, and a disagreement is an InternalCheckError."""
     dims = {lam: dim_left_cell(f, n, lam, K) for lam in admissible_lambdas(f, n)}
     for val in dims.values():
-        _check_halves(val)
+        check_guard(HALVES_WHAT, val, HALVES_GUARD)
     for lam, val in dims.items():
         enum = len(enumerate_half_diagrams(f, n, lam, K, cache_dir=cache_dir))
         if enum != val:
@@ -242,7 +243,7 @@ def cell_of(d: Diagram, f: Family, mp: MonoidParams) -> CellCoords:
     if not is_member(d, f):
         raise PreconditionError(f"diagram is not in the {f.value} family")
     lam = through_strands(d)
-    _check_halves(dim_left_cell(f, d.n, lam, mp.K))
+    check_guard(HALVES_WHAT, dim_left_cell(f, d.n, lam, mp.K), HALVES_GUARD)
     fact = factorize(d, mp)
     halves = enumerate_half_diagrams(f, d.n, lam, mp.K)
     index = {h: i for i, h in enumerate(halves)}
@@ -262,7 +263,8 @@ def cell_of(d: Diagram, f: Family, mp: MonoidParams) -> CellCoords:
 def build_jcell(f: Family, n: int, lambda_ts: int, mp: MonoidParams) -> list[Diagram]:
     """All basis diagrams of End(n) in the family with lambda_ts through
     strands, in canonical order: star(top) o middle o bottom over all
-    pairs of halves and all middles."""
+    pairs of halves and all middles; refused past JCELL_GUARD elements."""
+    jcell_size(f, n, lambda_ts, mp)
     halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
     tops = [star(h) for h in halves]
     mids = list(wreath_elements(mp, lambda_ts, planar=f.planar))
@@ -272,8 +274,14 @@ def build_jcell(f: Family, n: int, lambda_ts: int, mp: MonoidParams) -> list[Dia
 
 
 def jcell_size(f: Family, n: int, lambda_ts: int, mp: MonoidParams) -> int:
-    """len(build_jcell(f, n, lambda_ts, mp)), without building it."""
-    return dim_left_cell(f, n, lambda_ts, mp.K) ** 2 * wreath_order(mp, lambda_ts, f.planar)
+    """len(build_jcell(f, n, lambda_ts, mp)), without building it; a size
+    over JCELL_GUARD raises ResourceGuardError."""
+    return check_wreath_cost(
+        f"the size of the J-cell at lambda={lambda_ts}",
+        lambda_ts,
+        lambda: dim_left_cell(f, n, lambda_ts, mp.K) ** 2 * wreath_order(mp, lambda_ts, f.planar),
+        JCELL_GUARD,
+    )
 
 
 def find_strict_idempotent(
@@ -351,7 +359,7 @@ def family_monoid_cayley(f: Family, n: int, mp: MonoidParams):
     by the Green's size limit, checked before anything is enumerated.
     """
     size = sum(jcell_size(f, n, lam, mp) for lam in admissible_lambdas(f, n))
-    _check_cayley_size(size)
+    check_guard(CAYLEY_WHAT, size * size, CAYLEY_GUARD)
     elements = enumerate_family_monoid(f, n, mp)
     return elements, CayleyMonoid(elements, algebra.monoid_table(elements, mp))
 
@@ -369,16 +377,13 @@ def predicted_cells(elements: list[Diagram], f: Family, mp: MonoidParams):
     """
     lambdas = sorted({through_strands(d) for d in elements})
     middle_class: dict[int, tuple] = {}
-    facts = {}
-    for idx, d in enumerate(elements):
-        facts[idx] = factorize(d, mp)
+    facts = [factorize(d, mp) for d in elements]
     for lam in lambdas:
-        mids = list(wreath_elements(mp, lam, planar=f.planar))
-        mono = CayleyMonoid.from_op(mids, lambda x, y: wreath_mul(x, y, mp))
+        mono = wreath_cayley(mp, lam, f.planar)
         cells = greens_cells_bruteforce(mono)
-        index = {m: i for i, m in enumerate(mids)}
+        index = {m: i for i, m in enumerate(mono.elements)}
         l_of, r_of, j_of, h_of = (
-            _membership(part, len(mids))
+            _membership(part, mono.size)
             for part in (cells.l_cells, cells.r_cells, cells.j_cells, cells.h_cells)
         )
         for idx, d in enumerate(elements):
@@ -388,7 +393,7 @@ def predicted_cells(elements: list[Diagram], f: Family, mp: MonoidParams):
             middle_class[idx] = (lam, l_of[mid], r_of[mid], j_of[mid], h_of[mid])
 
     def group(key_fn):
-        return _group(map(key_fn, range(len(elements))))
+        return list(_group((i, key_fn(i)) for i in range(len(elements))).values())
 
     l_cells = group(lambda i: (facts[i].bottom, middle_class[i][0], middle_class[i][1]))
     r_cells = group(lambda i: (facts[i].top, middle_class[i][0], middle_class[i][2]))

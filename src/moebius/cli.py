@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     ResourceGuardError,
+    check_guard,
 )
 from .families import Family, admissible_lambdas, family_from_name
 from .params import (
@@ -189,18 +190,12 @@ def cmd_apex(args, t0):
     _emit(args, {"apexes": sorted(result.apexes)}, t0)
 
 
-IDEMPOTENT_GUARD = 200_000
-
-
 def cmd_idempotents(args, t0):
     fam = family_from_name(args.family)
     ps = _load_params(args.params)
     mp = monoid_params_of(ps)
     report = {}
     for lam in admissible_lambdas(fam, args.n):
-        size = cells.jcell_size(fam, args.n, lam, mp)
-        if size > IDEMPOTENT_GUARD:
-            raise ResourceGuardError(f"J-cell at lambda={lam} has {size} elements")
         jcell = cells.build_jcell(fam, args.n, lam, mp)
         found = cells.find_strict_idempotent(jcell, ps)
         report[str(lam)] = (
@@ -222,7 +217,10 @@ def cmd_conjugacy(args, t0):
             raise PreconditionError("--sym must be nonnegative")
         if (args.K, args.r, args.wreath_lambda) != (None, None, None):
             raise PreconditionError("--sym takes no --K, --r or --wreath-lambda")
-        msmall.check_conjugacy_size(math.factorial(args.sym))
+        msmall.check_wreath_cost(
+            msmall.CONJUGACY_WHAT, args.sym, lambda: math.factorial(args.sym),
+            msmall.CONJUGACY_GUARD,
+        )
         mono = msmall.symmetric_group_cayley(args.sym)
         label = f"S_{args.sym}"
     else:
@@ -231,18 +229,14 @@ def cmd_conjugacy(args, t0):
         mp = MonoidParams(args.K, args.r)
         if args.wreath_lambda is not None:
             lam = args.wreath_lambda
-            if lam > msmall.CONJUGACY_GUARD:
-                # lam! alone is over the guard, and the exact order of a
-                # large lam is slow to form and too long to print
-                raise ResourceGuardError(
-                    f"M wr S_{lam} has more than {lam}! elements, "
-                    f"over the conjugacy guard {msmall.CONJUGACY_GUARD}"
-                )
-            msmall.check_conjugacy_size(msmall.wreath_order(mp, lam))
+            msmall.check_wreath_cost(
+                msmall.CONJUGACY_WHAT, lam, lambda: msmall.wreath_order(mp, lam),
+                msmall.CONJUGACY_GUARD,
+            )
             mono = msmall.wreath_cayley(mp, lam)
             label = f"M({args.K},{args.r}) wr S_{lam}"
         else:
-            msmall.check_conjugacy_size(3 * args.K)
+            check_guard(msmall.CONJUGACY_WHAT, 3 * args.K, msmall.CONJUGACY_GUARD)
             mono = msmall.cayley_of_m(mp)
             label = f"M({args.K},{args.r})"
     classes = msmall.generalized_conjugacy_classes(mono)
@@ -265,9 +259,10 @@ WREATH_TYPES_GUARD = 500_000
 def cmd_wreath_types(args, t0):
     mp = MonoidParams(args.K, args.r)
     lam = args.lam
-    total = msmall.wreath_order(mp, lam)
-    if total > WREATH_TYPES_GUARD:
-        raise ResourceGuardError(f"wreath product has {total} elements")
+    msmall.check_wreath_cost(
+        "the size of M wr S_lambda", lam, lambda: msmall.wreath_order(mp, lam),
+        WREATH_TYPES_GUARD,
+    )
     classes = msmall.m_conjugacy_classes(mp)
     types = {
         msmall.wreath_type(w, classes, mp)
@@ -372,8 +367,7 @@ def cmd_gram_det(args, t0):
     value = gram.gram_det_closed_form_rook0(args.n, a0, b0, g0)
     result = {"det": format_rational(value)}
     if args.check:
-        if args.n > 4:
-            raise ResourceGuardError("--check is limited to n <= 4")
+        check_guard("n for gram-det --check", args.n, 4)
         ps = validate_params([a0], [b0], [g0], [1, -1], allow_zero_alpha=True)
         brute = gram.exact_rank(gram.gram_matrix(Family.ROOK, args.n, 0, ps)).det
         result["brute"] = format_rational(brute)

@@ -38,9 +38,9 @@ from . import algebra
 from .algebra import _summed, evaluate_closed
 from .cells import enumerate_half_diagrams
 from .diagram import Diagram, _star_layout, factorize, star, through_strands
-from .errors import InternalCheckError, PreconditionError, ResourceGuardError
+from .errors import InternalCheckError, PreconditionError, check_guard
 from .families import Family, check_lambda
-from .msmall import MElem, _index_components, m_mul, wreath_mul
+from .msmall import MElem, _group, _index_components, m_mul, wreath_mul
 from .params import (
     MonoidParams,
     ParamSet,
@@ -86,9 +86,7 @@ def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
     the star images of the columns."""
     check_lambda(f, n, lambda_ts)
     mp = monoid_params_of(ps)
-    dim = dim_left_cell(f, n, lambda_ts, mp.K)
-    if dim > SIZE_GUARD:
-        raise ResourceGuardError(f"Gram dimension {dim} exceeds guard {SIZE_GUARD}")
+    check_guard("the Gram dimension", dim_left_cell(f, n, lambda_ts, mp.K), SIZE_GUARD)
     halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
     rows = _gram_rows(halves, halves, n, lambda_ts, ps, mp)
     return GramMatrix(f, n, lambda_ts, tuple(halves), tuple(map(tuple, rows)))
@@ -115,8 +113,8 @@ def _gram_rows(tops, bottoms, n, lam, ps, mp) -> list[list[Rat]]:
             x = values[dec] = evaluate_closed(dec, ps)
         return x
 
-    bottom_groups = _group(dict(enumerate(map(_shape, bottoms)))).items()
-    for top_shape, top_idx in _group(dict(enumerate(map(_shape, tops)))).items():
+    bottom_groups = _group(enumerate(map(_shape, bottoms))).items()
+    for top_shape, top_idx in _group(enumerate(map(_shape, tops))).items():
         layout = _star_layout(top_shape)
         star_shape = tuple([nodes for nodes, _ in layout])
         offset = len(layout)
@@ -182,8 +180,8 @@ def _check_pair_keys(tops, bottoms, rows, top_through, bottom_through, ps, mp, w
     kernel's entry and every through strand must survive.  Then w's
     factorized middle is walked by ``_check_regular_power``, once per
     distinct middle."""
-    top_classes = _group(top_through)
-    bottom_classes = _group(bottom_through)
+    top_classes = _group(top_through.items())
+    bottom_classes = _group(bottom_through.items())
     seen = set()
     for t_through, rs in top_classes.items():
         for b_through, cs in bottom_classes.items():
@@ -209,14 +207,6 @@ def _check_pair_keys(tops, bottoms, rows, top_through, bottom_through, ps, mp, w
             if w_mid not in walked:
                 _check_regular_power(w_mid, mp)
                 walked.add(w_mid)
-
-
-def _group(keys: dict) -> dict[tuple, list[int]]:
-    """Key -> the indices that have it, in order of first appearance."""
-    groups: dict[tuple, list[int]] = {}
-    for k, key in keys.items():
-        groups.setdefault(key, []).append(k)
-    return groups
 
 
 def _check_regular_power(w_mid, mp) -> None:

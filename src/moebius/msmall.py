@@ -17,11 +17,13 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import PreconditionError, ResourceGuardError
+from .errors import PreconditionError, check_guard
 from .params import MonoidParams, handle_reduce_monoid, reduce_mob_pair
 
 CAYLEY_GUARD = 2_000_000  # products in one table, size squared
+CAYLEY_WHAT = "the product count of a Cayley table"
 CONJUGACY_GUARD = 300
+CONJUGACY_WHAT = "the size of a monoid for conjugacy classes"
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +93,13 @@ class CayleyMonoid:
         return cls(elements, table)
 
 
-def _check_cayley_size(size: int) -> None:
-    """Raise before building a table whose size * size products exceed
-    CAYLEY_GUARD; callers pass the size from a closed form."""
-    if size * size > CAYLEY_GUARD:
-        raise ResourceGuardError(
-            f"monoid of size {size} needs {size * size} products, "
-            f"over the Cayley guard of {CAYLEY_GUARD} products"
-        )
-
-
 def cayley_of_m(mp: MonoidParams) -> CayleyMonoid:
-    _check_cayley_size(3 * mp.K)
+    check_guard(CAYLEY_WHAT, (3 * mp.K) ** 2, CAYLEY_GUARD)
     return CayleyMonoid.from_op(m_elements(mp), lambda x, y: m_mul(x, y, mp))
 
 
 def symmetric_group_cayley(n: int) -> CayleyMonoid:
-    _check_cayley_size(math.factorial(n))
+    check_wreath_cost(CAYLEY_WHAT, n, lambda: math.factorial(n) ** 2, CAYLEY_GUARD)
     perms = list(itertools.permutations(range(n)))
     return CayleyMonoid.from_op(perms, lambda p, q: tuple(p[q[i]] for i in range(n)))
 
@@ -130,24 +122,29 @@ def greens_cells_bruteforce(mono: CayleyMonoid) -> GreensCells:
     semigroup J = D = L v R, so the J-cells join each L- and each R-cell.
     """
     n, mul = mono.size, mono.mul
-    l_cells = _group(frozenset(map(itemgetter(a), mul)) | {a} for a in range(n))
-    r_cells = _group(frozenset(mul[a]) | {a} for a in range(n))
+
+    def classes(keys):
+        return list(_group(enumerate(keys)).values())
+
+    l_cells = classes(frozenset(map(itemgetter(a), mul)) | {a} for a in range(n))
+    r_cells = classes(frozenset(mul[a]) | {a} for a in range(n))
     joins = ((cell[0], v) for cell in l_cells + r_cells for v in cell)
     return GreensCells(
         l_cells,
         r_cells,
         _index_components(n, joins),
-        _group(zip(_membership(l_cells, n), _membership(r_cells, n))),
+        classes(zip(_membership(l_cells, n), _membership(r_cells, n))),
     )
 
 
-def _group(keys) -> list[list[int]]:
-    """Positions of equal keys, each list ascending, in order of their
-    least position (so the lists are sorted)."""
+def _group(pairs) -> dict:
+    """Key -> the indices paired with it, from (index, key) pairs; each
+    list keeps the pairs' order, and the keys come in order of first
+    appearance (so from enumerate the lists are ascending and sorted)."""
     groups: dict = {}
-    for v, key in enumerate(keys):
-        groups.setdefault(key, []).append(v)
-    return list(groups.values())
+    for i, key in pairs:
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def _membership(cells: list[list[int]], n: int) -> list[int]:
@@ -295,15 +292,6 @@ def omega_power(x: int, mono: CayleyMonoid) -> int:
     raise PreconditionError("the table is not associative: <x> has no idempotent")
 
 
-def check_conjugacy_size(size: int) -> None:
-    """Raise before a conjugacy scan of a monoid with more elements than
-    CONJUGACY_GUARD; callers that know the size pass it before any table."""
-    if size > CONJUGACY_GUARD:
-        raise ResourceGuardError(
-            f"monoid of size {size} exceeds the conjugacy guard {CONJUGACY_GUARD}"
-        )
-
-
 def generalized_conjugacy_classes(mono: CayleyMonoid) -> list[list[int]]:
     """Classes of the relation: m ~ n iff there are x, x' with
     xx'x = x, x'xx' = x', x'x = m^w, xx' = n^w, x m^(w+1) x' = n^(w+1).
@@ -311,8 +299,7 @@ def generalized_conjugacy_classes(mono: CayleyMonoid) -> list[list[int]]:
     The classes are the components of this relation, sorted; each pair
     m < n is tested against the witness pairs bucketed by (x'x, xx').
     """
-    n = mono.size
-    check_conjugacy_size(n)
+    n = check_guard(CONJUGACY_WHAT, mono.size, CONJUGACY_GUARD)
     mul = mono.mul
     omega = [omega_power(v, mono) for v in range(n)]
     omega1 = [mul[omega[v]][v] for v in range(n)]
@@ -397,8 +384,16 @@ def wreath_order(mp: MonoidParams, lam: int, planar: bool = False) -> int:
     return (3 * mp.K) ** lam * (1 if planar else math.factorial(lam))
 
 
+def check_wreath_cost(what: str, lam: int, cost, bound: int) -> int:
+    """check_guard(what, cost(), bound) for a cost with the factor
+    |M wr S_lam|, |M^lam| or lam!, and so at least lam: a lam over the
+    bound is refused first, before the slow lam! is formed."""
+    check_guard(f"lambda (a lower bound on {what})", lam, bound)
+    return check_guard(what, cost(), bound)
+
+
 def wreath_cayley(mp: MonoidParams, lam: int, planar: bool = False) -> CayleyMonoid:
-    _check_cayley_size(wreath_order(mp, lam, planar))
+    check_wreath_cost(CAYLEY_WHAT, lam, lambda: wreath_order(mp, lam, planar) ** 2, CAYLEY_GUARD)
     return CayleyMonoid.from_op(
         wreath_elements(mp, lam, planar), lambda x, y: wreath_mul(x, y, mp)
     )
@@ -449,7 +444,7 @@ def wreath_type(w: WreathElem, classes: list[list[MElem]], mp: MonoidParams) -> 
 
 
 def m_conjugacy_classes(mp: MonoidParams) -> list[list[MElem]]:
-    check_conjugacy_size(3 * mp.K)
+    check_guard(CONJUGACY_WHAT, 3 * mp.K, CONJUGACY_GUARD)
     mono = cayley_of_m(mp)
     return [
         [mono.elements[v] for v in cls]

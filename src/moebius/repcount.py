@@ -60,27 +60,26 @@ def _is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
     """p(n) via the pentagonal-number recurrence."""
     if n < 0:
         raise PreconditionError("partition_count needs a nonnegative argument")
-    if n == 0:
-        return 1
-    total = 0
+    return _partition_counts(n)[n]
+
+
+def _partition_counts(n: int) -> list[int]:
+    """p(0), ..., p(n), bottom-up: p(m) sums +-p(m - g) over the
+    generalized pentagonal numbers g = k(3k -+ 1)/2 <= m, sign (-1)^(k+1)."""
+    pentagonal = []
     k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
+    while k * (3 * k - 1) // 2 <= n:
         sign = 1 if k % 2 == 1 else -1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
+        pentagonal += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
         k += 1
-    return total
+    p = [1]
+    for m in range(1, n + 1):
+        p.append(sum(sign * p[m - g] for g, sign in pentagonal if g <= m))
+    return p
 
 
 def count_types(lambda_ts: int, class_count: int) -> int:
@@ -89,7 +88,7 @@ def count_types(lambda_ts: int, class_count: int) -> int:
     if lambda_ts < 0 or class_count < 0:
         raise PreconditionError("arguments must be nonnegative")
     acc = [1] + [0] * lambda_ts
-    base = [partition_count(j) for j in range(lambda_ts + 1)]
+    base = _partition_counts(lambda_ts)
     for _ in range(class_count):
         nxt = [0] * (lambda_ts + 1)
         for i, av in enumerate(acc):
@@ -217,13 +216,13 @@ def count_simples(q: SimpleCountQuery) -> SimpleCount:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _stirling2(n: int, t: int) -> int:
-    if n == 0:
-        return 1 if t == 0 else 0
-    if t == 0 or t > n:
-        return 0
-    return t * _stirling2(n - 1, t) + _stirling2(n - 1, t - 1)
+@lru_cache(maxsize=8)
+def _stirling2_row(n: int) -> tuple[int, ...]:
+    """S(n, 0), ..., S(n, n), row by row: S(m, t) = t S(m-1, t) + S(m-1, t-1)."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [t * row[t] + row[t - 1] for t in range(1, m)] + [1]
+    return tuple(row)
 
 
 def _double_factorial(n: int) -> int:
@@ -295,8 +294,8 @@ def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
     lam, y = lambda_ts, 3 * K
     if f is Family.PARTITION:
         val = sum(
-            _stirling2(n, t) * math.comb(t, lam) * y ** (t - lam)
-            for t in range(lam, n + 1)
+            stirling * math.comb(t, lam) * y ** (t - lam)
+            for t, stirling in enumerate(_stirling2_row(n)[lam:], start=lam)
         )
     elif f is Family.PLANAR_PARTITION:
         val = _planar_partition_dim(n, lam, y)

@@ -71,7 +71,7 @@ def test_family_monoid_guard_trips_before_enumerating(monkeypatch):
         raise AssertionError("enumerated before the guard")
 
     monkeypatch.setattr(cells_mod, "enumerate_family_monoid", refuse)
-    with pytest.raises(ResourceGuardError, match="Cayley guard of 2000000 products"):
+    with pytest.raises(ResourceGuardError, match="over the bound 2000000"):
         family_monoid_cayley(Family.PARTITION, 3, MonoidParams(1, 1))
 
 
@@ -401,7 +401,7 @@ def test_checked_dims_guards_then_compares(monkeypatch):
 
     monkeypatch.setattr(cells_mod, "enumerate_half_diagrams", refuse)
     # lambdas 13 down to 7 are within the guard; lambda = 6 has 3,752,892 halves
-    with pytest.raises(ResourceGuardError, match="3752892 halves"):
+    with pytest.raises(ResourceGuardError, match="halves to enumerate is 3752892"):
         cells_mod.checked_dims(Family.ROOK, 13, 1)
     monkeypatch.setattr(cells_mod, "enumerate_half_diagrams", lambda *a, **k: [None])
     with pytest.raises(InternalCheckError, match="closed form 3 != enumeration 1 at lambda=0"):

@@ -91,17 +91,17 @@ def test_dims_guard_trips_before_enumerating(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, guard",
     [
-        (("conjugacy", "--sym", "7"), "conjugacy guard 300"),
-        (("conjugacy", "--K", "400", "--r", "1"), "conjugacy guard 300"),
-        (("wreath-types", "--K", "400", "--r", "1", "--lambda", "1"), "conjugacy guard 300"),
-        (("monoid-m", "--K", "1667", "--r", "1"), "Cayley guard of 2000000 products"),
-        (("monoid-m", "--K", "600", "--r", "1"), "needs 3240000 products"),
+        (("conjugacy", "--sym", "7"), "over the bound 300"),
+        (("conjugacy", "--K", "400", "--r", "1"), "over the bound 300"),
+        (("wreath-types", "--K", "400", "--r", "1", "--lambda", "1"), "over the bound 300"),
+        (("monoid-m", "--K", "1667", "--r", "1"), "over the bound 2000000"),
+        (("monoid-m", "--K", "600", "--r", "1"), "Cayley table is 3240000"),
         (("conjugacy", "--K", "2", "--r", "1", "--wreath-lambda", "3"),
-         "monoid of size 1296 exceeds the conjugacy guard 300"),
+         "conjugacy classes is 1296, over the bound 300"),
         (("conjugacy", "--K", "5", "--r", "1", "--wreath-lambda", "2"),
-         "monoid of size 450 exceeds the conjugacy guard 300"),
+         "conjugacy classes is 450, over the bound 300"),
         (("conjugacy", "--K", "2", "--r", "1", "--wreath-lambda", "100000"),
-         "more than 100000! elements, over the conjugacy guard 300"),
+         "is 100000, over the bound 300"),
     ],
 )
 def test_cayley_guards_trip_before_the_table(capsys, monkeypatch, argv, guard):
@@ -113,6 +113,35 @@ def test_cayley_guards_trip_before_the_table(capsys, monkeypatch, argv, guard):
     monkeypatch.setattr(CayleyMonoid, "from_op", refuse)
     assert main(list(argv)) == 4
     assert guard in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (("wreath-types", "--K", "2", "--r", "1", "--lambda", "1000000"), 500000),
+        (("idempotents", "--family", "symmetric", "--n", "1000000"), 200000),
+        (("conjugacy", "--K", "2", "--r", "1", "--wreath-lambda", "1000000"), 300),
+        (("conjugacy", "--sym", "1000000"), 300),
+    ],
+)
+def test_a_lambda_over_its_bound_is_refused_before_its_order(
+    capsys, monkeypatch, params_file, argv, bound
+):
+    # every cost with a wreath or symmetric factor is at least lambda, so
+    # lambda = 10^6 is refused before its 5.5-million-digit order is formed
+    import math
+
+    from moebius import cells, msmall
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed the order before the lambda rule")
+
+    for module, name in ((msmall, "wreath_order"), (cells, "wreath_order"), (math, "factorial")):
+        monkeypatch.setattr(module, name, refuse)
+    if argv[0] == "idempotents":
+        argv += ("--params", params_file)
+    assert main(list(argv)) == 4
+    assert f"is 1000000, over the bound {bound}" in capsys.readouterr().err
 
 
 def test_conjugacy_rejects_a_negative_sym(capsys):

@@ -20,7 +20,9 @@ the ``moebius`` package it imports.  A digest that changes is re-recorded with t
 change that changes it, and the reason goes in CHANGES.md.  Since the first
 recording, two have changed: ``gram ... @notarrays.json`` exits 2, as a
 string is no longer read as an array, and ``conjugacy --K 2 --r 1
---wreath-lambda 4`` still exits 4 but from the conjugacy size guard."""
+--wreath-lambda 4`` still exits 4 but from the conjugacy size guard.
+Every exit-4 case's stderr digest changed once more when all guards took
+the one message shape of ``errors.check_guard``."""
 import hashlib
 import io
 import json
@@ -287,6 +289,15 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     add("conjugacy", "--K", "2", "--r", "1", "--wreath-lambda", "4")
     add("wreath-types", "--K", "3", "--r", "1", "--lambda", "5")
     add("gram-det", "--n", "5", "--alpha0", "2", "--beta0", "1", "--gamma0", "1", "--check")
+    # exit 4, not a ValueError on a size past 4,300 digits or a
+    # RecursionError in a counting recurrence
+    add("wreath-types", "--K", "2", "--r", "1", "--lambda", "2000")
+    add("idempotents", "--family", "symmetric", "--n", "1700", "--params", "@p211.json")
+    add("idempotents", "--family", "partition", "--n", "500", "--params", "@p211.json")
+    add("cells", "--family", "symmetric", "--n", "1700")
+    add("cells", "--family", "rook", "--n", "1000")
+    add("dims", "--family", "partition", "--n", "500", "--K", "1", "--check")
+    add("gram", "--family", "partition", "--n", "1000", "--lambda", "999", "--params", "@p211.json")
     return cases
 
 

@@ -22,6 +22,7 @@ from moebius import (
 )
 from moebius import msmall
 from moebius.cells import family_monoid_cayley, jcell_size
+from moebius.errors import check_guard
 from moebius.families import admissible_lambdas
 from moebius.msmall import (
     GreensCells,
@@ -324,13 +325,13 @@ def test_cayley_guards_trip_before_the_table(monkeypatch):
 
     monkeypatch.setattr(CayleyMonoid, "from_op", refuse)
     monkeypatch.setattr(msmall, "m_elements", refuse)
-    with pytest.raises(ResourceGuardError, match="Cayley guard of 2000000 products"):
+    with pytest.raises(ResourceGuardError, match="over the bound 2000000"):
         cayley_of_m(MonoidParams(1667, 1))
-    with pytest.raises(ResourceGuardError, match="Cayley guard of 2000000 products"):
+    with pytest.raises(ResourceGuardError, match="over the bound 2000000"):
         symmetric_group_cayley(7)
-    with pytest.raises(ResourceGuardError, match="Cayley guard of 2000000 products"):
+    with pytest.raises(ResourceGuardError, match="over the bound 2000000"):
         wreath_cayley(MonoidParams(6, 1), 3, planar=True)
-    with pytest.raises(ResourceGuardError, match="conjugacy guard 300"):
+    with pytest.raises(ResourceGuardError, match="over the bound 300"):
         m_conjugacy_classes(MonoidParams(101, 1))
 
 
@@ -338,9 +339,18 @@ def test_cayley_guard_bounds_products():
     # 1,414^2 = 1,999,396 products are admitted, 1,415^2 = 2,002,225 are not;
     # the TL n=4 monoid (1,134 elements, 1,285,956 products) is the largest
     # table the tests, scripts and benchmark build
-    msmall._check_cayley_size(1414)
-    with pytest.raises(ResourceGuardError, match="needs 2002225 products"):
-        msmall._check_cayley_size(1415)
+    check_guard(msmall.CAYLEY_WHAT, 1414 * 1414, msmall.CAYLEY_GUARD)
+    with pytest.raises(ResourceGuardError, match="Cayley table is 2002225"):
+        check_guard(msmall.CAYLEY_WHAT, 1415 * 1415, msmall.CAYLEY_GUARD)
+
+
+def test_check_guard_admits_its_bound_and_names_a_long_cost_by_length():
+    assert check_guard("the cost", 300, 300) == 300
+    # str() of a 5,001-digit int raises ValueError; the guard never forms it
+    with pytest.raises(ResourceGuardError, match="the cost is a 16610-bit number, over the bound 300"):
+        check_guard("the cost", 10**5000, 300)
+    with pytest.raises(ResourceGuardError, match="the cost is 301, over the bound 300"):
+        check_guard("the cost", 301, 300)
 
 
 def test_from_op_rejects_a_product_outside_the_elements():
@@ -457,7 +467,7 @@ def test_wreath_conjugacy_matches_type_fibers():
 
 def test_wreath_cayley_guard():
     # M(2,1) wr S_4 has 6^4 * 4! = 31,104 elements: 967 million products
-    with pytest.raises(ResourceGuardError, match="31104"):
+    with pytest.raises(ResourceGuardError, match=f"is {31104 ** 2}, over the bound 2000000"):
         wreath_cayley(MonoidParams(2, 1), 4)
 
 

@@ -1,12 +1,13 @@
 """Command-line surface.
 
-Every subcommand prints one JSON document: an envelope with the input
-echo, a format version, the result, and timing metadata (suppressed by
---stable so that repeated runs are byte-identical).  CSV is available
-for matrices and tables via --output csv.
+Every subcommand returns its result and ``main`` prints it: one JSON
+document, an envelope with the input echo, a format version, the result,
+and timing metadata (suppressed by --stable so that repeated runs are
+byte-identical), or for matrices and tables under --output csv the CSV
+document the command returned.
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 resource guard, 5 failed internal self-check.
+Exit codes: 0 success, and for each error class the code that
+``errors.EXIT_CODES`` gives it.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from fractions import Fraction
 from . import algebra, cells, gram, msmall, repcount
 from .diagram import (
     factorize,
+    is_member,
     normalize_handles,
     normalize_mob,
     parse_diagram,
@@ -29,10 +31,10 @@ from .diagram import (
     through_strands,
 )
 from .errors import (
+    EXIT_CODES,
     InternalCheckError,
     ParseError,
     PreconditionError,
-    ResourceGuardError,
     check_guard,
 )
 from .families import Family, admissible_lambdas, family_from_name
@@ -56,87 +58,60 @@ def _load_params(path: str):
         raise ParseError(f"cannot read parameter file {path}: {exc}") from None
 
 
-def _emit(args, result: dict, started: float) -> None:
-    envelope = {
-        "command": args.command,
-        "format_version": FORMAT_VERSION,
-        "input": {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command", "func", "stable", "output") and v is not None
-        },
-        "result": result,
-    }
-    if not args.stable:
-        envelope["timing_ms"] = round((time.time() - started) * 1000, 3)
-    json.dump(envelope, sys.stdout, sort_keys=True, default=str)
-    sys.stdout.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
 
-def cmd_compose(args, t0):
+def cmd_compose(args):
     ps = _load_params(args.params)
     d1 = parse_diagram(args.diagram1)
     d2 = parse_diagram(args.diagram2)
     out = algebra.compose(
         algebra.LinComb.from_diagram(d1), algebra.LinComb.from_diagram(d2), ps
     )
-    _emit(args, {"n": out.n, "m": out.m, "terms": out.to_json()}, t0)
+    return {"n": out.n, "m": out.m, "terms": out.to_json()}
 
 
-def cmd_normalize(args, t0):
+def cmd_normalize(args):
     if (args.K is None) != (args.r is None):
         raise PreconditionError("handle normalization needs both --K and --r")
     d = normalize_mob(parse_diagram(args.diagram))
     if args.K is not None:
         d = normalize_handles(d, MonoidParams(args.K, args.r))
-    _emit(args, {"diagram": render_diagram(d)}, t0)
+    return {"diagram": render_diagram(d)}
 
 
-def cmd_tensor(args, t0):
+def cmd_tensor(args):
     d = tensor(parse_diagram(args.diagram1), parse_diagram(args.diagram2))
-    _emit(args, {"diagram": render_diagram(d)}, t0)
+    return {"diagram": render_diagram(d)}
 
 
-def cmd_star(args, t0):
-    _emit(args, {"diagram": render_diagram(star(parse_diagram(args.diagram)))}, t0)
+def cmd_star(args):
+    return {"diagram": render_diagram(star(parse_diagram(args.diagram)))}
 
 
-def cmd_factorize(args, t0):
+def cmd_factorize(args):
     mp = MonoidParams(args.K, args.r)
     fact = factorize(normalize_mob(parse_diagram(args.diagram)), mp)
-    _emit(
-        args,
-        {
-            "lambda": fact.lambda_ts,
-            "bottom": render_diagram(fact.bottom),
-            "top": render_diagram(fact.top),
-            "middle": {
-                "perm": list(fact.middle.perm),
-                "strands": [[s.i, s.j] for s in fact.middle.strands],
-            },
+    return {
+        "lambda": fact.lambda_ts,
+        "bottom": render_diagram(fact.bottom),
+        "top": render_diagram(fact.top),
+        "middle": {
+            "perm": list(fact.middle.perm),
+            "strands": [[s.i, s.j] for s in fact.middle.strands],
         },
-        t0,
-    )
+    }
 
 
-def cmd_member(args, t0):
+def cmd_member(args):
     d = parse_diagram(args.diagram)
-    from .diagram import is_member
-
-    if args.family:
-        fam = family_from_name(args.family)
-        result = {fam.value: is_member(d, fam)}
-    else:
-        result = {f.value: is_member(d, f) for f in Family}
-    _emit(args, result, t0)
+    families = [family_from_name(args.family)] if args.family else list(Family)
+    return {f.value: is_member(d, f) for f in families}
 
 
-def cmd_dims(args, t0):
+def cmd_dims(args):
     fam = family_from_name(args.family)
     if args.check:
         dims = cells.checked_dims(fam, args.n, args.K, cache_dir=args.cache_dir)
@@ -147,13 +122,11 @@ def cmd_dims(args, t0):
         }
     table = {str(lam): val for lam, val in dims.items()}
     if args.output == "csv":
-        for lam, val in table.items():
-            sys.stdout.write(f"{lam},{val}\n")
-        return
-    _emit(args, {"dims": table, "checked": bool(args.check)}, t0)
+        return "".join(f"{lam},{val}\n" for lam, val in table.items())
+    return {"dims": table, "checked": bool(args.check)}
 
 
-def cmd_cells(args, t0):
+def cmd_cells(args):
     fam = family_from_name(args.family)
     mp = MonoidParams(args.K, args.r)
     elements, mono = cells.family_monoid_cayley(fam, args.n, mp)
@@ -163,34 +136,30 @@ def cmd_cells(args, t0):
         len({through_strands(elements[i]) for i in cell}) == 1
         for cell in greens.j_cells
     )
-    _emit(
-        args,
-        {
-            "elements": len(elements),
-            "j_cell_sizes": sorted(len(c) for c in greens.j_cells),
-            "l_cells": len(greens.l_cells),
-            "r_cells": len(greens.r_cells),
-            "h_cells": len(greens.h_cells),
-            "j_cells_constant_through_strands": j_constant_through,
-            "cells_match_factorization_prediction": (
-                sorted(sorted(c) for c in greens.l_cells) == pl
-                and sorted(sorted(c) for c in greens.r_cells) == pr
-                and sorted(sorted(c) for c in greens.j_cells) == pj
-                and sorted(sorted(c) for c in greens.h_cells) == ph
-            ),
-        },
-        t0,
-    )
+    return {
+        "elements": len(elements),
+        "j_cell_sizes": sorted(len(c) for c in greens.j_cells),
+        "l_cells": len(greens.l_cells),
+        "r_cells": len(greens.r_cells),
+        "h_cells": len(greens.h_cells),
+        "j_cells_constant_through_strands": j_constant_through,
+        "cells_match_factorization_prediction": (
+            sorted(sorted(c) for c in greens.l_cells) == pl
+            and sorted(sorted(c) for c in greens.r_cells) == pr
+            and sorted(sorted(c) for c in greens.j_cells) == pj
+            and sorted(sorted(c) for c in greens.h_cells) == ph
+        ),
+    }
 
 
-def cmd_apex(args, t0):
+def cmd_apex(args):
     fam = family_from_name(args.family)
     pattern = cells.ZeroPattern(args.zero_pattern)
     result = cells.apex_set(fam, args.n, pattern)
-    _emit(args, {"apexes": sorted(result.apexes)}, t0)
+    return {"apexes": sorted(result.apexes)}
 
 
-def cmd_idempotents(args, t0):
+def cmd_idempotents(args):
     fam = family_from_name(args.family)
     ps = _load_params(args.params)
     mp = monoid_params_of(ps)
@@ -203,15 +172,15 @@ def cmd_idempotents(args, t0):
             if found is None
             else {"element": render_diagram(found[0]), "scalar": format_rational(found[1])}
         )
-    _emit(args, {"strict_idempotents": report}, t0)
+    return {"strict_idempotents": report}
 
 
-def cmd_monoid_m(args, t0):
+def cmd_monoid_m(args):
     rep = msmall.m_cell_structure(MonoidParams(args.K, args.r))
-    _emit(args, rep.__dict__, t0)
+    return rep.__dict__
 
 
-def cmd_conjugacy(args, t0):
+def cmd_conjugacy(args):
     if args.sym is not None:
         if args.sym < 0:
             raise PreconditionError("--sym must be nonnegative")
@@ -250,13 +219,13 @@ def cmd_conjugacy(args, t0):
         result["classes"] = [
             sorted(str(mono.elements[v]) for v in cls) for cls in classes
         ]
-    _emit(args, result, t0)
+    return result
 
 
 WREATH_TYPES_GUARD = 500_000
 
 
-def cmd_wreath_types(args, t0):
+def cmd_wreath_types(args):
     mp = MonoidParams(args.K, args.r)
     lam = args.lam
     msmall.check_wreath_cost(
@@ -269,18 +238,14 @@ def cmd_wreath_types(args, t0):
         for w in msmall.wreath_elements(mp, lam)
     }
     predicted = repcount.count_types(lam, len(classes))
-    _emit(
-        args,
-        {
-            "distinct_types": len(types),
-            "predicted": predicted,
-            "agree": len(types) == predicted,
-        },
-        t0,
-    )
+    return {
+        "distinct_types": len(types),
+        "predicted": predicted,
+        "agree": len(types) == predicted,
+    }
 
 
-def cmd_count_simples(args, t0):
+def cmd_count_simples(args):
     fam = family_from_name(args.family)
     if args.field == "fp":
         if args.p is None:
@@ -294,10 +259,10 @@ def cmd_count_simples(args, t0):
         field = repcount.CHAR0_ALG_CLOSED
     query = repcount.SimpleCountQuery(fam, args.n, args.lam, field, args.r)
     result = repcount.count_simples(query)
-    _emit(args, {"count": result.count, "exact": result.exact}, t0)
+    return {"count": result.count, "exact": result.exact}
 
 
-def cmd_gram(args, t0):
+def cmd_gram(args):
     if args.no_matrix and args.output == "csv":
         raise PreconditionError("--no-matrix has no CSV form: the CSV output is the matrix")
     fam = family_from_name(args.family)
@@ -305,9 +270,10 @@ def cmd_gram(args, t0):
     matrix = gram.gram_matrix(fam, args.n, args.lam, ps)
     if args.order == "mob-grouped":
         matrix = gram.permute_matrix(matrix, gram.mob_grouped_order(matrix.labels))
+    if args.output == "csv":
+        return gram.gram_to_csv(matrix)
     report = gram.exact_rank(matrix)
-    condition = None
-    prediction = None
+    condition = prediction = None
     mp = monoid_params_of(ps)
     if mp.K == 1 and fam in (Family.ROOK, Family.PLANAR_ROOK):
         a0, b0, g0 = ps.p_alpha, ps.p_beta, ps.p_gamma
@@ -315,27 +281,22 @@ def cmd_gram(args, t0):
         condition = gram.gramcond_check(args.n, args.lam, *vals)
         if condition:
             prediction = repcount.dim_left_cell(fam, args.n, args.lam, 1)
-    if args.output == "csv":
-        sys.stdout.write(gram.gram_to_csv(matrix))
-        return
-    payload = gram.gram_to_json(matrix)
-    payload.update(
-        {
-            "dim": len(matrix.entries),
-            "rank": report.rank,
-            "det": None if report.det is None else format_rational(report.det),
-            "condition_holds": condition,
-            "closed_form_prediction": prediction,
-        }
-    )
-    if args.no_matrix:
-        payload.pop("entries")
-        payload.pop("rows")
-        payload.pop("cols")
-    _emit(args, payload, t0)
+    payload = {
+        "family": matrix.family.value,
+        "n": matrix.n,
+        "lambda": matrix.lambda_ts,
+        "dim": len(matrix.entries),
+        "rank": report.rank,
+        "det": None if report.det is None else format_rational(report.det),
+        "condition_holds": condition,
+        "closed_form_prediction": prediction,
+    }
+    if not args.no_matrix:
+        payload.update(gram.gram_to_json(matrix))
+    return payload
 
 
-def cmd_rank(args, t0):
+def cmd_rank(args):
     try:
         with open(args.matrix) as fh:
             text = fh.read()
@@ -350,17 +311,13 @@ def cmd_rank(args, t0):
     else:
         rows = gram.matrix_from_csv(text)
     rep = gram.exact_rank(rows)
-    _emit(
-        args,
-        {
-            "rank": rep.rank,
-            "det": None if rep.det is None else format_rational(rep.det),
-        },
-        t0,
-    )
+    return {
+        "rank": rep.rank,
+        "det": None if rep.det is None else format_rational(rep.det),
+    }
 
 
-def cmd_gram_det(args, t0):
+def cmd_gram_det(args):
     a0 = parse_rational(args.alpha0)
     b0 = parse_rational(args.beta0)
     g0 = parse_rational(args.gamma0)
@@ -376,10 +333,10 @@ def cmd_gram_det(args, t0):
                 f"closed form {value} disagrees with brute determinant {brute}"
             )
         result["agree"] = True
-    _emit(args, result, t0)
+    return result
 
 
-def cmd_deligne(args, t0):
+def cmd_deligne(args):
     delta, plus, minus = repcount.deligne_parameters(
         parse_rational(args.alpha0),
         parse_rational(args.beta0),
@@ -387,18 +344,14 @@ def cmd_deligne(args, t0):
         parse_rational(args.lam),
         parse_rational(args.sqrt_lam),
     )
-    _emit(
-        args,
-        {
-            "delta": format_rational(delta),
-            "delta_plus": format_rational(plus),
-            "delta_minus": format_rational(minus),
-        },
-        t0,
-    )
+    return {
+        "delta": format_rational(delta),
+        "delta_plus": format_rational(plus),
+        "delta_minus": format_rational(minus),
+    }
 
 
-def cmd_selftest(args, t0):
+def cmd_selftest(args):
     import random
 
     checks = []
@@ -448,10 +401,10 @@ def cmd_selftest(args, t0):
     check("monoid-cells", monoid)
     check("dims-anchor", dims)
     check("associativity", assoc)
-    ok = all(passed for _, passed in checks)
-    _emit(args, {"checks": dict(checks), "ok": ok}, t0)
-    if not ok:
-        raise InternalCheckError("selftest failed")
+    failed = [name for name, passed in checks if not passed]
+    if failed:
+        raise InternalCheckError(f"selftest failed: {', '.join(failed)}")
+    return {"checks": dict(checks), "ok": True}
 
 
 # ---------------------------------------------------------------------------
@@ -580,23 +533,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    t0 = time.time()
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        args.func(args, t0)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return 3
-    except ResourceGuardError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return 4
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 5
+        result = args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        code, prefix = EXIT_CODES[type(exc)]
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    if isinstance(result, dict):
+        envelope = {
+            "command": args.command,
+            "format_version": FORMAT_VERSION,
+            "input": {
+                k: v
+                for k, v in vars(args).items()
+                if k not in ("command", "func", "stable", "output") and v is not None
+            },
+            "result": result,
+        }
+        if not args.stable:
+            envelope["timing_ms"] = round((time.time() - started) * 1000, 3)
+        result = json.dumps(envelope, sort_keys=True, default=str) + "\n"
+    sys.stdout.write(result)
     return 0
 
 

@@ -1,6 +1,6 @@
 """Exception taxonomy shared by the whole package.
 
-Each class maps to one CLI exit code, see cli.py.
+EXIT_CODES gives each class its CLI exit code and stderr prefix.
 """
 
 
@@ -9,15 +9,31 @@ class MoebiusError(Exception):
 
 
 class ParseError(MoebiusError):
-    """Malformed literal, file, or flag value.  CLI exit code 2."""
+    """Malformed literal, file, or flag value."""
 
 
 class PreconditionError(MoebiusError):
-    """Structurally valid input that violates an operation's contract.  CLI exit code 3."""
+    """Structurally valid input that violates an operation's contract."""
 
 
 class ResourceGuardError(MoebiusError):
-    """Requested computation exceeds a hard size/time guard.  CLI exit code 4."""
+    """Requested computation exceeds a hard size/time guard."""
+
+
+class InternalCheckError(MoebiusError):
+    """A cross-check the library runs on its own output failed."""
+
+
+EXIT_CODES = {
+    ParseError: (2, "parse error"),
+    PreconditionError: (3, "precondition violated"),
+    ResourceGuardError: (4, "resource guard"),
+    InternalCheckError: (5, "internal check failed"),
+}
+
+# str() of an int past 4,300 digits raises ValueError; one under
+# 2^14,000 has at most 4,215
+PRINTABLE_BITS = 14_000
 
 
 def check_guard(what: str, cost: int, bound: int) -> int:
@@ -33,7 +49,3 @@ def check_guard(what: str, cost: int, bound: int) -> int:
         shown = cost if bits <= 64 else f"a {bits}-bit number"
         raise ResourceGuardError(f"{what} is {shown}, over the bound {bound}")
     return cost
-
-
-class InternalCheckError(MoebiusError):
-    """A cross-check the library runs on its own output failed.  CLI exit code 5."""

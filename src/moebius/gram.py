@@ -38,7 +38,7 @@ from . import algebra
 from .algebra import _summed, evaluate_closed
 from .cells import enumerate_half_diagrams
 from .diagram import Diagram, _star_layout, factorize, star, through_strands
-from .errors import InternalCheckError, PreconditionError, check_guard
+from .errors import PRINTABLE_BITS, InternalCheckError, PreconditionError, check_guard
 from .families import Family, check_lambda
 from .msmall import MElem, _group, _index_components, m_mul, wreath_mul
 from .params import (
@@ -344,13 +344,25 @@ def gram_det_closed_form_rook0(n: int, alpha0, beta0, gamma0) -> Rat:
     The matrix is the n-th Kronecker power of the 1-strand matrix
     [[a, b, g], [b, g, b], [g, b, g]], so the determinant is
     ((alpha0 - gamma0) * (gamma0^2 - beta0^2)) ** (n * 3^(n-1)).
+    Unless the base is 0 or +-1, the power's size in bits, at most the
+    exponent times the bits of the base's larger term, must stay within
+    PRINTABLE_BITS; n, a lower bound on it, is checked before the
+    exponent is formed.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     a0, b0, g0 = Fraction(alpha0), Fraction(beta0), Fraction(gamma0)
+    base = (a0 - g0) * (g0 * g0 - b0 * b0)
     if n == 0:
         return Fraction(1)
-    return ((a0 - g0) * (g0 * g0 - b0 * b0)) ** (n * 3 ** (n - 1))
+    if base in (0, 1, -1):
+        return base ** (2 - n % 2)  # the exponent has n's parity
+    what = "the size in bits of the determinant"
+    check_guard(f"n (a lower bound on {what})", n, PRINTABLE_BITS)
+    exponent = n * 3 ** (n - 1)
+    bits = (max(abs(base.numerator), base.denominator) - 1).bit_length()
+    check_guard(what, exponent * bits, PRINTABLE_BITS)
+    return base ** exponent
 
 
 def gramcond_check(n: int, lambda_ts: int, alpha0, beta0, gamma0) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import PRINTABLE_BITS, InternalCheckError, PreconditionError, check_guard
 from .families import Family, check_lambda
 
 # ---------------------------------------------------------------------------
@@ -82,11 +82,19 @@ def _partition_counts(n: int) -> list[int]:
     return p
 
 
+COUNT_TYPES_GUARD = 20_000_000
+
+
 def count_types(lambda_ts: int, class_count: int) -> int:
     """Number of type matrices: sum over class_count-tuples with total
-    lambda_ts of products of partition numbers."""
+    lambda_ts of products of partition numbers.  The sum takes about
+    class_count * (lambda_ts + 1)^2 big-integer products, refused past
+    COUNT_TYPES_GUARD."""
     if lambda_ts < 0 or class_count < 0:
         raise PreconditionError("arguments must be nonnegative")
+    check_guard(
+        "the products in count_types", class_count * (lambda_ts + 1) ** 2, COUNT_TYPES_GUARD
+    )
     acc = [1] + [0] * lambda_ts
     base = _partition_counts(lambda_ts)
     for _ in range(class_count):
@@ -202,11 +210,13 @@ def count_simples(q: SimpleCountQuery) -> SimpleCount:
     Planar families: s^lambda over any field.  Non-planar families:
     sum over s-tuples (l_1, ..., l_s) with sum lambda of p(l_1)...p(l_s);
     exact over algebraically closed characteristic zero, an upper bound
-    otherwise.
+    otherwise.  s^lambda is refused past PRINTABLE_BITS bits.
     """
     check_lambda(q.family, q.n, q.lambda_ts)
     s = s_value(q.field, q.r)
     if q.family.planar:
+        bits = q.lambda_ts * (s - 1).bit_length()
+        check_guard("the size in bits of s^lambda", bits, PRINTABLE_BITS)
         return SimpleCount(s ** q.lambda_ts, True)
     return SimpleCount(count_types(q.lambda_ts, s), q.field.kind == "char0-alg-closed")
 

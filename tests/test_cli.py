@@ -302,3 +302,39 @@ def test_selftest(capsys):
     code, out = run_cli(capsys, "--stable", "selftest", "--seed", "1")
     assert code == 0
     assert json.loads(out)["result"]["ok"] is True
+
+
+def test_a_failing_selftest_prints_nothing_and_names_its_check(capsys, monkeypatch):
+    from moebius import msmall
+
+    def fail(*args):
+        raise AssertionError("patched to fail")
+
+    monkeypatch.setattr(msmall, "m_cell_structure", fail)
+    assert main(["--stable", "selftest"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal check failed: selftest failed: monoid-cells\n"
+
+
+@pytest.mark.parametrize(
+    "flags, dropped",
+    [
+        (("--output", "csv"), ("exact_rank", "gramcond_check")),
+        (("--no-matrix",), ("gram_to_json",)),
+    ],
+)
+def test_gram_does_no_work_its_output_drops(capsys, monkeypatch, params_file, flags, dropped):
+    from moebius import gram
+
+    argv = ("--stable", "gram", "--family", "rook", "--n", "2", "--lambda", "1",
+            "--params", params_file, *flags)
+    code, want = run_cli(capsys, *argv)
+    assert code == 0 and want
+
+    def refuse(*args):
+        raise AssertionError("computed what the output drops")
+
+    for name in dropped:
+        monkeypatch.setattr(gram, name, refuse)
+    assert run_cli(capsys, *argv) == (0, want)

@@ -174,6 +174,21 @@ def test_det_closed_form_special_values():
     assert gram_det_closed_form_rook0(2, 5, 2, 1) == want
 
 
+def test_det_closed_form_refuses_an_unprintable_power_before_forming_it():
+    # a base of 0 or +-1 keeps its value at any n; any other base is
+    # refused past 14,000 bits, and n = 10^9 before 3^(n - 1) is formed
+    for n in (1, 2, 3):
+        assert gram_det_closed_form_rook0(n, 0, 0, 1) == (-1) ** (n * 3 ** (n - 1))
+    for n, want in ((10**9, 1), (10**9 + 1, -1)):
+        assert gram_det_closed_form_rook0(n, 0, 0, 1) == want
+        assert gram_det_closed_form_rook0(n, 2, 0, 1) == 1
+        assert gram_det_closed_form_rook0(n, 1, 0, 1) == 0
+    assert len(str(gram_det_closed_form_rook0(7, 3, Fraction(1, 2), -1).numerator)) > 2000
+    for n in (8, 9, 10**9):
+        with pytest.raises(ResourceGuardError):
+            gram_det_closed_form_rook0(n, 3, Fraction(1, 2), -1)
+
+
 def test_gramcond_examples():
     assert gramcond_check(5, 2, 1, 1, 0) is True
     assert gramcond_check(5, 2, 1, 1, 1) is False

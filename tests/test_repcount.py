@@ -10,6 +10,7 @@ from moebius import (
     RATIONALS,
     Family,
     PreconditionError,
+    ResourceGuardError,
     SimpleCountQuery,
     checked_dims,
     count_simples,
@@ -171,6 +172,27 @@ def test_count_simples_matches_count_types():
         for lam in range(4):
             q = SimpleCountQuery(Family.PARTITION, 4, lam, CHAR0_ALG_CLOSED, r)
             assert count_simples(q).count == count_types(lam, s)
+
+
+def test_count_simples_refuses_an_unprintable_power_or_a_long_sum(monkeypatch):
+    from moebius import repcount
+
+    class Summing(Exception):
+        pass
+
+    def summing(*args):
+        raise Summing
+
+    # s = 4: the partition sum at lambda = 2,000 takes 16 million products
+    # and at 20,000 takes 1.6 billion; 4^7000 has 14,000 bits
+    monkeypatch.setattr(repcount, "_partition_counts", summing)
+    with pytest.raises(Summing):
+        count_simples(SimpleCountQuery(Family.PARTITION, 2000, 2000, CHAR0_ALG_CLOSED, 1))
+    for fam in (Family.PLANAR_PARTITION, Family.PARTITION):
+        with pytest.raises(ResourceGuardError):
+            count_simples(SimpleCountQuery(fam, 20000, 20000, CHAR0_ALG_CLOSED, 1))
+    q = SimpleCountQuery(Family.PLANAR_PARTITION, 7000, 7000, CHAR0_ALG_CLOSED, 1)
+    assert count_simples(q).count == 4**7000
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ class GramMatrix:
     lambda_ts: int
     labels: tuple[Diagram, ...]  # half diagrams; rows are their star images
     entries: tuple[tuple[Rat, ...], ...]
+    # ascending index sets, by least index, partitioning range(dim); 0 outside
+    blocks: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -78,23 +80,28 @@ def gram_entry(bottom: Diagram, top: Diagram, ps: ParamSet, mp: MonoidParams) ->
         raise PreconditionError("monoid parameters do not match the parameter set")
     if (top.n, top.m) != (bottom.n, bottom.m):
         raise PreconditionError("half diagrams come from different cells")
-    return _gram_rows([top], [bottom], bottom.n, bottom.m, ps, mp)[0][0]
+    rows, _ = _gram_rows([top], [bottom], bottom.n, bottom.m, ps, mp)
+    return rows[0][0]
 
 
 def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
     """Full Gram matrix over the canonical half-diagram ordering; rows are
-    the star images of the columns."""
+    the star images of the columns.  Its blocks join the halves of every
+    pair of half shapes that keeps lambda through components."""
     check_lambda(f, n, lambda_ts)
     mp = monoid_params_of(ps)
     check_guard("the Gram dimension", dim_left_cell(f, n, lambda_ts, mp.K), SIZE_GUARD)
     halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
-    rows = _gram_rows(halves, halves, n, lambda_ts, ps, mp)
-    return GramMatrix(f, n, lambda_ts, tuple(halves), tuple(map(tuple, rows)))
+    rows, joined = _gram_rows(halves, halves, n, lambda_ts, ps, mp)
+    blocks = _index_components(len(halves), ((idx[0], i) for idx in joined for i in idx))
+    entries, blocks = tuple(map(tuple, rows)), tuple(map(tuple, blocks))
+    return GramMatrix(f, n, lambda_ts, tuple(halves), entries, blocks)
 
 
-def _gram_rows(tops, bottoms, n, lam, ps, mp) -> list[list[Rat]]:
+def _gram_rows(tops, bottoms, n, lam, ps, mp) -> tuple[list[list[Rat]], list[list[int]]]:
     """Entries for rows tops (through their star images) and columns
-    bottoms, all halves n -> lam, one pair of half shapes at a time.
+    bottoms, all halves n -> lam, one pair of half shapes at a time, and
+    the top and bottom indices of each pair that can be nonzero.
 
     The stack of star(top) under bottom is laid out by
     ``algebra._topology`` from the star's shape (``diagram._star_layout``,
@@ -106,6 +113,7 @@ def _gram_rows(tops, bottoms, n, lam, ps, mp) -> list[list[Rat]]:
     rows = [[_ZERO] * len(bottoms) for _ in tops]
     values: dict[tuple[int, int], Rat] = {}  # summed closed decoration -> value
     walked: set = set()  # middles already walked, for this call only
+    joined: list[list[int]] = []
 
     def value(dec):
         x = values.get(dec)
@@ -123,6 +131,7 @@ def _gram_rows(tops, bottoms, n, lam, ps, mp) -> list[list[Rat]]:
             through = [members for nodes, members in opened if nodes[0] > 0 > nodes[-1]]
             if len(through) < lam:
                 continue
+            joined.append(top_idx + bottom_idx)
 
             def sums(comps):
                 # (top index -> sums, bottom index -> sums) over comps
@@ -147,7 +156,7 @@ def _gram_rows(tops, bottoms, n, lam, ps, mp) -> list[list[Rat]]:
                         )
                     row[c] = x
             _check_pair_keys(tops, bottoms, rows, *sums(through), ps, mp, walked)
-    return rows
+    return rows, joined
 
 
 def _shape(half: Diagram) -> tuple:
@@ -235,25 +244,29 @@ def _check_regular_power(w_mid, mp) -> None:
 def exact_rank(mat) -> RankReport:
     """Rank by integer fraction-free elimination; determinant when square.
 
-    A square matrix is split into the connected components of its nonzero
-    pattern (i ~ j when entry (i, j) or (j, i) is nonzero).  Permuting rows
-    and columns alike puts it in block-diagonal form without changing the
-    determinant, so ranks add and determinants multiply over the blocks.
+    A square matrix is taken by a GramMatrix's blocks, or as one block.
+    Each block's rows are scaled to integers once, and the block is split
+    into the connected components of its nonzero pattern (i ~ j when entry
+    (i, j) or (j, i) is nonzero).  Permuting rows and columns alike puts it
+    in block-diagonal form without changing the determinant, so ranks add
+    and determinants multiply over the components.
     """
-    rows = [list(row) for row in (mat.entries if isinstance(mat, GramMatrix) else mat)]
-    size = len(rows)
-    if any(len(r) != size for r in rows):
+    if isinstance(mat, GramMatrix):
+        rows, blocks = mat.entries, mat.blocks
+    else:
+        rows = [list(row) for row in mat]
+        blocks = [range(len(rows))]
+    if any(len(r) != len(rows) for r in rows):
         return _bareiss(rows)  # not square: one elimination, or the row-length error
-    blocks = _pattern_components(rows)
-    if len(blocks) < 2:
-        return _bareiss(rows)
-    rank = 0
-    det = Fraction(1)
+    rank, det, scale = 0, 1, 1
     for idx in blocks:
-        rep = _bareiss([[rows[i][j] for j in idx] for i in idx])
-        rank += rep.rank
-        det *= rep.det
-    return RankReport(rank=rank, det=det)
+        work, block_scale = _integer_rows([[rows[i][j] for j in idx] for i in idx])
+        scale *= block_scale
+        for comp in _pattern_components(work):
+            comp_rank, comp_det = _eliminate([[work[i][j] for j in comp] for i in comp])
+            rank += comp_rank
+            det *= comp_det
+    return RankReport(rank=rank, det=Fraction(det, scale))
 
 
 def _pattern_components(rows) -> list[list[int]]:
@@ -263,6 +276,17 @@ def _pattern_components(rows) -> list[list[int]]:
     return _index_components(len(rows), edges)
 
 
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Each row of int or Fraction entries times the lcm of its
+    denominators, and the product of those lcms."""
+    work, scale = [], 1
+    for row in rows:
+        row_scale = lcm(*(x.denominator for x in row))
+        scale *= row_scale
+        work.append([x.numerator * (row_scale // x.denominator) for x in row])
+    return work, scale
+
+
 def _bareiss(rows) -> RankReport:
     """Rank by integer fraction-free elimination with full pivoting;
     determinant when square.
@@ -270,20 +294,19 @@ def _bareiss(rows) -> RankReport:
     Rational input is scaled row-wise to integers first (rank invariant;
     the determinant is rescaled back).
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise PreconditionError("matrix rows have unequal lengths")
-    square = nrows == ncols
-    det_scale = Fraction(1)
-    work: list[list[int]] = []
-    for r in rows:
-        fracs = [Fraction(x) for x in r]
-        scale = lcm(*(x.denominator for x in fracs))
-        if square:
-            det_scale *= scale
-        work.append([int(x * scale) for x in fracs])
+    work, scale = _integer_rows(rows)
+    rank, det = _eliminate(work)
+    return RankReport(rank=rank, det=None if det is None else Fraction(det, scale))
 
+
+def _eliminate(work: list[list[int]]) -> tuple[int, int | None]:
+    """Rank of integer rows by Bareiss elimination in place, and the
+    determinant when square."""
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
     sign = 1
     prev = 1
     rank = 0
@@ -314,14 +337,9 @@ def _bareiss(rows) -> RankReport:
                 row[step] = 0
         prev = pivot
         rank += 1
-
-    det: Rat | None = None
-    if square:
-        if rank < nrows:
-            det = Fraction(0)
-        else:
-            det = Fraction(sign * prev) / det_scale
-    return RankReport(rank=rank, det=det)
+    if nrows != ncols:
+        return rank, None
+    return rank, sign * prev if rank == nrows else 0
 
 
 def _find_pivot(work, step, nrows, ncols):
@@ -427,11 +445,11 @@ def mob_grouped_order(halves: tuple[Diagram, ...]) -> list[int]:
 
 
 def permute_matrix(g: GramMatrix, order: list[int]) -> GramMatrix:
-    entries = tuple(
-        tuple(g.entries[r][c] for c in order) for r in order
-    )
+    entries = tuple(tuple(g.entries[r][c] for c in order) for r in order)
     labels = tuple(g.labels[i] for i in order)
-    return GramMatrix(g.family, g.n, g.lambda_ts, labels, entries)
+    position = {old: new for new, old in enumerate(order)}
+    blocks = tuple(sorted(tuple(sorted(position[i] for i in b)) for b in g.blocks))
+    return GramMatrix(g.family, g.n, g.lambda_ts, labels, entries, blocks)
 
 
 def gram_to_json(g: GramMatrix) -> dict:

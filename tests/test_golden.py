@@ -229,6 +229,10 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
         add("gram-det", "--n", n, "--alpha0", "3", "--beta0", "1/2", "--gamma0", "-1")
     add("count-simples", "--family", "planar-partition", "--n", "10000", "--lambda", "10000",
         "--field", "char0bar", "--r", "1")
+    # exit 4 before a trial division of about 10^9 steps starts
+    for field in (("rationals", "--r", "1000000000000000001"),
+                  ("fp", "--p", "1000000000000000003", "--r", "1")):
+        add("count-simples", "--family", "rook", "--n", "3", "--lambda", "1", "--field", *field)
     return cases
 
 

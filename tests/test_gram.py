@@ -1,5 +1,6 @@
 """Gram matrices, exact rank/determinant, closed forms, and block structure."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -286,17 +287,73 @@ GRAM_GRID = [
 ]
 
 
+GRID_PARAMS = {1: [geometric(2, 1, 3), geometric(1, 1, 0)],
+               2: [validate_params([1, 1], [1], [1], [1, -1]),
+                   validate_params([1, 1], [1, 2], [0, 1], [1, -1])]}
+
+
+def _assert_blocks_hold_the_nonzeros(g):
+    """g.blocks partition range(dim) into ascending sets by least index,
+    every nonzero entry lies in a block's square, and splitting each block
+    by its nonzero pattern gives the whole matrix's pattern components."""
+    dim = len(g.entries)
+    assert sorted(i for b in g.blocks for i in b) == list(range(dim))
+    assert all(list(b) == sorted(b) for b in g.blocks)
+    assert [b[0] for b in g.blocks] == sorted(b[0] for b in g.blocks)
+    block_of = {i: k for k, b in enumerate(g.blocks) for i in b}
+    for i, row in enumerate(g.entries):
+        assert all(block_of[i] == block_of[j] for j, x in enumerate(row) if x)
+    refined = sorted(
+        [b[i] for i in comp]
+        for b in g.blocks
+        for comp in _pattern_components([[g.entries[i][j] for j in b] for i in b])
+    )
+    assert refined == _pattern_components(g.entries)
+
+
 def test_blockwise_rank_on_gram_grid():
-    params = {1: [geometric(2, 1, 3), geometric(1, 1, 0)],
-              2: [validate_params([1, 1], [1], [1], [1, -1]),
-                  validate_params([1, 1], [1, 2], [0, 1], [1, -1])]}
+    # the kernel's blocks, and their images under permute_matrix, hold
+    # every nonzero entry, and rank by them equals one elimination
+    rng = random.Random(17)
     split = 0
     for f, n, lam, K in GRAM_GRID:
-        for ps in params[K]:
+        for ps in GRID_PARAMS[K]:
             g = gram_matrix(f, n, lam, ps)
-            split += len(_pattern_components(g.entries)) > 1
-            assert exact_rank(g) == _bareiss(g.entries), (f, n, lam, K)
+            _assert_blocks_hold_the_nonzeros(g)
+            split += len(g.blocks) > 1
+            report = exact_rank(g)
+            assert report == _bareiss(g.entries), (f, n, lam, K)
+            shuffled = list(range(len(g.labels)))
+            rng.shuffle(shuffled)
+            for order in (mob_grouped_order(g.labels), shuffled):
+                p = permute_matrix(g, order)
+                _assert_blocks_hold_the_nonzeros(p)
+                assert exact_rank(p) == report, (f, n, lam, K, order)
     assert len(GRAM_GRID) > 100 and split >= 30  # the block path runs
+
+
+class _Unread:
+    """An entry no rank computation may read."""
+
+    def __bool__(self):
+        raise AssertionError("an entry outside the kernel's blocks was read")
+
+    numerator = denominator = property(__bool__)
+
+
+@pytest.mark.parametrize("abc, rank", [((1, 1, 0), 270), ((1, 1, 1), 10)])
+def test_rank_reads_no_entry_outside_the_kernel_blocks(abc, rank):
+    # the headline: 10 of 100 pairs of half shapes survive, each a 27x27 block
+    g = gram_matrix(Family.ROOK, 5, 2, geometric(*abc))
+    assert sorted(map(len, g.blocks)) == [27] * 10
+    inside = {(i, j) for b in g.blocks for i in b for j in b}
+    hidden = tuple(
+        tuple(x if (i, j) in inside else _Unread() for j, x in enumerate(row))
+        for i, row in enumerate(g.entries)
+    )
+    report = exact_rank(g)
+    assert report.rank == rank
+    assert exact_rank(replace(g, entries=hidden)) == report == _bareiss(g.entries)
 
 
 def test_gram_symmetry_under_mirrored_orderings():

@@ -5,6 +5,8 @@ import itertools
 import pytest
 from fractions import Fraction
 
+from moebius import repcount
+
 from moebius import (
     CHAR0_ALG_CLOSED,
     RATIONALS,
@@ -132,6 +134,30 @@ def test_s_value():
         assert s_value(CHAR0_ALG_CLOSED, r) == 1 + 3 * r
     with pytest.raises(PreconditionError):
         s_value(RATIONALS, 2)
+
+
+def test_trial_division_guard_trips_before_any_loop(monkeypatch):
+    # the primality guard reads its cost off isqrt(p), so it refuses even
+    # a p that the first trial division would settle
+    with pytest.raises(ResourceGuardError, match="primality"):
+        prime_field(10**18 + 2)
+    for name in ("_divisors", "_euler_phi", "_mult_order"):
+        monkeypatch.setattr(repcount, name, _refuse)
+    for field, k in ((RATIONALS, 2 * (10**18 + 1)), (prime_field(2), 12_500_001)):
+        with pytest.raises(ResourceGuardError, match="x\\^m - 1"):
+            n_irreducible_factors(field, k)
+
+
+def test_trial_division_guard_admits_its_largest_known_inputs():
+    # isqrt(2 * 10^12 + 2) steps over Q; 2m + isqrt(m) over F_2 for
+    # m = 9,999,999, whose factor count takes far fewer
+    assert s_value(RATIONALS, 10**12 + 1) == 25
+    assert s_value(prime_field(2), 9_999_999) == 319
+    assert n_irreducible_factors(prime_field(2), 12_498_001) > 0  # bounded by 24,999,537
+
+
+def _refuse(*args):
+    raise AssertionError("a loop started before its guard")
 
 
 def test_prime_field_validation():

@@ -8,8 +8,7 @@ Usage: python scripts/dims_table.py [--nmax 4] [--K 1 2] [--check]
 import argparse
 import sys
 
-from moebius import Family, checked_dims, dim_left_cell
-from moebius.families import admissible_lambdas
+from moebius import Family, checked_dims, dims_table
 
 
 def main(argv=None):
@@ -23,11 +22,7 @@ def main(argv=None):
         print(f"== {family.value}")
         for K in args.K:
             for n in range(0, args.nmax + 1):
-                if args.check:
-                    dims = checked_dims(family, n, K)
-                else:
-                    dims = {lam: dim_left_cell(family, n, lam, K)
-                            for lam in admissible_lambdas(family, n)}
+                dims = (checked_dims if args.check else dims_table)(family, n, K)
                 cells = ", ".join(f"lam={lam}: {val}" for lam, val in dims.items())
                 print(f"  K={K} n={n}: {cells}")
     return 0

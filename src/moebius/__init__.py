@@ -79,6 +79,7 @@ from .repcount import (
     count_types,
     deligne_parameters,
     dim_left_cell,
+    dims_table,
     m_of_k,
     n_irreducible_factors,
     partition_count,

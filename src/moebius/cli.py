@@ -116,10 +116,7 @@ def cmd_dims(args):
     if args.check:
         dims = cells.checked_dims(fam, args.n, args.K, cache_dir=args.cache_dir)
     else:
-        dims = {
-            lam: repcount.dim_left_cell(fam, args.n, lam, args.K)
-            for lam in admissible_lambdas(fam, args.n)
-        }
+        dims = repcount.dims_table(fam, args.n, args.K)
     table = {str(lam): val for lam, val in dims.items()}
     if args.output == "csv":
         return "".join(f"{lam},{val}\n" for lam, val in table.items())
@@ -268,10 +265,12 @@ def cmd_gram(args):
     fam = family_from_name(args.family)
     ps = _load_params(args.params)
     matrix = gram.gram_matrix(fam, args.n, args.lam, ps)
-    if args.order == "mob-grouped":
-        matrix = gram.permute_matrix(matrix, gram.mob_grouped_order(matrix.labels))
+
+    def order():  # of the printed rows and columns; rank runs on the blocks
+        return gram.mob_grouped_order(matrix.labels) if args.order == "mob-grouped" else None
+
     if args.output == "csv":
-        return gram.gram_to_csv(matrix)
+        return gram.gram_to_csv(matrix, order())
     report = gram.exact_rank(matrix)
     condition = prediction = None
     mp = monoid_params_of(ps)
@@ -285,14 +284,14 @@ def cmd_gram(args):
         "family": matrix.family.value,
         "n": matrix.n,
         "lambda": matrix.lambda_ts,
-        "dim": len(matrix.entries),
+        "dim": len(matrix.labels),
         "rank": report.rank,
         "det": None if report.det is None else format_rational(report.det),
         "condition_holds": condition,
         "closed_form_prediction": prediction,
     }
     if not args.no_matrix:
-        payload.update(gram.gram_to_json(matrix))
+        payload.update(gram.gram_to_json(matrix, order()))
     return payload
 
 

@@ -32,12 +32,13 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm, prod
 
 from . import algebra
 from .algebra import _summed, evaluate_closed
 from .cells import enumerate_half_diagrams
-from .diagram import Diagram, _star_layout, factorize, star, through_strands
+from .diagram import Diagram, _star_layout, factorize, render_diagram, star, through_strands
 from .errors import PRINTABLE_BITS, InternalCheckError, PreconditionError, check_guard
 from .families import Family, check_lambda
 from .msmall import MElem, _group, _index_components, m_mul, wreath_mul
@@ -47,6 +48,7 @@ from .params import (
     Rat,
     format_rational,
     monoid_params_of,
+    parse_rational,
 )
 from .repcount import dim_left_cell
 
@@ -61,9 +63,19 @@ class GramMatrix:
     n: int
     lambda_ts: int
     labels: tuple[Diagram, ...]  # half diagrams; rows are their star images
-    entries: tuple[tuple[Rat, ...], ...]
-    # ascending index sets, by least index, partitioning range(dim); 0 outside
-    blocks: tuple[tuple[int, ...], ...]
+    # (ascending index set, the square of its entries), by least index; the
+    # index sets partition range(dim), and every entry outside them is 0
+    blocks: tuple[tuple[tuple[int, ...], tuple[tuple[Rat, ...], ...]], ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Rat, ...], ...]:
+        """The dense matrix, formed from the blocks when first read."""
+        rows = [[_ZERO] * len(self.labels) for _ in self.labels]
+        for idx, square in self.blocks:
+            for i, row in zip(idx, square):
+                for j, x in zip(idx, row):
+                    rows[i][j] = x
+        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -81,7 +93,7 @@ def gram_entry(bottom: Diagram, top: Diagram, ps: ParamSet, mp: MonoidParams) ->
     if (top.n, top.m) != (bottom.n, bottom.m):
         raise PreconditionError("half diagrams come from different cells")
     rows, _ = _gram_rows([top], [bottom], bottom.n, bottom.m, ps, mp)
-    return rows[0][0]
+    return rows[0].get(0, _ZERO)
 
 
 def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
@@ -93,15 +105,18 @@ def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
     check_guard("the Gram dimension", dim_left_cell(f, n, lambda_ts, mp.K), SIZE_GUARD)
     halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
     rows, joined = _gram_rows(halves, halves, n, lambda_ts, ps, mp)
-    blocks = _index_components(len(halves), ((idx[0], i) for idx in joined for i in idx))
-    entries, blocks = tuple(map(tuple, rows)), tuple(map(tuple, blocks))
-    return GramMatrix(f, n, lambda_ts, tuple(halves), entries, blocks)
+    index_sets = _index_components(len(halves), ((pair[0], i) for pair in joined for i in pair))
+    blocks = tuple(
+        (tuple(idx), tuple(tuple(rows[i].get(j, _ZERO) for j in idx) for i in idx))
+        for idx in index_sets
+    )
+    return GramMatrix(f, n, lambda_ts, tuple(halves), blocks)
 
 
-def _gram_rows(tops, bottoms, n, lam, ps, mp) -> tuple[list[list[Rat]], list[list[int]]]:
+def _gram_rows(tops, bottoms, n, lam, ps, mp) -> tuple[list[dict[int, Rat]], list[list[int]]]:
     """Entries for rows tops (through their star images) and columns
-    bottoms, all halves n -> lam, one pair of half shapes at a time, and
-    the top and bottom indices of each pair that can be nonzero.
+    bottoms, all halves n -> lam, one pair of half shapes at a time, as a
+    sparse dict per row, and the indices of each pair that can be nonzero.
 
     The stack of star(top) under bottom is laid out by
     ``algebra._topology`` from the star's shape (``diagram._star_layout``,
@@ -110,7 +125,7 @@ def _gram_rows(tops, bottoms, n, lam, ps, mp) -> tuple[list[list[Rat]], list[lis
     each half's (h, mob) sums over its blocks in every component are
     taken once, and an entry multiplies the values of the closed
     components' summed decorations, each evaluated once per call."""
-    rows = [[_ZERO] * len(bottoms) for _ in tops]
+    rows: list[dict[int, Rat]] = [{} for _ in tops]
     values: dict[tuple[int, int], Rat] = {}  # summed closed decoration -> value
     walked: set = set()  # middles already walked, for this call only
     joined: list[list[int]] = []
@@ -244,23 +259,22 @@ def _check_regular_power(w_mid, mp) -> None:
 def exact_rank(mat) -> RankReport:
     """Rank by integer fraction-free elimination; determinant when square.
 
-    A square matrix is taken by a GramMatrix's blocks, or as one block.
-    Each block's rows are scaled to integers once, and the block is split
-    into the connected components of its nonzero pattern (i ~ j when entry
-    (i, j) or (j, i) is nonzero).  Permuting rows and columns alike puts it
-    in block-diagonal form without changing the determinant, so ranks add
-    and determinants multiply over the components.
+    A GramMatrix is taken by its stored blocks, and square rows as one
+    block.  Each block's rows are scaled to integers once, and the block is
+    split into the connected components of its nonzero pattern (i ~ j when
+    entry (i, j) or (j, i) is nonzero).  Permuting rows and columns alike
+    puts it in block-diagonal form without changing the determinant, so
+    ranks add and determinants multiply over the components.
     """
     if isinstance(mat, GramMatrix):
-        rows, blocks = mat.entries, mat.blocks
+        squares = [square for _, square in mat.blocks]
     else:
-        rows = [list(row) for row in mat]
-        blocks = [range(len(rows))]
-    if any(len(r) != len(rows) for r in rows):
-        return _bareiss(rows)  # not square: one elimination, or the row-length error
+        squares = [[list(row) for row in mat]]
+        if any(len(r) != len(squares[0]) for r in squares[0]):
+            return _bareiss(squares[0])  # not square: one elimination, or the row-length error
     rank, det, scale = 0, 1, 1
-    for idx in blocks:
-        work, block_scale = _integer_rows([[rows[i][j] for j in idx] for i in idx])
+    for square in squares:
+        work, block_scale = _integer_rows(square)
         scale *= block_scale
         for comp in _pattern_components(work):
             comp_rank, comp_det = _eliminate([[work[i][j] for j in comp] for i in comp])
@@ -431,56 +445,42 @@ def mob_grouped_order(halves: tuple[Diagram, ...]) -> list[int]:
     blocks (fewer dotted groups first, leftmost dotted positions first,
     then earlier positions varying fastest).  Rank is order-invariant;
     this ordering reproduces the block-triangular reduction visually."""
-    keyed = []
-    for idx, half in enumerate(halves):
-        dotted = []
-        values = []
-        for pos, (nodes, h, mob) in enumerate(half.blocks):
-            if mob:
-                dotted.append(pos)
-                values.append(mob)
-        keyed.append(((len(dotted), tuple(dotted), tuple(reversed(values))), idx))
-    keyed.sort()
-    return [idx for _, idx in keyed]
+    def key(idx):
+        dotted = [(pos, mob) for pos, (_, _, mob) in enumerate(halves[idx].blocks) if mob]
+        return len(dotted), [pos for pos, _ in dotted], [mob for _, mob in reversed(dotted)]
+
+    return sorted(range(len(halves)), key=key)  # stable: ties keep the canonical order
 
 
-def permute_matrix(g: GramMatrix, order: list[int]) -> GramMatrix:
-    entries = tuple(tuple(g.entries[r][c] for c in order) for r in order)
-    labels = tuple(g.labels[i] for i in order)
-    position = {old: new for new, old in enumerate(order)}
-    blocks = tuple(sorted(tuple(sorted(position[i] for i in b)) for b in g.blocks))
-    return GramMatrix(g.family, g.n, g.lambda_ts, labels, entries, blocks)
-
-
-def gram_to_json(g: GramMatrix) -> dict:
-    from .diagram import render_diagram
-
+def gram_to_json(g: GramMatrix, order: list[int] | None = None) -> dict:
+    """The matrix with its labels, rows and columns alike in order (a
+    permutation of range(dim); canonical when None)."""
+    order = range(len(g.labels)) if order is None else order
+    labels = [render_diagram(g.labels[i]) for i in order]
     return {
         "family": g.family.value,
         "n": g.n,
         "lambda": g.lambda_ts,
-        "rows": [render_diagram(h) for h in g.labels],
-        "cols": [render_diagram(h) for h in g.labels],
-        "entries": [[format_rational(x) for x in row] for row in g.entries],
+        "rows": labels,
+        "cols": labels,
+        "entries": _formatted(g, order),
     }
 
 
-def gram_to_csv(g: GramMatrix) -> str:
+def gram_to_csv(g: GramMatrix, order: list[int] | None = None) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in g.entries:
-        writer.writerow([format_rational(x) for x in row])
+    csv.writer(buf).writerows(_formatted(g, range(len(g.labels)) if order is None else order))
     return buf.getvalue()
 
 
-def matrix_from_csv(text: str) -> list[list[Rat]]:
-    from .params import parse_rational
+def _formatted(g: GramMatrix, order) -> list[list[str]]:
+    rows = g.entries
+    return [[format_rational(rows[r][c]) for c in order] for r in order]
 
-    rows = []
-    for record in csv.reader(io.StringIO(text)):
-        if not record:
-            continue
-        rows.append([parse_rational(x) for x in record])
+
+def matrix_from_csv(text: str) -> list[list[Rat]]:
+    records = csv.reader(io.StringIO(text))
+    rows = [[parse_rational(x) for x in record] for record in records if record]
     if not rows:
         raise PreconditionError("empty matrix")
     return rows

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PRINTABLE_BITS, InternalCheckError, PreconditionError, check_guard
-from .families import Family, check_lambda
+from .families import Family, admissible_lambdas, check_lambda
 
 # ---------------------------------------------------------------------------
 # field specifications
@@ -344,6 +344,69 @@ def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
     else:  # symmetric families: lambda = n forced
         val = 1
     return int(val) if not isinstance(val, Fraction) else _as_int(val)
+
+
+def dims_table(f: Family, n: int, K: int) -> dict[int, int]:
+    """dim_left_cell at every admissible lambda, once the table is known
+    to print.
+
+    No entry exceeds the table's sum, which ``_dims_sum_bound`` bounds;
+    the bound's size in bits must stay within PRINTABLE_BITS.  Outside the
+    symmetric families the sum is at least y^(n // 2) (y = 3K), so the
+    size of that power, a lower bound, is checked before the bound is
+    formed, and both checks precede every closed form."""
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
+    if K <= 0:
+        raise PreconditionError("K must be positive")
+    y = 3 * K
+    what = "the size in bits of the dims table's bound"
+    if f.nonplanar_core is not Family.SYMMETRIC:
+        check_guard(f"a lower bound on {what}", n // 2 * (y.bit_length() - 1), PRINTABLE_BITS)
+    check_guard(what, _dims_sum_bound(f, n, y).bit_length(), PRINTABLE_BITS)
+    return {lam: dim_left_cell(f, n, lam, K) for lam in admissible_lambdas(f, n)}
+
+
+def _dims_sum_bound(f: Family, n: int, y: int) -> int:
+    """At least the sum over lambda of dim_left_cell: the number of halves
+    of n nodes, each dead block carrying one of y decorations.  With
+    x = y + 1:
+
+    - rook families: x^n, the sum itself (each node is through or dead);
+    - symmetric families: 1, the sum itself;
+    - Brauer and rook-Brauer: the sum itself; node n is single (through,
+      or dead in rook-Brauer) or pairs with one of n - 1 others;
+    - partition: the sum is T(n) = sum_t S(n, t) x^t, and S(m+1, t) =
+      t S(m, t) + S(m, t-1) with t <= m gives T(m+1) <= (x + m) T(m), so
+      T(n) <= x (x+1) ... (x+n-1);
+    - planar partition: the halves are noncrossing partitions, each block
+      through or dead; N(n, k) <= C(n, k)^2 noncrossing partitions have k
+      blocks, and sum_k C(n, k)^2 x^k <= (1 + sqrt(x))^(2n);
+    - Motzkin: (lam+1)/(lam+t+1) <= 1, and C(m, t) y^t summed over t is at
+      most x^m, so the sum is at most (2y + 1)^n;
+    - Temperley-Lieb: the ballot factor is at most 1, and C(n, j) y^j
+      summed over j <= n/2 is at most (4y)^floor(n/2), as the C(n, j)
+      sum to at most 2^n, or to 2^(n-1) when n is odd.
+    """
+    x = y + 1
+    if f in (Family.ROOK, Family.PLANAR_ROOK):
+        return x**n
+    if f in (Family.SYMMETRIC, Family.PLANAR_SYMMETRIC):
+        return 1
+    if f in (Family.BRAUER, Family.ROOK_BRAUER):
+        single = x if f is Family.ROOK_BRAUER else 1
+        before, total = 0, 1  # the sums at m - 2 and m - 1 nodes
+        for m in range(1, n + 1):
+            before, total = total, single * total + (m - 1) * y * before
+        return total
+    if f is Family.PARTITION:
+        return math.perm(x + n - 1, n)
+    if f is Family.PLANAR_PARTITION:
+        r = math.isqrt(4 * x)
+        return (1 + x + r + (r * r < 4 * x)) ** n  # (1 + x + ceil(2 sqrt(x)))^n
+    if f is Family.MOTZKIN:
+        return (2 * y + 1) ** n
+    return (4 * y) ** (n // 2)  # Temperley-Lieb
 
 
 def _as_int(x: Fraction) -> int:

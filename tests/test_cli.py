@@ -317,11 +317,20 @@ def test_a_failing_selftest_prints_nothing_and_names_its_check(capsys, monkeypat
     assert err == "internal check failed: selftest failed: monoid-cells\n"
 
 
+def _refuse(*args):
+    raise AssertionError("computed what the output drops")
+
+
+# the dense matrix is a view of the blocks, formed only to print it
+_DENSE = ("gram_to_json", "mob_grouped_order", "GramMatrix.entries")
+
+
 @pytest.mark.parametrize(
     "flags, dropped",
     [
         (("--output", "csv"), ("exact_rank", "gramcond_check")),
-        (("--no-matrix",), ("gram_to_json",)),
+        (("--no-matrix",), _DENSE),
+        (("--no-matrix", "--order", "mob-grouped"), _DENSE),
     ],
 )
 def test_gram_does_no_work_its_output_drops(capsys, monkeypatch, params_file, flags, dropped):
@@ -332,9 +341,21 @@ def test_gram_does_no_work_its_output_drops(capsys, monkeypatch, params_file, fl
     code, want = run_cli(capsys, *argv)
     assert code == 0 and want
 
-    def refuse(*args):
-        raise AssertionError("computed what the output drops")
-
     for name in dropped:
-        monkeypatch.setattr(gram, name, refuse)
+        owner, _, attr = name.rpartition(".")
+        if owner:
+            monkeypatch.setattr(getattr(gram, owner), attr, property(_refuse))
+        else:
+            monkeypatch.setattr(gram, attr, _refuse)
     assert run_cli(capsys, *argv) == (0, want)
+
+
+def test_rank_alone_forms_no_dense_matrix(capsys, monkeypatch):
+    from moebius import Family, gram, simple_dimension, validate_params
+
+    monkeypatch.setattr(gram.GramMatrix, "entries", property(_refuse))
+    ps = validate_params([1], [1], [0], [1, -1], allow_zero_alpha=True)
+    assert simple_dimension(Family.ROOK, 3, 1, ps) == 27
+    doc = run_json(capsys, "gram-det", "--n", "2", "--alpha0", "2", "--beta0", "1",
+                   "--gamma0", "3", "--check")
+    assert doc["result"]["agree"] is True

@@ -114,6 +114,7 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     ):
         add("gram", *argv, "--order", "mob-grouped")
         add("gram", *argv, "--no-matrix")
+        add("gram", *argv, "--order", "mob-grouped", "--no-matrix")
         add("gram", *argv, "--output", "csv")
         add("gram", *argv, "--order", "mob-grouped", "--output", "csv")
     add("compose", DECORATED_F, DECORATED_G, "--params", "@p211.json")
@@ -224,6 +225,7 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     add("cells", "--family", "symmetric", "--n", "1700")
     add("cells", "--family", "rook", "--n", "1000")
     add("dims", "--family", "partition", "--n", "500", "--K", "1", "--check")
+    add("dims", "--family", "rook", "--n", "9100", "--K", "1")
     add("gram", "--family", "partition", "--n", "1000", "--lambda", "999", "--params", "@p211.json")
     for n in ("9", "12"):
         add("gram-det", "--n", n, "--alpha0", "3", "--beta0", "1/2", "--gamma0", "-1")

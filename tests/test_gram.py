@@ -1,6 +1,5 @@
 """Gram matrices, exact rank/determinant, closed forms, and block structure."""
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -19,16 +18,17 @@ from moebius import (
     validate_params,
 )
 from moebius.cells import enumerate_half_diagrams
+from moebius.diagram import render_diagram
 from moebius.families import admissible_lambdas
 from moebius.gram import (
     _bareiss,
     _pattern_components,
     gram_to_csv,
+    gram_to_json,
     matrix_from_csv,
     mob_grouped_order,
-    permute_matrix,
 )
-from moebius.params import monoid_params_of
+from moebius.params import format_rational, monoid_params_of
 from moebius.repcount import dim_left_cell
 
 
@@ -292,68 +292,51 @@ GRID_PARAMS = {1: [geometric(2, 1, 3), geometric(1, 1, 0)],
                    validate_params([1, 1], [1, 2], [0, 1], [1, -1])]}
 
 
-def _assert_blocks_hold_the_nonzeros(g):
-    """g.blocks partition range(dim) into ascending sets by least index,
-    every nonzero entry lies in a block's square, and splitting each block
-    by its nonzero pattern gives the whole matrix's pattern components."""
-    dim = len(g.entries)
-    assert sorted(i for b in g.blocks for i in b) == list(range(dim))
-    assert all(list(b) == sorted(b) for b in g.blocks)
-    assert [b[0] for b in g.blocks] == sorted(b[0] for b in g.blocks)
-    block_of = {i: k for k, b in enumerate(g.blocks) for i in b}
-    for i, row in enumerate(g.entries):
-        assert all(block_of[i] == block_of[j] for j, x in enumerate(row) if x)
-    refined = sorted(
-        [b[i] for i in comp]
-        for b in g.blocks
-        for comp in _pattern_components([[g.entries[i][j] for j in b] for i in b])
-    )
-    assert refined == _pattern_components(g.entries)
+def _assert_blocks_partition_the_matrix(g):
+    """g.blocks' index sets partition range(dim) into ascending sets by
+    least index, each stored with its square of entries."""
+    idx_sets = [idx for idx, _ in g.blocks]
+    assert sorted(i for idx in idx_sets for i in idx) == list(range(len(g.labels)))
+    assert all(list(idx) == sorted(idx) for idx in idx_sets)
+    assert [idx[0] for idx in idx_sets] == sorted(idx[0] for idx in idx_sets)
+    assert all({len(square), *map(len, square)} == {len(idx)} for idx, square in g.blocks)
 
 
 def test_blockwise_rank_on_gram_grid():
-    # the kernel's blocks, and their images under permute_matrix, hold
-    # every nonzero entry, and rank by them equals one elimination
+    # rank by the kernel's blocks equals one elimination, and equals the
+    # rank of the rows in any order the printers may put them
     rng = random.Random(17)
     split = 0
     for f, n, lam, K in GRAM_GRID:
         for ps in GRID_PARAMS[K]:
             g = gram_matrix(f, n, lam, ps)
-            _assert_blocks_hold_the_nonzeros(g)
+            _assert_blocks_partition_the_matrix(g)
             split += len(g.blocks) > 1
             report = exact_rank(g)
             assert report == _bareiss(g.entries), (f, n, lam, K)
             shuffled = list(range(len(g.labels)))
             rng.shuffle(shuffled)
             for order in (mob_grouped_order(g.labels), shuffled):
-                p = permute_matrix(g, order)
-                _assert_blocks_hold_the_nonzeros(p)
-                assert exact_rank(p) == report, (f, n, lam, K, order)
+                rows = [[g.entries[r][c] for c in order] for r in order]
+                assert exact_rank(rows) == report, (f, n, lam, K, order)
+                printed = gram_to_json(g, order)
+                assert printed["rows"] == [render_diagram(g.labels[i]) for i in order]
+                assert printed["entries"] == [[format_rational(x) for x in r] for r in rows]
     assert len(GRAM_GRID) > 100 and split >= 30  # the block path runs
 
 
-class _Unread:
-    """An entry no rank computation may read."""
-
-    def __bool__(self):
-        raise AssertionError("an entry outside the kernel's blocks was read")
-
-    numerator = denominator = property(__bool__)
-
-
 @pytest.mark.parametrize("abc, rank", [((1, 1, 0), 270), ((1, 1, 1), 10)])
-def test_rank_reads_no_entry_outside_the_kernel_blocks(abc, rank):
-    # the headline: 10 of 100 pairs of half shapes survive, each a 27x27 block
+def test_headline_stores_only_its_kernel_blocks(abc, rank):
+    # 10 of the 100 pairs of half shapes survive, each a 27x27 block: the
+    # matrix stores 7,290 entries, not 72,900, and rank forms no others
     g = gram_matrix(Family.ROOK, 5, 2, geometric(*abc))
-    assert sorted(map(len, g.blocks)) == [27] * 10
-    inside = {(i, j) for b in g.blocks for i in b for j in b}
-    hidden = tuple(
-        tuple(x if (i, j) in inside else _Unread() for j, x in enumerate(row))
-        for i, row in enumerate(g.entries)
-    )
+    assert [len(idx) for idx, _ in g.blocks] == [27] * 10
+    assert sum(len(row) for _, square in g.blocks for row in square) == 7_290
     report = exact_rank(g)
+    assert "entries" not in vars(g)  # the dense view is formed when first read
     assert report.rank == rank
-    assert exact_rank(replace(g, entries=hidden)) == report == _bareiss(g.entries)
+    assert report == _bareiss(g.entries)
+    assert len(g.entries) == 270 and "entries" in vars(g)
 
 
 def test_gram_symmetry_under_mirrored_orderings():
@@ -393,8 +376,8 @@ def test_mob_grouped_order_matches_tensor_reduction():
     ps = geometric(2, 1, 3)
     canonical = gram_matrix(Family.ROOK, 2, 0, ps)
     order = mob_grouped_order(canonical.labels)
-    g = permute_matrix(canonical, order)
-    assert g.labels == tuple(canonical.labels[i] for i in order)
+    printed = gram_to_json(canonical, order)
+    assert printed["rows"] == [render_diagram(canonical.labels[i]) for i in order]
     # bottom-right 4x4 block (all components dotted) is [[g,b],[b,g]] (x) [[g,b],[b,g]]
     b0, g0 = Fraction(1), Fraction(3)
     t = [[g0, b0], [b0, g0]]
@@ -402,8 +385,8 @@ def test_mob_grouped_order_matches_tensor_reduction():
         [t[i][j] * t[k][l] for j in range(2) for l in range(2)]
         for i in range(2) for k in range(2)
     ]
-    tail = [[g.entries[r][c] for c in range(5, 9)] for r in range(5, 9)]
-    assert tail == expect
+    tail = [row[5:9] for row in printed["entries"][5:9]]
+    assert tail == [[format_rational(x) for x in row] for row in expect]
 
 
 def test_simple_dimension_gate():

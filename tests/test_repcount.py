@@ -19,6 +19,7 @@ from moebius import (
     count_types,
     deligne_parameters,
     dim_left_cell,
+    dims_table,
     m_of_k,
     n_irreducible_factors,
     partition_count,
@@ -238,6 +239,40 @@ def test_dim_left_cell_check_flag():
     # checked_dims re-derives each value by explicit half-diagram enumeration
     assert checked_dims(Family.MOTZKIN, 3, 2)[1] == 120
     assert checked_dims(Family.PLANAR_PARTITION, 3, 2)[1] == 139
+
+
+def test_dims_table_bound_holds_the_table_sum():
+    # the rook, symmetric, Brauer and rook-Brauer bounds are the sums themselves
+    for f in Family:
+        for K in (1, 2, 3, 7):
+            for n in range(9 if f is Family.PLANAR_PARTITION else 13):
+                table = dims_table(f, n, K)
+                bound = repcount._dims_sum_bound(f, n, 3 * K)
+                assert max(table.values()) <= sum(table.values()) <= bound, (f, K, n)
+                if f in (Family.ROOK, Family.SYMMETRIC, Family.BRAUER, Family.ROOK_BRAUER):
+                    assert sum(table.values()) == bound
+
+
+def test_dims_table_guard_trips_before_any_closed_form(monkeypatch):
+    # 3^9100 alone has 4,342 digits; rook n = 7000 is refused on the exact
+    # size of 4^7000, 14,001 bits
+    monkeypatch.setattr(repcount, "dim_left_cell", _refuse)
+    for n in (9100, 7000, 10**18):
+        with pytest.raises(ResourceGuardError, match="dims table"):
+            dims_table(Family.ROOK, n, 1)
+    with pytest.raises(ResourceGuardError, match="dims table"):
+        dims_table(Family.PARTITION, 1529, 1)
+
+
+def test_dims_table_guard_admits_what_prints(monkeypatch):
+    monkeypatch.setattr(repcount, "dim_left_cell", lambda f, n, lam, K: lam)
+    assert len(dims_table(Family.ROOK, 6999, 1)) == 7000
+    assert len(dims_table(Family.PARTITION, 1528, 1)) == 1529
+    assert dims_table(Family.SYMMETRIC, 10**18, 5) == {10**18: 10**18}
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        dims_table(Family.ROOK, -1, 0)
+    with pytest.raises(PreconditionError, match="K must be positive"):
+        dims_table(Family.ROOK, 1, 0)
 
 
 def test_dim_left_cell_rejects_bad_lambda():

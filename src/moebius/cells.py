@@ -12,7 +12,6 @@ image of a bottom half).
 from __future__ import annotations
 
 import enum
-import hashlib
 import itertools
 import json
 import os
@@ -188,6 +187,10 @@ def _cache_path(cache_dir: str, f: Family, n: int, lam: int) -> str:
 
 
 def _cache_checksum(literals: list[str]) -> str:
+    # imported on first cache use: hashlib loads OpenSSL, about 3.7 MiB of
+    # resident memory that a process with no --cache-dir never needs
+    import hashlib
+
     return hashlib.sha256("\n".join(literals).encode()).hexdigest()
 
 

@@ -89,17 +89,26 @@ def admissible_lambdas(f: Family, n: int) -> list[int]:
     Brauer-type families preserve the parity of n; the symmetric families
     only have bijective diagrams.
     """
-    if n < 0:
-        raise PreconditionError("n must be nonnegative")
-    if f in (Family.SYMMETRIC, Family.PLANAR_SYMMETRIC):
-        return [n]
-    if f in (Family.BRAUER, Family.TEMPERLEY_LIEB):
-        return [lam for lam in range(n, -1, -1) if (n - lam) % 2 == 0]
-    return list(range(n, -1, -1))
+    least, step = _lambda_range(f, n)
+    return list(range(n, least - 1, -step))
 
 
 def check_lambda(f: Family, n: int, lam: int) -> None:
-    if lam not in admissible_lambdas(f, n):
+    """Raise unless lam is in ``admissible_lambdas(f, n)``, decided by
+    arithmetic: a dims table checks each of its n + 1 entries."""
+    least, step = _lambda_range(f, n)
+    if not (least <= lam <= n and (n - lam) % step == 0):
         raise PreconditionError(
             f"lambda={lam} is not admissible for {f.value} at n={n}"
         )
+
+
+def _lambda_range(f: Family, n: int) -> tuple[int, int]:
+    """(least admissible lambda, step between admissible lambdas down from n)."""
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
+    if f in (Family.SYMMETRIC, Family.PLANAR_SYMMETRIC):
+        return n, 1
+    if f in (Family.BRAUER, Family.TEMPERLEY_LIEB):
+        return n % 2, 2
+    return 0, 1

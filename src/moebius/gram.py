@@ -12,8 +12,8 @@ depends on the two half shapes alone, and only dead blocks carry
 decorations.  So the kernel takes one ``algebra._topology`` layout per
 ordered pair of half shapes, leaves a pair with fewer than lambda
 through components at 0, and fills every other pair's block from each
-half's decoration sums per component, evaluating each summed closed
-decoration once per matrix.
+half's decoration sums per component.  One table per matrix holds each
+distinct product of closed components' values, formed once.
 
 The pseudo-idempotent exists because the middle w of the composite
 always has an m with m w m = m among its own powers: if w has index i
@@ -123,10 +123,11 @@ def _gram_rows(tops, bottoms, n, lam, ps, mp) -> tuple[list[dict[int, Rat]], lis
     which also maps its blocks back to the top's) and the bottom's shape.
     A pair with fewer than lam through components stays 0.  Otherwise
     each half's (h, mob) sums over its blocks in every component are
-    taken once, and an entry multiplies the values of the closed
-    components' summed decorations, each evaluated once per call."""
+    taken once, and an entry is the product of the closed components'
+    values by summed decoration, each value and product formed once."""
     rows: list[dict[int, Rat]] = [{} for _ in tops]
     values: dict[tuple[int, int], Rat] = {}  # summed closed decoration -> value
+    products: dict = {}  # (closed components, radix) -> summed code -> entry
     walked: set = set()  # middles already walked, for this call only
     joined: list[list[int]] = []
 
@@ -156,16 +157,17 @@ def _gram_rows(tops, bottoms, n, lam, ps, mp) -> tuple[list[dict[int, Rat]], lis
 
             top_closed, bottom_closed = sums(closed)
             # digits below radix: a top's code plus a bottom's is the code
-            # of their summed closed decorations, with no carry
+            # of their summed closed decorations, with no carry, so with the
+            # component count and radix it names one product in the matrix
             radix = _largest(top_closed) + _largest(bottom_closed) + 1
-            products: dict[int, Rat] = {}  # summed code -> entry, for this pair
+            table = products.setdefault((len(closed), radix), {})
             bcodes = [(c, _code(b, radix), b) for c, b in bottom_closed.items()]
             for r, t in top_closed.items():
                 row, tcode = rows[r], _code(t, radix)
                 for c, bcode, b in bcodes:
-                    x = products.get(tcode + bcode)
+                    x = table.get(tcode + bcode)
                     if x is None:
-                        x = products[tcode + bcode] = prod(
+                        x = table[tcode + bcode] = prod(
                             [value((th + bh, tm + bm)) for (th, tm), (bh, bm) in zip(t, b)],
                             start=_ONE,
                         )
@@ -264,7 +266,11 @@ def exact_rank(mat) -> RankReport:
     split into the connected components of its nonzero pattern (i ~ j when
     entry (i, j) or (j, i) is nonzero).  Permuting rows and columns alike
     puts it in block-diagonal form without changing the determinant, so
-    ranks add and determinants multiply over the components.
+    ranks add and determinants multiply over the components.  Within one
+    call, a block of the same entry objects as an earlier one (as the
+    kernel's shared products give equal blocks) reuses its integer rows,
+    and one with the same integer rows, as every block of a rook cell has,
+    reuses its (rank, det); its own row scales still divide the determinant.
     """
     if isinstance(mat, GramMatrix):
         squares = [square for _, square in mat.blocks]
@@ -273,13 +279,20 @@ def exact_rank(mat) -> RankReport:
         if any(len(r) != len(squares[0]) for r in squares[0]):
             return _bareiss(squares[0])  # not square: one elimination, or the row-length error
     rank, det, scale = 0, 1, 1
+    converted: dict = {}  # entry ids (the squares keep them alive) -> _integer_rows
+    eliminated: dict = {}  # integer rows -> (rank, det)
     for square in squares:
-        work, block_scale = _integer_rows(square)
+        ids = tuple([tuple(map(id, row)) for row in square])
+        if ids not in converted:
+            converted[ids] = _integer_rows(square)
+        work, block_scale = converted[ids]
         scale *= block_scale
-        for comp in _pattern_components(work):
-            comp_rank, comp_det = _eliminate([[work[i][j] for j in comp] for i in comp])
-            rank += comp_rank
-            det *= comp_det
+        found = eliminated.get(work)
+        if found is None:
+            comps = [_eliminate([[work[i][j] for j in c] for i in c]) for c in _pattern_components(work)]
+            found = eliminated[work] = sum(r for r, _ in comps), prod(d for _, d in comps)
+        rank += found[0]
+        det *= found[1]
     return RankReport(rank=rank, det=Fraction(det, scale))
 
 
@@ -290,15 +303,15 @@ def _pattern_components(rows) -> list[list[int]]:
     return _index_components(len(rows), edges)
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
+def _integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Each row of int or Fraction entries times the lcm of its
-    denominators, and the product of those lcms."""
+    denominators, as a tuple of row tuples, and the product of those lcms."""
     work, scale = [], 1
     for row in rows:
         row_scale = lcm(*(x.denominator for x in row))
         scale *= row_scale
-        work.append([x.numerator * (row_scale // x.denominator) for x in row])
-    return work, scale
+        work.append(tuple([x.numerator * (row_scale // x.denominator) for x in row]))
+    return tuple(work), scale
 
 
 def _bareiss(rows) -> RankReport:
@@ -312,7 +325,7 @@ def _bareiss(rows) -> RankReport:
     if any(len(r) != ncols for r in rows):
         raise PreconditionError("matrix rows have unequal lengths")
     work, scale = _integer_rows(rows)
-    rank, det = _eliminate(work)
+    rank, det = _eliminate(list(map(list, work)))
     return RankReport(rank=rank, det=None if det is None else Fraction(det, scale))
 
 

@@ -1,6 +1,8 @@
 """Half-diagram enumeration, cell coordinates, Green's cross-checks,
 strict idempotents, apex tables, and the enumeration cache."""
 import itertools
+import os
+import subprocess
 import sys
 
 import pytest
@@ -349,6 +351,25 @@ def test_enumeration_cache_roundtrip(tmp_path):
     files[0].write_text(json.dumps(payload))
     fourth = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
     assert first == fourth
+
+
+def test_only_cache_use_imports_hashlib(tmp_path):
+    # hashlib loads OpenSSL, about 3.7 MiB resident: a process that builds
+    # and ranks a Gram matrix with no cache directory never imports it
+    code = (
+        "import sys\n"
+        "from moebius import Family, cli, exact_rank, gram_matrix, validate_params\n"
+        "from moebius.cells import enumerate_half_diagrams\n"
+        "ps = validate_params([1], [1], [0], [1, -1])\n"
+        "exact_rank(gram_matrix(Family.ROOK, 3, 1, ps))\n"
+        "before = 'hashlib' in sys.modules\n"
+        f"enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir={str(tmp_path)!r})\n"
+        "print(before, 'hashlib' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cells_mod.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_cache_store_failure_keeps_the_old_file(tmp_path, monkeypatch):

@@ -17,10 +17,13 @@ from moebius import (
     simple_dimension,
     validate_params,
 )
+from moebius import gram
 from moebius.cells import enumerate_half_diagrams
 from moebius.diagram import render_diagram
 from moebius.families import admissible_lambdas
 from moebius.gram import (
+    GramMatrix,
+    RankReport,
     _bareiss,
     _pattern_components,
     gram_to_csv,
@@ -326,17 +329,90 @@ def test_blockwise_rank_on_gram_grid():
 
 
 @pytest.mark.parametrize("abc, rank", [((1, 1, 0), 270), ((1, 1, 1), 10)])
-def test_headline_stores_only_its_kernel_blocks(abc, rank):
+def test_headline_stores_only_its_kernel_blocks(abc, rank, monkeypatch):
     # 10 of the 100 pairs of half shapes survive, each a 27x27 block: the
-    # matrix stores 7,290 entries, not 72,900, and rank forms no others
+    # matrix stores 7,290 entries, not 72,900, and rank forms no others.
+    # Each block's 729 entries take the same 125 distinct products, formed
+    # once for the matrix (not 1,250 times), and the ten equal blocks take
+    # one elimination.
+    calls = {"prod": 0, "_eliminate": 0}
+    for name in calls:
+        monkeypatch.setattr(gram, name, _counting(calls, name, getattr(gram, name)))
     g = gram_matrix(Family.ROOK, 5, 2, geometric(*abc))
+    assert calls == {"prod": 125, "_eliminate": 0}
     assert [len(idx) for idx, _ in g.blocks] == [27] * 10
     assert sum(len(row) for _, square in g.blocks for row in square) == 7_290
     report = exact_rank(g)
+    assert calls["_eliminate"] == 1
     assert "entries" not in vars(g)  # the dense view is formed when first read
     assert report.rank == rank
     assert report == _bareiss(g.entries)
     assert len(g.entries) == 270 and "entries" in vars(g)
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_equal_blocks_are_eliminated_once_and_each_keeps_its_scale(monkeypatch):
+    # the second block equals the first in fresh Fraction objects, the third
+    # is the first halved (the same integer rows, each row scale doubled),
+    # and the fourth is the first's own rows: one elimination serves them.
+    # The fifth, of the same size, differs and takes its own.
+    calls = {"_eliminate": 0}
+    monkeypatch.setattr(gram, "_eliminate", _counting(calls, "_eliminate", gram._eliminate))
+    square = ((Fraction(1, 3), Fraction(2)), (Fraction(5), Fraction(-1, 2)))
+    copies = [
+        square,
+        tuple(tuple(Fraction(x.numerator, x.denominator) for x in row) for row in square),
+        tuple(tuple(x / 2 for x in row) for row in square),
+        square,
+        ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(3))),
+    ]
+    blocks = tuple(((2 * k, 2 * k + 1), sq) for k, sq in enumerate(copies))
+    g = GramMatrix(Family.ROOK, 3, 1, tuple(enumerate_half_diagrams(Family.ROOK, 3, 1, 1))[:10], blocks)
+    report = exact_rank(g)
+    assert calls["_eliminate"] == 2
+    assert report == RankReport(10, Fraction(-61, 6) ** 4 / 4 * 3) == _bareiss(g.entries)
+
+
+def test_rook_cells_rank_by_blocks_and_by_the_kronecker_formula():
+    # every diagonal block of a rook cell is A_1^(x)(n - lambda), A_1 the
+    # 3K x 3K one-strand matrix: rank C(n, lambda) rank(A_1)^(n - lambda)
+    # and det det(A_1)^((n - lambda) (3K)^(n - lambda - 1) C(n, lambda)).
+    # Cells up to dim 300 are also ranked by one dense elimination.
+    formula = 0
+    for f in (Family.ROOK, Family.PLANAR_ROOK):
+        for K in (1, 2):
+            for ps in GRID_PARAMS[K]:
+                a1 = exact_rank(gram_matrix(f, 1, 0, ps))
+                for n in range(5):
+                    for lam in range(n + 1):
+                        if dim_left_cell(f, n, lam, K) > 300:
+                            continue
+                        g = gram_matrix(f, n, lam, ps)
+                        report = exact_rank(g)
+                        assert report == _bareiss(g.entries), (f, n, lam, K)
+                        assert report == _kronecker_report(a1, n, lam, K), (f, n, lam, K)
+                        formula += a1.det not in (0, 1, -1)
+    assert formula >= 20  # the determinant exponent is tested, not only its sign
+    for abc, rank in (((1, 1, 0), 1_458), ((1, 1, 1), 6)):
+        ps = geometric(*abc)
+        g = gram_matrix(Family.ROOK, 6, 1, ps)
+        assert [len(idx) for idx, _ in g.blocks] == [243] * 6
+        report = exact_rank(g)
+        assert report.rank == rank
+        assert report == _kronecker_report(exact_rank(gram_matrix(Family.ROOK, 1, 0, ps)), 6, 1, 1)
+
+
+def _kronecker_report(a1, n, lam, K):
+    lbar = n - lam
+    exponent = lbar * (3 * K) ** (lbar - 1) * comb(n, lam) if lbar else 0
+    return RankReport(comb(n, lam) * a1.rank**lbar, a1.det**exponent)
 
 
 def test_gram_symmetry_under_mirrored_orderings():

@@ -26,6 +26,7 @@ from moebius import (
     prime_field,
     s_value,
 )
+from moebius.families import admissible_lambdas, check_lambda
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +281,22 @@ def test_dim_left_cell_rejects_bad_lambda():
         dim_left_cell(Family.BRAUER, 3, 2, 1)
     with pytest.raises(PreconditionError):
         dim_left_cell(Family.SYMMETRIC, 3, 2, 1)
+
+
+def test_check_lambda_accepts_exactly_the_admissible_lambdas():
+    # decided by arithmetic, it agrees with the listed range everywhere
+    for f in Family:
+        for n in range(13):
+            admitted = set(admissible_lambdas(f, n))
+            for lam in range(-1, n + 2):
+                if lam in admitted:
+                    check_lambda(f, n, lam)
+                else:
+                    with pytest.raises(PreconditionError) as err:
+                        check_lambda(f, n, lam)
+                    assert str(err.value) == f"lambda={lam} is not admissible for {f.value} at n={n}"
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            check_lambda(f, -1, 0)
 
 
 # ---------------------------------------------------------------------------

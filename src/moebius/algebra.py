@@ -20,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import prod
 from operator import itemgetter
 
 from .diagram import Diagram, least_node_key, node_key, render_diagram
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError, PreconditionError, check_guard
 from .msmall import _index_components, cayley_of_m
 from .params import (
     MonoidParams,
@@ -208,22 +210,47 @@ def _merge_diagrams(f: Diagram, g: Diagram):
 # ---------------------------------------------------------------------------
 
 
-def _expand_handles(blocks: list, coeff: Rat, ps: ParamSet, acc: dict, n: int, m: int):
-    """Rewrite blocks with h >= K one at a time until all handle counts
-    drop below K; terminates since each rewrite lowers that block's h.
-    Blocks stay in canonical order, since a rewrite moves no node."""
-    for idx, (nodes, h, mob) in enumerate(blocks):
-        if h >= ps.K:
-            for i in range(1, ps.M_deg + 1):
-                ai = ps.handle_coeffs[i - 1]
-                if ai == 0:
-                    continue
-                nxt = list(blocks)
-                nxt[idx] = (nodes, h - i, mob)
-                _expand_handles(nxt, coeff * (-1) ** (i + 1) * ai, ps, acc, n, m)
-            return
-    d = Diagram(n, m, tuple(blocks))
-    acc[d] = acc.get(d, Fraction(0)) + coeff
+HANDLE_GUARD = 100_000  # exponents rewritten in one expansion, and its terms
+
+
+def _expand_handles(blocks: list, coeff: Rat, ps: ParamSet, n: int, m: int) -> dict:
+    """Diagram -> coefficient, once every block's h is below K.
+
+    The blocks rewrite independently, so each distinct h is reduced once by
+    ``_reduce_handles`` and the result multiplies out the reduced blocks.
+    The exponents to rewrite, then the terms, are charged to HANDLE_GUARD
+    before either is formed.  Blocks stay in canonical order, since a
+    rewrite moves no node."""
+    high = [i for i, (_, h, _) in enumerate(blocks) if h >= ps.K]
+    distinct = {blocks[i][1] for i in high}
+    steps = sum(h - ps.K + 1 for h in distinct)
+    check_guard("the handle exponents to rewrite", steps, HANDLE_GUARD)
+    reduced = {h: _reduce_handles(h, ps) for h in distinct}
+    options = [reduced[blocks[i][1]] for i in high]
+    check_guard("the terms of the handle expansion", prod(map(len, options)), HANDLE_GUARD)
+    acc = {}
+    for choice in product(*options):
+        nxt, c = list(blocks), coeff
+        for i, (e, x) in zip(high, choice):
+            nodes, _, mob = blocks[i]
+            nxt[i] = (nodes, e, mob)
+            c *= x
+        acc[Diagram(n, m, tuple(nxt))] = c
+    return acc
+
+
+def _reduce_handles(h: int, ps: ParamSet) -> list[tuple[int, Rat]]:
+    """The (exponent below K, nonzero coefficient) pairs of h handles on
+    one block, rewritten h^e = sum_i (-1)^(i+1) a_i h^(e-i) from the top
+    exponent down, each exponent once."""
+    coeffs: list = [0] * (h + 1)
+    coeffs[h] = _ONE
+    signed = [(i, (-1) ** (i + 1) * a) for i, a in enumerate(ps.handle_coeffs, 1) if a]
+    for e in range(h, ps.K - 1, -1):
+        if coeffs[e]:
+            for i, a in signed:
+                coeffs[e - i] += a * coeffs[e]
+    return [(e, x) for e, x in enumerate(coeffs[: ps.K]) if x]
 
 
 def compose_diagrams(f: Diagram, g: Diagram, ps: ParamSet) -> LinComb:
@@ -241,9 +268,7 @@ def compose_diagrams(f: Diagram, g: Diagram, ps: ParamSet) -> LinComb:
     blocks = [(nodes,) + reduce_mob_pair(h, mob) for nodes, h, mob in open_blocks]
     if all(h < ps.K for _, h, _ in blocks):
         return LinComb(n, m, ((Diagram(n, m, tuple(blocks)), coeff),))
-    acc: dict[Diagram, Rat] = {}
-    _expand_handles(blocks, coeff, ps, acc, n, m)
-    return LinComb.make(n, m, acc)
+    return LinComb.make(n, m, _expand_handles(blocks, coeff, ps, n, m))
 
 
 def compose(f: LinComb, g: LinComb, ps: ParamSet) -> LinComb:

@@ -100,9 +100,11 @@ def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
     def lacking(reach: tuple[int, ...]) -> bool:
         return any(len(blocks[b][0]) + len(blocks[b][1]) < low for b in reach)
 
-    def place(k: int, tops: int, short: int, reach: tuple[int, ...]) -> None:
+    def place(k: int, tops: int, short: int, reach: tuple[int, ...]):
         # reach: the blocks node k may join, in opening order; short: the
-        # nodes that blocks below the rule's minimum still lack
+        # nodes that blocks below the rule's minimum still lack.  It yields
+        # each child's arguments while its own placement stands, and the
+        # loop below runs the children depth first, so n sets no depth limit
         if short + lam - tops > n - k + 1:
             return
         if k > n:
@@ -113,18 +115,24 @@ def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
             size = len(bots) + len(top)
             if len(bots) < side and size < high and not (f.planar and lacking(reach[i + 1 :])):
                 bots.append(k)
-                place(k + 1, tops, short - (size < low), reach[: i + 1] if f.planar else reach)
+                yield k + 1, tops, short - (size < low), reach[: i + 1] if f.planar else reach
                 bots.pop()
         new = len(blocks)
         bots = [k]
         blocks.append((bots, ()))
-        place(k + 1, tops, short + low - 1, reach + (new,))
+        yield k + 1, tops, short + low - 1, reach + (new,)
         if tops < lam and not (f.planar and lacking(reach)):
             blocks[-1] = (bots, (-(tops + 1),))
-            place(k + 1, tops + 1, short, (new,) if f.planar else reach + (new,))
+            yield k + 1, tops + 1, short, (new,) if f.planar else reach + (new,)
         blocks.pop()
 
-    place(1, 0, 0, ())
+    stack = [place(1, 0, 0, ())]  # the open branches, innermost last
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(place(*child))
     shapes.sort(key=Diagram.sort_key)
     return shapes
 
@@ -157,7 +165,10 @@ def enumerate_half_diagrams(
     if shapes is None:
         shapes = _half_shapes(f, n, lambda_ts)
         if cache_dir is not None:
-            _cache_store(cache_dir, f, n, lambda_ts, shapes)
+            try:
+                _cache_store(cache_dir, f, n, lambda_ts, shapes)
+            except OSError as exc:  # a cache_dir that cannot hold the file: a bad flag
+                raise ParseError(f"cannot write shape cache in {cache_dir}: {exc}") from None
     return [d for shape in shapes for d in _decorate(shape, K)]
 
 

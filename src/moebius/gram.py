@@ -10,10 +10,11 @@ q = 1 - T^r a handle rewrite multiplies by 1, so c is the product of
 blocks form those components, and how many through strands survive,
 depends on the two half shapes alone, and only dead blocks carry
 decorations.  So the kernel takes one ``algebra._topology`` layout per
-ordered pair of half shapes, leaves a pair with fewer than lambda
-through components at 0, and fills every other pair's block from each
-half's decoration sums per component.  One table per matrix holds each
-distinct product of closed components' values, formed once.
+ordered pair of half shapes, and leaves a pair with fewer than lambda
+through components at 0.  The other pairs join the shape groups into
+blocks, and their entries are written straight into each block's square
+from the halves' decoration sums per component.  One table per matrix
+holds each distinct product of closed components' values, formed once.
 
 The pseudo-idempotent exists because the middle w of the composite
 always has an m with m w m = m among its own powers: if w has index i
@@ -86,50 +87,56 @@ class RankReport:
 
 def gram_entry(bottom: Diagram, top: Diagram, ps: ParamSet, mp: MonoidParams) -> Rat:
     """Entry for the H-cell with the given bottom (column) and top (row)
-    half diagrams: the 1x1 case of ``gram_matrix``'s kernel, which stars
-    the top itself and runs the same regularity check."""
+    half diagrams: entry (0, 1) of ``gram_matrix``'s kernel run on
+    [top, bottom], which stars the top itself and runs the same
+    regularity check."""
     if mp != monoid_params_of(ps):
         raise PreconditionError("monoid parameters do not match the parameter set")
     if (top.n, top.m) != (bottom.n, bottom.m):
         raise PreconditionError("half diagrams come from different cells")
-    rows, _ = _gram_rows([top], [bottom], bottom.n, bottom.m, ps, mp)
-    return rows[0].get(0, _ZERO)
+    idx, square = _gram_blocks([top, bottom], bottom.n, bottom.m, ps, mp)[0]
+    return square[0][1] if len(idx) == 2 else _ZERO
 
 
 def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
     """Full Gram matrix over the canonical half-diagram ordering; rows are
-    the star images of the columns.  Its blocks join the halves of every
-    pair of half shapes that keeps lambda through components."""
+    the star images of the columns."""
     check_lambda(f, n, lambda_ts)
     mp = monoid_params_of(ps)
     check_guard("the Gram dimension", dim_left_cell(f, n, lambda_ts, mp.K), SIZE_GUARD)
     halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
-    rows, joined = _gram_rows(halves, halves, n, lambda_ts, ps, mp)
-    index_sets = _index_components(len(halves), ((pair[0], i) for pair in joined for i in pair))
-    blocks = tuple(
-        (tuple(idx), tuple(tuple(rows[i].get(j, _ZERO) for j in idx) for i in idx))
-        for idx in index_sets
-    )
-    return GramMatrix(f, n, lambda_ts, tuple(halves), blocks)
+    return GramMatrix(f, n, lambda_ts, tuple(halves), _gram_blocks(halves, n, lambda_ts, ps, mp))
 
 
-def _gram_rows(tops, bottoms, n, lam, ps, mp) -> tuple[list[dict[int, Rat]], list[list[int]]]:
-    """Entries for rows tops (through their star images) and columns
-    bottoms, all halves n -> lam, one pair of half shapes at a time, as a
-    sparse dict per row, and the indices of each pair that can be nonzero.
+def _gram_blocks(halves, n, lam, ps, mp) -> tuple:
+    """``GramMatrix.blocks`` with rows halves (through their star images)
+    and the same halves as columns, all n -> lam.
 
-    The stack of star(top) under bottom is laid out by
-    ``algebra._topology`` from the star's shape (``diagram._star_layout``,
-    which also maps its blocks back to the top's) and the bottom's shape.
-    A pair with fewer than lam through components stays 0.  Otherwise
-    each half's (h, mob) sums over its blocks in every component are
-    taken once, and an entry is the product of the closed components'
-    values by summed decoration, each value and product formed once."""
-    rows: list[dict[int, Rat]] = [{} for _ in tops]
+    Each ordered pair of shape groups is laid out once by
+    ``algebra._topology``, from the star's shape (``diagram._star_layout``
+    maps its blocks back to the top's) and the bottom's.  A pair with
+    fewer than lam through components stays 0; the kept pairs join the
+    groups into blocks, each with one square, and each kept pair's entries
+    go straight into its block's square."""
+    grouped = _group(enumerate(map(_shape, halves)))  # shape -> its halves' indices
+    groups = list(grouped.values())
+    kept = []  # (top group, bottom group, star layout, through, closed)
+    for a, top_shape in enumerate(grouped):
+        layout = _star_layout(top_shape)
+        star_shape = tuple([nodes for nodes, _ in layout])
+        for b, bottom_shape in enumerate(grouped):
+            opened, closed = algebra._topology(star_shape, bottom_shape, n)
+            through = [members for nodes, members in opened if nodes[0] > 0 > nodes[-1]]
+            if len(through) >= lam:
+                kept.append((a, b, layout, through, closed))
+    comps = _index_components(len(groups), (pair[:2] for pair in kept))
+    block_of = {a: k for k, comp in enumerate(comps) for a in comp}
+    index_sets = [tuple(sorted(i for a in comp for i in groups[a])) for comp in comps]
+    pos = {i: p for idx in index_sets for p, i in enumerate(idx)}  # half -> place in its block
+    squares = [[[_ZERO] * len(idx) for _ in idx] for idx in index_sets]
     values: dict[tuple[int, int], Rat] = {}  # summed closed decoration -> value
     products: dict = {}  # (closed components, radix) -> summed code -> entry
     walked: set = set()  # middles already walked, for this call only
-    joined: list[list[int]] = []
 
     def value(dec):
         x = values.get(dec)
@@ -137,52 +144,45 @@ def _gram_rows(tops, bottoms, n, lam, ps, mp) -> tuple[list[dict[int, Rat]], lis
             x = values[dec] = evaluate_closed(dec, ps)
         return x
 
-    bottom_groups = _group(enumerate(map(_shape, bottoms))).items()
-    for top_shape, top_idx in _group(enumerate(map(_shape, tops))).items():
-        layout = _star_layout(top_shape)
-        star_shape = tuple([nodes for nodes, _ in layout])
-        offset = len(layout)
-        for bottom_shape, bottom_idx in bottom_groups:
-            opened, closed = algebra._topology(star_shape, bottom_shape, n)
-            through = [members for nodes, members in opened if nodes[0] > 0 > nodes[-1]]
-            if len(through) < lam:
-                continue
-            joined.append(top_idx + bottom_idx)
+    for top, bottom, layout, through, closed in kept:
+        offset, square = len(layout), squares[block_of[top]]
 
-            def sums(comps):
-                # (top index -> sums, bottom index -> sums) over comps
-                top_parts = [[layout[i][1] for i in c if i < offset] for c in comps]
-                bottom_parts = [[i - offset for i in c if i >= offset] for c in comps]
-                return _sums(tops, top_idx, top_parts), _sums(bottoms, bottom_idx, bottom_parts)
+        def sums(comps):
+            # (top place -> sums, bottom place -> sums) over comps
+            top_parts = [[layout[i][1] for i in c if i < offset] for c in comps]
+            bottom_parts = [[i - offset for i in c if i >= offset] for c in comps]
+            return (_sums(halves, pos, groups[top], top_parts),
+                    _sums(halves, pos, groups[bottom], bottom_parts))
 
-            top_closed, bottom_closed = sums(closed)
-            # digits below radix: a top's code plus a bottom's is the code
-            # of their summed closed decorations, with no carry, so with the
-            # component count and radix it names one product in the matrix
-            radix = _largest(top_closed) + _largest(bottom_closed) + 1
-            table = products.setdefault((len(closed), radix), {})
-            bcodes = [(c, _code(b, radix), b) for c, b in bottom_closed.items()]
-            for r, t in top_closed.items():
-                row, tcode = rows[r], _code(t, radix)
-                for c, bcode, b in bcodes:
-                    x = table.get(tcode + bcode)
-                    if x is None:
-                        x = table[tcode + bcode] = prod(
-                            [value((th + bh, tm + bm)) for (th, tm), (bh, bm) in zip(t, b)],
-                            start=_ONE,
-                        )
-                    row[c] = x
-            _check_pair_keys(tops, bottoms, rows, *sums(through), ps, mp, walked)
-    return rows, joined
+        top_closed, bottom_closed = sums(closed)
+        # digits below radix: a top's code plus a bottom's is the code of
+        # their summed closed decorations, with no carry, so with the
+        # component count and radix it names one product in the matrix
+        radix = _largest(top_closed) + _largest(bottom_closed) + 1
+        table = products.setdefault((len(closed), radix), {})
+        bcodes = [(c, _code(b, radix), b) for c, b in bottom_closed.items()]
+        for r, t in top_closed.items():
+            row, tcode = square[r], _code(t, radix)
+            for c, bcode, b in bcodes:
+                x = table.get(tcode + bcode)
+                if x is None:
+                    x = table[tcode + bcode] = prod(
+                        [value((th + bh, tm + bm)) for (th, tm), (bh, bm) in zip(t, b)],
+                        start=_ONE,
+                    )
+                row[c] = x
+        members = [halves[i] for i in index_sets[block_of[top]]]
+        _check_pair_keys(members, square, *sums(through), ps, mp, walked)
+    return tuple(zip(index_sets, (tuple(map(tuple, square)) for square in squares)))
 
 
 def _shape(half: Diagram) -> tuple:
     return tuple([nodes for nodes, _, _ in half.blocks])
 
 
-def _sums(halves, idx, parts) -> dict[int, tuple]:
-    """Index -> the half's (h, mob) sums over each part's blocks."""
-    return {k: tuple([_summed(halves[k].blocks, part) for part in parts]) for k in idx}
+def _sums(halves, pos, idx, parts) -> dict[int, tuple]:
+    """Place in its block -> the half's (h, mob) sums over each part's blocks."""
+    return {pos[k]: tuple([_summed(halves[k].blocks, part) for part in parts]) for k in idx}
 
 
 def _largest(sums) -> int:
@@ -197,7 +197,7 @@ def _code(decs, radix) -> int:
     return code
 
 
-def _check_pair_keys(tops, bottoms, rows, top_through, bottom_through, ps, mp, walked) -> None:
+def _check_pair_keys(members, square, top_through, bottom_through, ps, mp, walked) -> None:
     """The regularity check, once per distinct key of one shape pair.
 
     A key is the through components' summed decorations, multiplied in M
@@ -214,19 +214,19 @@ def _check_pair_keys(tops, bottoms, rows, top_through, bottom_through, ps, mp, w
             key = tuple(m_mul(MElem(*t), MElem(*b), mp) for t, b in zip(t_through, b_through))
             if key in seen:
                 continue
-            rep = next(((r, c) for r in rs for c in cs if rows[r][c]), None)
+            rep = next(((r, c) for r in rs for c in cs if square[r][c]), None)
             if rep is None:
                 continue
             seen.add(key)
             r, c = rep
-            x = algebra.compose_diagrams(bottoms[c], star(tops[r]), ps)
+            x = algebra.compose_diagrams(members[c], star(members[r]), ps)
             if (
                 len(x.terms) != 1
-                or x.terms[0][1] != rows[r][c]
-                or through_strands(x.terms[0][0]) < bottoms[c].m
+                or x.terms[0][1] != square[r][c]
+                or through_strands(x.terms[0][0]) < members[c].m
             ):
                 raise InternalCheckError(
-                    f"shape-pair entry {format_rational(rows[r][c])} disagrees with "
+                    f"shape-pair entry {format_rational(square[r][c])} disagrees with "
                     f"the composite {x.to_json()}"
                 )
             w_mid = factorize(x.terms[0][0], mp).middle

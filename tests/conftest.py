@@ -258,6 +258,24 @@ def oracle_compose_diagrams(f: Diagram, g: Diagram, ps) -> LinComb:
     return LinComb.make(g.n, f.m, acc)
 
 
+def oracle_expand_handles(blocks: list, coeff, ps, acc: dict, n: int, m: int) -> None:
+    """Handle expansion as one recursion per rewrite: the first block with
+    h >= K branches once per nonzero a_i into h - i, until every h < K,
+    and each leaf adds its coefficient to acc."""
+    for idx, (nodes, h, mob) in enumerate(blocks):
+        if h >= ps.K:
+            for i in range(1, ps.M_deg + 1):
+                ai = ps.handle_coeffs[i - 1]
+                if ai == 0:
+                    continue
+                nxt = list(blocks)
+                nxt[idx] = (nodes, h - i, mob)
+                oracle_expand_handles(nxt, coeff * (-1) ** (i + 1) * ai, ps, acc, n, m)
+            return
+    d = Diagram(n, m, tuple(blocks))
+    acc[d] = acc.get(d, Fraction(0)) + coeff
+
+
 def oracle_monoid_compose(x: Diagram | None, y: Diagram | None, mp, evals) -> Diagram | None:
     """Monoid composition from the breadth-first merge, built by ``Diagram.make``."""
     if x is None or y is None:

@@ -12,6 +12,7 @@ from moebius import (
     LinComb,
     MonoidParams,
     PreconditionError,
+    ResourceGuardError,
     all_ones_evals,
     compose,
     compose_diagrams,
@@ -25,6 +26,7 @@ from moebius import (
     validate_params,
 )
 from moebius.algebra import (
+    _expand_handles,
     _merge_diagrams,
     _topology,
     lincomb_scale,
@@ -40,7 +42,9 @@ from conftest import (
     family_shapes,
     oracle_compose,
     oracle_compose_diagrams,
+    oracle_expand_handles,
     oracle_monoid_compose,
+    random_diagram,
     random_family_diagram,
     random_paramsets,
 )
@@ -105,6 +109,62 @@ def test_handle_expansion_two_terms():
         parse_diagram("1;1;{1,1'}[0,0]"): Fraction(1),
     }
     assert out.term_dict() == want
+
+
+def test_handle_expansion_matches_the_recursive_oracle():
+    # each block reduced once per exponent and the blocks multiplied out
+    # give the terms of one recursion per rewrite, coefficient for
+    # coefficient, on random open blocks under random parameter sets
+    rng = random.Random(23)
+    sets = random_paramsets(rng, 30) + [validate_params([1, 1], [1], [2], [1, -1, -1])]
+    multi = 0
+    for ps in sets:
+        for _ in range(12):
+            d = random_diagram(rng, rng.randint(1, 3), rng.randint(1, 3), max_h=3 * ps.K, max_mob=2)
+            coeff = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            blocks = list(d.blocks)
+            want: dict = {}
+            oracle_expand_handles(blocks, coeff, ps, want, d.n, d.m)
+            got = LinComb.make(d.n, d.m, _expand_handles(blocks, coeff, ps, d.n, d.m))
+            assert got == LinComb.make(d.n, d.m, want), (ps, d)
+            assert all(type(c) is Fraction for _, c in got.terms)
+            multi += len(got.terms) > 1
+    assert multi > 50
+
+
+def test_handle_expansion_is_linear_in_the_handle_count():
+    # q = 1 - T - T^2 makes h^e = h^(e-1) + h^(e-2): Fibonacci coefficients,
+    # which one recursion per rewrite takes 2^40 steps to reach
+    ps = validate_params([1], [1], [1], [1, -1, -1])
+    out = compose(lc("1;1;{1,1'}[40,0]"), lc("1;1;{1,1'}[0,0]"), ps)
+    assert out.term_dict() == {
+        parse_diagram("1;1;{1,1'}[0,0]"): Fraction(63245986),
+        parse_diagram("1;1;{1,1'}[1,0]"): Fraction(102334155),
+    }
+    # a handle count deeper than the interpreter's recursion limit
+    ones = validate_params([1], [1], [1], [1, -1])
+    out = compose(lc("1;1;{1,1'}[3000,0]"), lc("1;1;{1,1'}[0,0]"), ones)
+    assert out.term_dict() == {parse_diagram("1;1;{1,1'}[0,0]"): Fraction(1)}
+
+
+def test_handle_expansion_guard_trips_before_the_work(monkeypatch):
+    # the exponents to rewrite and the terms are each charged first: a
+    # handle count of 10^12, or 2^17 terms from 17 blocks of two terms each
+    from moebius import algebra
+
+    calls = []
+    reduce = algebra._reduce_handles
+    monkeypatch.setattr(algebra, "_reduce_handles", lambda h, ps: calls.append(h) or reduce(h, ps))
+    ones = validate_params([1], [1], [1], [1, -1])
+    with pytest.raises(ResourceGuardError, match="handle exponents to rewrite is 1000000000000"):
+        compose(lc("1;1;{1,1'}[1000000000000,0]"), lc("1;1;{1,1'}[0,0]"), ones)
+    assert calls == []
+    fib = validate_params([1], [1], [1], [1, -1, -1])
+    blocks = [((k,), 2, 0) for k in range(1, 18)]
+    with pytest.raises(ResourceGuardError, match="terms of the handle expansion is 131072"):
+        algebra._expand_handles(blocks, Fraction(1), fib, 17, 0)
+    assert calls == [2]
+    assert len(algebra._expand_handles(blocks[:16], Fraction(1), fib, 16, 0)) == 2**16
 
 
 def test_equal_examples(ps_geometric_2):

@@ -27,6 +27,7 @@ from moebius import (
 from moebius import cells as cells_mod
 from moebius.cells import (
     build_jcell,
+    checked_dims,
     enumerate_family_monoid,
     family_monoid_cayley,
     jcell_size,
@@ -110,24 +111,29 @@ def test_half_shapes_match_the_set_partition_oracle(monkeypatch):
 
 
 def test_every_branch_of_the_half_shape_walk_ends_in_a_member():
-    # a call of the walk either stops at once (no further call), keeps a
-    # shape, or makes further calls; one that makes further calls must
-    # keep at least one shape below it, so the walk's work is bounded by
-    # its output: at most k + 1 calls from the call that places node k
-    stack = []  # [shapes kept at entry, further calls made]
+    # a placement of the walk either stops at once (no child), keeps a
+    # shape, or yields children; one that yields children must keep at
+    # least one shape below it, so the walk's work is bounded by its
+    # output: at most k + 1 children from the placement of node k.  Each
+    # placement is a generator: the profiler sees a "call" each time it
+    # resumes and a "return" each time it yields a child or ends
+    open_ = {}  # placement frame -> [shapes kept at entry, children yielded]
     dead = []
+    seen = {"placements": 0, "children": 0}
 
     def watch(frame, event, arg):
         if frame.f_code.co_name != "place":
             return
         kept = len(frame.f_locals["shapes"])
-        if event == "call":
-            if stack:
-                stack[-1][1] += 1
-            stack.append([kept, 0])
+        if event == "call" and frame not in open_:
+            open_[frame] = [kept, 0]
+        elif event == "return" and arg is not None:
+            open_[frame][1] += 1
+            seen["children"] += 1
         elif event == "return":
-            entry, calls = stack.pop()
-            if calls and kept == entry:
+            entry, children = open_.pop(frame)
+            seen["placements"] += 1
+            if children and kept == entry:
                 dead.append(frame.f_locals["k"])
 
     for f in Family:
@@ -138,7 +144,19 @@ def test_every_branch_of_the_half_shape_walk_ends_in_a_member():
                     cells_mod._half_shapes(f, n, lam)
                 finally:
                     sys.setprofile(None)
-                assert not dead, (f, n, lam, dead)
+                assert not dead and not open_, (f, n, lam, dead)
+    # every placement but each walk's first is some placement's child
+    walks = sum(len(admissible_lambdas(f, n)) for f in Family for n in range(7))
+    assert seen["children"] == seen["placements"] - walks > 10_000
+
+
+def test_the_half_shape_walk_is_not_bounded_by_the_recursion_limit():
+    # every family with lambda = n has one half shape, the identity's
+    # bottom; its walk places n nodes one below another
+    for f in Family:
+        if 1200 in admissible_lambdas(f, 1200):
+            assert len(cells_mod._half_shapes(f, 1200, 1200)) == 1, f
+    assert checked_dims(Family.SYMMETRIC, 1200, 1) == {1200: 1}
 
 
 def test_halves_are_canonical_as_built(tmp_path, monkeypatch):

@@ -213,6 +213,19 @@ def test_dims_with_check_and_cache(capsys, tmp_path):
     assert doc["result"]["dims"] == {"1": 12, "3": 1}
 
 
+def test_an_unusable_cache_dir_is_a_parse_error(capsys, tmp_path):
+    # a path that is a file, or lies under one, cannot hold the shape
+    # cache: exit 2 with one line, as for an unreadable parameter file
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    for cache in ("/dev/null", str(plain), str(plain / "sub")):
+        code = main(["dims", "--family", "rook", "--n", "2", "--K", "1", "--check",
+                     "--cache-dir", cache])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: cannot write shape cache in {cache}: ")
+
+
 def test_dims_csv_output(capsys):
     code, out = run_cli(capsys, "--stable", "dims", "--family", "rook", "--n", "2",
                         "--K", "1", "--output", "csv")

@@ -124,6 +124,13 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     add("compose", "1;1;{1,1'}[1,0]", "1;1;{1,1'}[1,2]", "--params", "@pK2.json")
     add("compose", "2;2;{1,2}[0,0]|{1',2'}[0,0]", "2;2;{1,2}[1,1]|{1',2'}[0,2]",
         "--params", "@pK3.json")
+    # deeper than the interpreter's recursion limit: walks of 1,200 nodes, a
+    # handle count of 3,000, and h = 40 at q = 1 - T - T^2 (2^40 paths)
+    add("dims", "--family", "symmetric", "--n", "1200", "--K", "1", "--check")
+    add("gram", "--family", "rook", "--n", "1200", "--lambda", "1200", "--params", "@p211.json",
+        "--no-matrix")
+    add("compose", "1;1;{1,1'}[3000,0]", "1;1;{1,1'}[0,0]", "--params", "@p211.json")
+    add("compose", "1;1;{1,1'}[40,0]", "1;1;{1,1'}[0,0]", "--params", "@nonmonomial.json")
     add("normalize", "1;1;{1,1'}[5,4]")
     add("normalize", "1;1;{1,1'}[5,4]", "--K", "3", "--r", "3")
     add("normalize", DECORATED_F, "--K", "2", "--r", "1")
@@ -174,6 +181,7 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     for bad in ("@truncated.json", "@nokey.json", "@notarrays.json"):
         add("gram", "--family", "rook", "--n", "1", "--lambda", "0", "--params", bad)
     add("rank", "--matrix", "@truncated-matrix.json")
+    add("dims", "--family", "rook", "--n", "2", "--K", "1", "--check", "--cache-dir", "/dev/null")
     # exit 3: contracts and flag combinations
     add("dims", "--family", "nope", "--n", "2", "--K", "1")
     add("dims", "--family", "rook", "--n", "-1", "--K", "1")
@@ -231,6 +239,7 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
         add("gram-det", "--n", n, "--alpha0", "3", "--beta0", "1/2", "--gamma0", "-1")
     add("count-simples", "--family", "planar-partition", "--n", "10000", "--lambda", "10000",
         "--field", "char0bar", "--r", "1")
+    add("compose", "1;1;{1,1'}[1000000000000,0]", "1;1;{1,1'}[0,0]", "--params", "@p211.json")
     # exit 4 before a trial division of about 10^9 steps starts
     for field in (("rationals", "--r", "1000000000000000001"),
                   ("fp", "--p", "1000000000000000003", "--r", "1")):

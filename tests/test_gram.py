@@ -297,12 +297,37 @@ GRID_PARAMS = {1: [geometric(2, 1, 3), geometric(1, 1, 0)],
 
 def _assert_blocks_partition_the_matrix(g):
     """g.blocks' index sets partition range(dim) into ascending sets by
-    least index, each stored with its square of entries."""
+    least index, each stored with its square of entries and each a union
+    of whole shape groups (the halves of one undecorated shape)."""
     idx_sets = [idx for idx, _ in g.blocks]
     assert sorted(i for idx in idx_sets for i in idx) == list(range(len(g.labels)))
     assert all(list(idx) == sorted(idx) for idx in idx_sets)
     assert [idx[0] for idx in idx_sets] == sorted(idx[0] for idx in idx_sets)
     assert all({len(square), *map(len, square)} == {len(idx)} for idx, square in g.blocks)
+    block_of_shape = {}
+    for k, idx in enumerate(idx_sets):
+        for i in idx:
+            shape = tuple(nodes for nodes, _, _ in g.labels[i].blocks)
+            assert block_of_shape.setdefault(shape, k) == k, (g.family, g.n, g.lambda_ts, i)
+
+
+def test_gram_entry_is_the_kernel_entry_on_every_small_cell():
+    # gram_entry runs the kernel on [top, bottom]; it must give entry
+    # (i, j) of the whole matrix, zero or not, in every family at K = 1, 2
+    compared = nonzero = 0
+    cells = [(f, n, lam, K) for f, n, lam, K in GRAM_GRID if dim_left_cell(f, n, lam, K) <= 40]
+    for f, n, lam, K in cells:
+        ps = GRID_PARAMS[K][0]
+        mp = monoid_params_of(ps)
+        g = gram_matrix(f, n, lam, ps)
+        for i, top in enumerate(g.labels):
+            for j, bottom in enumerate(g.labels):
+                x = gram_entry(bottom, top, ps, mp)
+                assert x == g.entries[i][j] and type(x) is Fraction, (f, n, lam, K, i, j)
+                compared += 1
+                nonzero += x != 0
+    assert {f for f, *_ in cells} == set(Family) and {K for *_, K in cells} == {1, 2}
+    assert compared > 10_000 and 0 < nonzero < compared
 
 
 def test_blockwise_rank_on_gram_grid():

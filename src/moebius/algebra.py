@@ -25,7 +25,7 @@ from math import prod
 from operator import itemgetter
 
 from .diagram import Diagram, least_node_key, node_key, render_diagram
-from .errors import InternalCheckError, PreconditionError, check_guard
+from .errors import HANDLE_GUARD, InternalCheckError, PreconditionError, check_guard
 from .msmall import _index_components, cayley_of_m
 from .params import (
     MonoidParams,
@@ -208,9 +208,6 @@ def _merge_diagrams(f: Diagram, g: Diagram):
 # ---------------------------------------------------------------------------
 # linear composition with handle expansion
 # ---------------------------------------------------------------------------
-
-
-HANDLE_GUARD = 100_000  # exponents rewritten in one expansion, and its terms
 
 
 def _expand_handles(blocks: list, coeff: Rat, ps: ParamSet, n: int, m: int) -> dict:

@@ -8,6 +8,10 @@ one top node and are undecorated;
 dead blocks carry one of the 3K decorations.  Left cells of the diagram
 algebra fix the bottom half, right cells fix the top half (the star
 image of a bottom half).
+
+A cell's halves are its undecorated shapes, each decorated by one
+product over its blocks; ``checked_dims`` compares their number with
+the closed form ``repcount.dim_left_cell`` at every lambda.
 """
 from __future__ import annotations
 
@@ -138,17 +142,16 @@ def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
 
 
 def _decorate(shape: Diagram, K: int):
-    """All (h, mob) in [0, K) x {0, 1, 2} assignments on dead blocks.
-    Decorating moves no node, so each half keeps the shape's canonical
-    blocks and the Diagram constructor makes it."""
-    dead = [i for i, (nodes, _, _) in enumerate(shape.blocks) if all(v > 0 for v in nodes)]
+    """Every half of the shape: one product over its blocks, a through
+    block keeping its one option and a dead block taking each (h, mob) in
+    [0, K) x {0, 1, 2}.  Decorating moves no node, so each half keeps the
+    shape's canonical blocks and the Diagram constructor makes it."""
     decos = [(h, mob) for h in range(K) for mob in range(3)]
-    for assignment in itertools.product(decos, repeat=len(dead)):
-        blocks = list(shape.blocks)
-        for slot, (h, mob) in zip(dead, assignment):
-            nodes, _, _ = blocks[slot]
-            blocks[slot] = (nodes, h, mob)
-        yield Diagram(shape.n, shape.m, tuple(blocks))
+    options = [
+        (block,) if any(v < 0 for v in block[0]) else tuple((block[0], *d) for d in decos)
+        for block in shape.blocks
+    ]
+    return (Diagram(shape.n, shape.m, blocks) for blocks in itertools.product(*options))
 
 
 def enumerate_half_diagrams(
@@ -174,11 +177,14 @@ def enumerate_half_diagrams(
 
 def checked_dims(f: Family, n: int, K: int, cache_dir: str | None = None) -> dict[int, int]:
     """dim_left_cell for every admissible lambda, each compared with the
-    number of enumerated halves; every guard check precedes the first
-    enumeration, and a disagreement is an InternalCheckError."""
-    dims = {lam: dim_left_cell(f, n, lam, K) for lam in admissible_lambdas(f, n)}
-    for val in dims.values():
-        check_guard(HALVES_WHAT, val, HALVES_GUARD)
+    number of enumerated halves.  Each dimension is charged to
+    HALVES_GUARD as soon as it is formed, so a refusal forms none past the
+    first one over the bound, and every guard check precedes the first
+    enumeration; a disagreement is an InternalCheckError."""
+    dims = {
+        lam: check_guard(HALVES_WHAT, dim_left_cell(f, n, lam, K), HALVES_GUARD)
+        for lam in admissible_lambdas(f, n)
+    }
     for lam, val in dims.items():
         enum = len(enumerate_half_diagrams(f, n, lam, K, cache_dir=cache_dir))
         if enum != val:

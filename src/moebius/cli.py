@@ -12,6 +12,7 @@ Exit codes: 0 success, and for each error class the code that
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -411,7 +412,11 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use, not at import.
+    Each subcommand's handler is bound as its parser is built, so a
+    ``cmd_*`` replaced afterwards is not the one ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="moebius",
         description="exact computations with decorated partition diagram algebras",

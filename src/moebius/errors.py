@@ -35,6 +35,10 @@ EXIT_CODES = {
 # 2^14,000 has at most 4,215
 PRINTABLE_BITS = 14_000
 
+# handle exponents rewritten in one expansion, its terms, and the series
+# terms a closed component's handle count adds
+HANDLE_GUARD = 100_000
+
 
 def check_guard(what: str, cost: int, bound: int) -> int:
     """Return cost, or raise ResourceGuardError when it exceeds bound.

@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError, PreconditionError
+from .errors import HANDLE_GUARD, PRINTABLE_BITS, ParseError, PreconditionError, check_guard
 
 Rat = Fraction
 
@@ -68,6 +68,10 @@ def poly_from_strings(items) -> tuple[Rat, ...]:
 
 
 def format_rational(x: Rat) -> str:
+    """'p' or 'p/q'; a part past PRINTABLE_BITS bits is refused, as str()
+    raises ValueError on an int past 4,300 digits."""
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    check_guard("the size in bits of a printed rational", bits, PRINTABLE_BITS)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -153,6 +157,8 @@ def series_coeff(ps: ParamSet, kind: str, k: int) -> Rat:
     """k-th Taylor coefficient of p_kind/q at 0, by the division recurrence.
 
     z_k = p_k + sum_{i=1..min(k,M)} (-1)^(i+1) a_i z_{k-i}, using q(0) = 1.
+    The terms the cache lacks up to k are charged to HANDLE_GUARD before
+    the first is formed.
     """
     if kind not in _KINDS:
         raise PreconditionError(f"kind must be one of {_KINDS}")
@@ -161,6 +167,7 @@ def series_coeff(ps: ParamSet, kind: str, k: int) -> Rat:
     cache = ps._cache[kind]
     if k < len(cache):
         return cache[k]
+    check_guard("the series terms to form", k + 1 - len(cache), HANDLE_GUARD)
     with ps._lock:
         p = ps.numerator(kind)
         while len(cache) <= k:

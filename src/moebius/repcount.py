@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PRINTABLE_BITS, InternalCheckError, PreconditionError, check_guard
+from .errors import PRINTABLE_BITS, PreconditionError, check_guard
 from .families import Family, admissible_lambdas, check_lambda
 
 # ---------------------------------------------------------------------------
@@ -266,43 +266,35 @@ def _narayana(m: int, k: int) -> int:
     return math.comb(m, k) * math.comb(m, k - 1) // m
 
 
+def _ballot(m: int, t: int) -> int:
+    """C(m, t) - C(m, t - 1) = C(m, t) (m - 2t + 1) / (m - t + 1): the
+    walks of m steps, t of them down, that never go below 0 (2t <= m)."""
+    return math.comb(m, t) - (math.comb(m, t - 1) if t else 0)
+
+
 def _planar_partition_dim(n: int, lam: int, y: int) -> int:
-    """[x^n] D(x)^(lam+1) * (x / (1 - x D(x)))^lam with D the Narayana
-    polynomial generating function D(x) = sum_m sum_k N(m,k) y^k x^m.
+    """[x^(n-lam)] D (D G)^lam, with D(x) = sum_m sum_k N(m,k) y^k x^m the
+    Narayana polynomial generating function and G = 1 / (1 - x D).
 
     A planar half with lam through blocks is a sequence of through blocks
     separated by gaps; every gap (including the gaps between consecutive
     nodes of one through block) holds an independent noncrossing partition
-    of dead blocks, each dead block carrying y = 3K decorations.
+    of dead blocks, each dead block carrying y = 3K decorations.  So a
+    half is a gap D, then per through block its first node, a gap, and
+    any further nodes each followed by a gap: x D G, or the step D G once
+    the lam first nodes are taken out of x^n.  Every series is cut after
+    x^(n-lam).
     """
-    size = n + 1
-    d = [0] * size
-    d[0] = 1
-    for m in range(1, size):
-        d[m] = sum(_narayana(m, k) * y**k for k in range(1, m + 1))
-
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        c = [0] * size
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(size - i):
-                    if b[j]:
-                        c[i + j] += ai * b[j]
-        return c
-
-    xd = [0] + d[:-1]
-    geom = [0] * size
-    geom[0] = 1
+    size = n - lam + 1
+    d = [1] + [sum(_narayana(m, k) * y**k for k in range(1, m + 1)) for m in range(1, size)]
+    g = [1] * size  # G = 1 + x D G
     for i in range(1, size):
-        geom[i] = sum(xd[j] * geom[i - j] for j in range(1, i + 1))
-    term = [0] * size
-    term[0] = 1
-    for _ in range(lam + 1):
-        term = mul(term, d)
-    through_factor = [0] + geom[:-1]  # x * geom
+        g[i] = sum(d[j - 1] * g[i - j] for j in range(1, i + 1))
+    step = [sum(d[j] * g[i - j] for j in range(i + 1)) for i in range(size)]  # D G
+    term = d
     for _ in range(lam):
-        term = mul(term, through_factor)
-    return term[n]
+        term = [sum(term[j] * step[i - j] for j in range(i + 1)) for i in range(size)]
+    return term[-1]
 
 
 def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
@@ -310,7 +302,9 @@ def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
 
     Each non-through block carries one of 3K decorations (handle count
     below K, crosscap count at most 2); cells.checked_dims compares it
-    with explicit half-diagram enumeration.
+    with explicit half-diagram enumeration.  Every form is in integers:
+    the Motzkin and Temperley-Lieb ballot factor (lam+1)/(lam+t+1) C(m, t)
+    is the ballot number C(m, t) - C(m, t-1).
     """
     check_lambda(f, n, lambda_ts)
     if K <= 0:
@@ -331,19 +325,18 @@ def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
         )
     elif f is Family.MOTZKIN:
         val = sum(
-            Fraction(lam + 1, lam + t + 1)
-            * math.comb(n, lam + 2 * t) * math.comb(lam + 2 * t, t) * y ** (n - lam - t)
+            math.comb(n, lam + 2 * t) * _ballot(lam + 2 * t, t) * y ** (n - lam - t)
             for t in range(0, (n - lam) // 2 + 1)
         )
     elif f is Family.BRAUER:
         val = math.comb(n, lam) * _double_factorial(n - lam - 1) * y ** ((n - lam) // 2)
     elif f is Family.TEMPERLEY_LIEB:
-        val = Fraction(2 * lam + 2, n + lam + 2) * math.comb(n, (n - lam) // 2) * y ** ((n - lam) // 2)
+        val = _ballot(n, (n - lam) // 2) * y ** ((n - lam) // 2)
     elif f in (Family.ROOK, Family.PLANAR_ROOK):
         val = math.comb(n, lam) * y ** (n - lam)
     else:  # symmetric families: lambda = n forced
         val = 1
-    return int(val) if not isinstance(val, Fraction) else _as_int(val)
+    return val
 
 
 def dims_table(f: Family, n: int, K: int) -> dict[int, int]:
@@ -382,9 +375,9 @@ def _dims_sum_bound(f: Family, n: int, y: int) -> int:
     - planar partition: the halves are noncrossing partitions, each block
       through or dead; N(n, k) <= C(n, k)^2 noncrossing partitions have k
       blocks, and sum_k C(n, k)^2 x^k <= (1 + sqrt(x))^(2n);
-    - Motzkin: (lam+1)/(lam+t+1) <= 1, and C(m, t) y^t summed over t is at
-      most x^m, so the sum is at most (2y + 1)^n;
-    - Temperley-Lieb: the ballot factor is at most 1, and C(n, j) y^j
+    - Motzkin: the ballot number is at most C(m, t), and C(m, t) y^t summed
+      over t is at most x^m, so the sum is at most (2y + 1)^n;
+    - Temperley-Lieb: the ballot number is at most C(n, j), and C(n, j) y^j
       summed over j <= n/2 is at most (4y)^floor(n/2), as the C(n, j)
       sum to at most 2^n, or to 2^(n-1) when n is odd.
     """
@@ -407,12 +400,6 @@ def _dims_sum_bound(f: Family, n: int, y: int) -> int:
     if f is Family.MOTZKIN:
         return (2 * y + 1) ** n
     return (4 * y) ** (n // 2)  # Temperley-Lieb
-
-
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise InternalCheckError(f"expected an integer, got {x}")
-    return x.numerator
 
 
 # ---------------------------------------------------------------------------

@@ -445,3 +445,44 @@ def test_checked_dims_guards_then_compares(monkeypatch):
     monkeypatch.setattr(cells_mod, "enumerate_half_diagrams", lambda *a, **k: [None])
     with pytest.raises(InternalCheckError, match="closed form 3 != enumeration 1 at lambda=0"):
         cells_mod.checked_dims(Family.ROOK, 1, 1)
+
+
+def _decorate_oracle(shape: Diagram, K: int):
+    """Each (h, mob) assignment on the shape's dead blocks, in
+    lexicographic order, substituted block by block."""
+    dead = [i for i, (nodes, _, _) in enumerate(shape.blocks) if all(v > 0 for v in nodes)]
+    decos = [(h, mob) for h in range(K) for mob in range(3)]
+    for assignment in itertools.product(decos, repeat=len(dead)):
+        blocks = list(shape.blocks)
+        for slot, (h, mob) in zip(dead, assignment):
+            nodes, _, _ = blocks[slot]
+            blocks[slot] = (nodes, h, mob)
+        yield Diagram(shape.n, shape.m, tuple(blocks))
+
+
+@pytest.mark.parametrize("f", list(Family))
+def test_halves_match_the_decoration_oracle_in_order(f):
+    for n in range(6):
+        for lam in admissible_lambdas(f, n):
+            shapes = cells_mod._half_shapes(f, n, lam)
+            for K in (1, 2, 3):
+                want = [d for shape in shapes for d in _decorate_oracle(shape, K)]
+                assert enumerate_half_diagrams(f, n, lam, K) == want, (f, n, lam, K)
+
+
+def test_checked_dims_stops_at_the_first_dimension_over_the_guard(monkeypatch):
+    # the table is formed from lambda = n down; a table that formed every
+    # dimension first would call the closed form 1,501 times here
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dim_left_cell(*args)
+
+    monkeypatch.setattr(cells_mod, "dim_left_cell", counted)
+    with pytest.raises(ResourceGuardError) as err:
+        checked_dims(Family.MOTZKIN, 1500, 1)
+    assert str(err.value) == (
+        "the number of halves to enumerate is 10122747, over the bound 2000000"
+    )
+    assert len(calls) < 20

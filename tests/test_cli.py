@@ -372,3 +372,42 @@ def test_rank_alone_forms_no_dense_matrix(capsys, monkeypatch):
     doc = run_json(capsys, "gram-det", "--n", "2", "--alpha0", "2", "--beta0", "1",
                    "--gamma0", "3", "--check")
     assert doc["result"]["agree"] is True
+
+
+def test_the_parser_is_built_once_per_process():
+    from moebius import cli
+
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        # q = 1 - T - T^2: 25,000 handles expand to a coefficient of 17,355 bits
+        (("compose", "1;1;{1,1'}[0,0]", "1;1;{1}[0,0]|{1'}[25000,0]"),
+         '{"p_alpha":["1"],"p_beta":["1"],"p_gamma":["1"],"q":["1","-1","-1"]}'),
+        # alpha_0 = 10^800 and a determinant of 15,978 bits
+        (("gram", "--family", "rook", "--n", "2", "--lambda", "0", "--no-matrix"),
+         '{"p_alpha":["1' + "0" * 800 + '"],"p_beta":["7"],"p_gamma":["3"],"q":["1","-1"]}'),
+    ],
+    ids=["compose", "gram"],
+)
+def test_a_rational_too_long_to_print_exits_4(capsys, tmp_path, argv, params):
+    path = tmp_path / "params.json"
+    path.write_text(params)
+    assert main([*argv, "--params", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: the size in bits of a printed rational is ")
+    assert err.endswith(", over the bound 14000\n")
+
+
+def test_a_closed_component_with_a_million_handles_exits_4_at_once(capsys, params_file):
+    import time
+
+    started = time.perf_counter()
+    code = main(["compose", "1;1;{1}[0,0]|{1'}[0,0]", "1;1;{1}[0,0]|{1'}[1000000,0]",
+                 "--params", params_file])
+    assert code == 4 and time.perf_counter() - started < 1
+    assert capsys.readouterr().err == (
+        "resource guard: the series terms to form is 1000001, over the bound 100000\n"
+    )

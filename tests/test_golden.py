@@ -59,6 +59,8 @@ FILES = {
     "notarrays.json": '{"p_alpha":"1","p_beta":[],"p_gamma":[],"q":["1","-1"]}',
     "q0.json": '{"p_alpha":["1"],"p_beta":[],"p_gamma":[],"q":["2","-1"]}',
     "nonmonomial.json": '{"p_alpha":["1"],"p_beta":[],"p_gamma":[],"q":["1","-1","-1"]}',
+    "alpha10e800.json": '{"p_alpha":["1' + "0" * 800 + '"],"p_beta":["7"],"p_gamma":["3"],'
+                        '"q":["1","-1"]}',
     "m.csv": "1,2,3\n2,4,6\n1,0,1/2\n",
     "m.json": "[[1, 2], [3, 4]]",
     "tall.csv": "1,2\n3,4\n5,6\n",
@@ -131,6 +133,9 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
         "--no-matrix")
     add("compose", "1;1;{1,1'}[3000,0]", "1;1;{1,1'}[0,0]", "--params", "@p211.json")
     add("compose", "1;1;{1,1'}[40,0]", "1;1;{1,1'}[0,0]", "--params", "@nonmonomial.json")
+    # a dim-1 cell whose closed form cuts its series after one term
+    add("gram", "--family", "planar-partition", "--n", "400", "--lambda", "400",
+        "--params", "@p211.json", "--no-matrix")
     add("normalize", "1;1;{1,1'}[5,4]")
     add("normalize", "1;1;{1,1'}[5,4]", "--K", "3", "--r", "3")
     add("normalize", DECORATED_F, "--K", "2", "--r", "1")
@@ -240,6 +245,19 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     add("count-simples", "--family", "planar-partition", "--n", "10000", "--lambda", "10000",
         "--field", "char0bar", "--r", "1")
     add("compose", "1;1;{1,1'}[1000000000000,0]", "1;1;{1,1'}[0,0]", "--params", "@p211.json")
+    # exit 4, not a ValueError, on a printed rational past 14,000 bits: a
+    # coefficient of 25,000 handles at q = 1 - T - T^2, and a determinant
+    add("compose", "1;1;{1,1'}[0,0]", "1;1;{1}[0,0]|{1'}[25000,0]",
+        "--params", "@nonmonomial.json")
+    add("gram", "--family", "rook", "--n", "2", "--lambda", "0", "--params",
+        "@alpha10e800.json", "--no-matrix")
+    # exit 4 before a series of a million terms, and at the first lambda
+    # over the halves guard rather than after every closed form
+    add("compose", "1;1;{1}[0,0]|{1'}[0,0]", "1;1;{1}[0,0]|{1'}[1000000,0]",
+        "--params", "@p211.json")
+    for f in ("motzkin", "rook-brauer", "partition"):
+        add("dims", "--family", f, "--n", "1500", "--K", "1", "--check")
+    add("dims", "--family", "planar-partition", "--n", "100", "--K", "1", "--check")
     # exit 4 before a trial division of about 10^9 steps starts
     for field in (("rationals", "--r", "1000000000000000001"),
                   ("fp", "--p", "1000000000000000003", "--r", "1")):

@@ -827,3 +827,9 @@ def test_regularity_walk_makes_few_wreath_muls(monkeypatch):
     assert 0 < len(calls) <= 10_000
     report = exact_rank(g)
     assert (len(g.entries), report.rank, report.det) == (55, 55, -9304092590625)
+
+
+def test_a_dim_one_planar_partition_cell_at_400_nodes_ranks_at_once():
+    # its size guard forms a series of one term, not 801 products of 401
+    g = gram_matrix(Family.PLANAR_PARTITION, 400, 400, geometric(2, 1, 1))
+    assert exact_rank(g).rank == 1

@@ -10,6 +10,7 @@ from moebius import (
     MonoidParams,
     ParseError,
     PreconditionError,
+    ResourceGuardError,
     handle_reduce_monoid,
     monoid_params_of,
     params_from_json,
@@ -129,6 +130,15 @@ def test_series_cache_thread_smoke():
     assert [results[k] for k in range(40)] == want
 
 
+def test_series_guard_charges_the_terms_the_cache_lacks():
+    ps = validate_params([1], [1], [1], [1, -1])
+    with pytest.raises(ResourceGuardError, match="series terms to form is 100001, over"):
+        series_coeff(ps, "alpha", 100_000)
+    assert ps._cache["alpha"] == []  # refused before the first term
+    assert series_coeff(ps, "alpha", 99_999) == 1
+    assert series_coeff(ps, "alpha", 100_000) == 1  # one more term
+
+
 def test_paramset_is_a_value():
     a = validate_params([1, 2], [1], [1], [1, -1, -1])
     b = validate_params([1, 2], [1], [1], [1, -1, -1])
@@ -206,6 +216,15 @@ def test_parse_rational():
         parse_rational("1.5")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+
+
+def test_format_rational_refuses_a_part_str_cannot_print():
+    # str() raises ValueError past 4,300 digits; 2^14,000 has 4,215
+    assert format_rational(Fraction(2**13_999, 3)) == f"{2**13_999}/3"
+    assert format_rational(Fraction(-1, 2**13_999)) == f"-1/{2**13_999}"
+    for x in (Fraction(2**14_000), Fraction(-(2**14_000)), Fraction(1, 2**14_000)):
+        with pytest.raises(ResourceGuardError, match="printed rational is 14001, over"):
+            format_rational(x)
 
 
 def test_params_from_json():

@@ -1,6 +1,7 @@
 """Counting formulas, with brute-force oracles for partitions and
 finite-field factor counts."""
 import itertools
+from math import comb
 
 import pytest
 from fractions import Fraction
@@ -240,6 +241,68 @@ def test_dim_left_cell_check_flag():
     # checked_dims re-derives each value by explicit half-diagram enumeration
     assert checked_dims(Family.MOTZKIN, 3, 2)[1] == 120
     assert checked_dims(Family.PLANAR_PARTITION, 3, 2)[1] == 139
+
+
+def _planar_partition_oracle(n: int, lam: int, y: int) -> int:
+    """[x^n] D^(lam+1) (x / (1 - x D))^lam, each series to x^n, with D the
+    Narayana polynomial generating function in y."""
+    size = n + 1
+    d = [1] + [sum(repcount._narayana(m, k) * y**k for k in range(1, m + 1))
+               for m in range(1, size)]
+
+    def mul(a, b):
+        c = [0] * size
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(size - i):
+                    if b[j]:
+                        c[i + j] += ai * b[j]
+        return c
+
+    xd = [0] + d[:-1]
+    geom = [1] + [0] * n
+    for i in range(1, size):
+        geom[i] = sum(xd[j] * geom[i - j] for j in range(1, i + 1))
+    term = [1] + [0] * n
+    for _ in range(lam + 1):
+        term = mul(term, d)
+    for _ in range(lam):
+        term = mul(term, [0] + geom[:-1])
+    return term[n]
+
+
+def _dim_oracle(f: Family, n: int, lam: int, K: int) -> int | None:
+    """The planar-partition form with full-length series, and the Motzkin
+    and Temperley-Lieb forms with the ballot factors as fractions; None
+    for the families whose forms did not change."""
+    y = 3 * K
+    if f is Family.PLANAR_PARTITION:
+        return _planar_partition_oracle(n, lam, y)
+    if f is Family.MOTZKIN:
+        val = sum(
+            Fraction(lam + 1, lam + t + 1)
+            * comb(n, lam + 2 * t) * comb(lam + 2 * t, t) * y ** (n - lam - t)
+            for t in range((n - lam) // 2 + 1)
+        )
+    elif f is Family.TEMPERLEY_LIEB:
+        val = Fraction(2 * lam + 2, n + lam + 2) * comb(n, (n - lam) // 2) * y ** ((n - lam) // 2)
+    else:
+        return None
+    assert val.denominator == 1
+    return val.numerator
+
+
+@pytest.mark.parametrize("f", list(Family))
+def test_dim_left_cell_matches_the_fraction_and_series_oracle(f):
+    # the other families are checked only for type here; checked_dims
+    # compares every family with enumeration in test_acceptance
+    for K in (1, 2, 3):
+        for n in range(41 if f is Family.PLANAR_PARTITION else 61):
+            for lam in admissible_lambdas(f, n):
+                got = dim_left_cell(f, n, lam, K)
+                want = _dim_oracle(f, n, lam, K)
+                assert type(got) is int, (f, n, lam, K)
+                assert want is None or got == want, (f, n, lam, K)
 
 
 def test_dims_table_bound_holds_the_table_sum():

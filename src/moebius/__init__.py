@@ -68,7 +68,7 @@ from .cells import (
     cell_of,
     checked_dims,
     enumerate_half_diagrams,
-    find_strict_idempotent,
+    strict_idempotent,
 )
 from .repcount import (
     CHAR0_ALG_CLOSED,

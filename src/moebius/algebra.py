@@ -96,31 +96,9 @@ class LinComb:
         return [[render_diagram(d), format_rational(c)] for d, c in self.terms]
 
 
-def lincomb_scale(x: LinComb, c) -> LinComb:
-    c = Fraction(c)
-    return LinComb.make(x.n, x.m, {d: c * v for d, v in x.terms})
-
-
 def equal(x: LinComb, y: LinComb) -> bool:
     """Structural equality of canonical forms."""
     return (x.n, x.m) == (y.n, y.m) and x.terms == y.terms
-
-
-def lincomb_star(x: LinComb) -> LinComb:
-    from .diagram import star
-
-    return LinComb.make(x.m, x.n, {star(d): c for d, c in x.terms})
-
-
-def lincomb_tensor(x: LinComb, y: LinComb) -> LinComb:
-    from .diagram import tensor
-
-    acc: dict[Diagram, Rat] = {}
-    for d1, c1 in x.terms:
-        for d2, c2 in y.terms:
-            d = tensor(d1, d2)
-            acc[d] = acc.get(d, Fraction(0)) + c1 * c2
-    return LinComb.make(x.n + y.n, x.m + y.m, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Sandwich cell machinery: half diagrams from one walk that builds only
-family members, cell coordinates, strict-idempotent search, apex tables,
-and a JSON cache of half-diagram shapes.
+family members, cell coordinates, strict idempotents read off sandwich
+coordinates, apex tables, and a JSON cache of half-diagram shapes.
 
 A half diagram (bottom of a cell) is a plain Diagram n -> lambda, so
 lambda is its top size m; its lambda through blocks each contain exactly
-one top node and are undecorated;
-dead blocks carry one of the 3K decorations.  Left cells of the diagram
-algebra fix the bottom half, right cells fix the top half (the star
-image of a bottom half).
+one top node and are undecorated; dead blocks carry one of the 3K
+decorations.  Left cells of the diagram algebra fix the bottom half,
+right cells fix the top half (the star image of a bottom half).
 
 A cell's halves are its undecorated shapes, each decorated by one
 product over its blocks; ``checked_dims`` compares their number with
@@ -21,7 +20,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import algebra
 from .diagram import (
@@ -47,9 +45,10 @@ from .msmall import (
     greens_cells_bruteforce,
     wreath_cayley,
     wreath_elements,
+    wreath_mul,
     wreath_order,
 )
-from .params import MonoidParams, ParamSet
+from .params import MonoidParams, ParamSet, monoid_params_of
 from .repcount import dim_left_cell
 
 
@@ -276,26 +275,13 @@ def cell_of(d: Diagram, f: Family, mp: MonoidParams) -> CellCoords:
 
 
 # ---------------------------------------------------------------------------
-# J-cell materialization and strict idempotents
+# J-cell sizes and strict idempotents
 # ---------------------------------------------------------------------------
 
 
-def build_jcell(f: Family, n: int, lambda_ts: int, mp: MonoidParams) -> list[Diagram]:
-    """All basis diagrams of End(n) in the family with lambda_ts through
-    strands, in canonical order: star(top) o middle o bottom over all
-    pairs of halves and all middles; refused past JCELL_GUARD elements."""
-    jcell_size(f, n, lambda_ts, mp)
-    halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
-    tops = [star(h) for h in halves]
-    mids = list(wreath_elements(mp, lambda_ts, planar=f.planar))
-    out = [recompose(Factorization(t, m, b, lambda_ts)) for b in halves for t in tops for m in mids]
-    out.sort(key=Diagram.sort_key)
-    return out
-
-
 def jcell_size(f: Family, n: int, lambda_ts: int, mp: MonoidParams) -> int:
-    """len(build_jcell(f, n, lambda_ts, mp)), without building it; a size
-    over JCELL_GUARD raises ResourceGuardError."""
+    """The J-cell's size, halves squared times middles, without listing
+    it; a size over JCELL_GUARD raises ResourceGuardError."""
     return check_wreath_cost(
         f"the size of the J-cell at lambda={lambda_ts}",
         lambda_ts,
@@ -304,25 +290,35 @@ def jcell_size(f: Family, n: int, lambda_ts: int, mp: MonoidParams) -> int:
     )
 
 
-def find_strict_idempotent(
-    jcell: list[Diagram], ps: ParamSet
-) -> tuple[Diagram, Fraction] | None:
-    """First basis element e (canonical order) with e o e = s . e modulo
-    diagrams of strictly fewer through strands, s != 0.  Absence returns
-    None and is a meaningful outcome."""
-    if not jcell:
-        return None
-    lam = through_strands(jcell[0])
-    if any(through_strands(d) != lam for d in jcell):
-        raise PreconditionError("all J-cell elements must share the through-strand count")
-    for e in sorted(jcell, key=Diagram.sort_key):
-        square = algebra.compose_diagrams(e, e, ps)
-        trimmed = {d: c for d, c in square.terms if through_strands(d) >= lam}
-        if len(trimmed) == 1:
-            (d, c), = trimmed.items()
-            if d == e and c != 0:
-                return e, c
-    return None
+def strict_idempotent(f: Family, n: int, lambda_ts: int, ps: ParamSet):
+    """First basis element e with lambda_ts through strands, in canonical
+    order, with e o e = s . e modulo fewer through strands and s != 0, as
+    (e, s), or None.  Refused past JCELL_GUARD, before any element forms.
+
+    Each element is e = star(t) m b for halves b, t and a middle m, and
+    (t, m, b) -> e is injective.  With q = 1 - T^r, b o star(t) is 0 or
+    one term c w, so e o e = c star(t) (m w m) b, which keeps lambda_ts
+    through strands only if w does (star(t) x b closes no component for a
+    middle x).  So e o e = s . e modulo fewer through strands exactly when
+    c != 0, w keeps lambda_ts through strands and m w m = m, and then
+    s = c: each pair of halves is composed once, and no e is squared."""
+    mp = monoid_params_of(ps)
+    jcell_size(f, n, lambda_ts, mp)
+    halves = enumerate_half_diagrams(f, n, lambda_ts, mp.K)
+    tops = [star(h) for h in halves]
+    mids = list(wreath_elements(mp, lambda_ts, planar=f.planar))
+    fixed: dict = {}  # w's middle -> the middles m with m w m = m
+
+    def found():
+        for b, t in itertools.product(halves, tops):
+            for w, c in algebra.compose_diagrams(b, t, ps).terms:
+                if through_strands(w) == lambda_ts:
+                    w = factorize(w, mp).middle
+                    if w not in fixed:
+                        fixed[w] = [m for m in mids if wreath_mul(wreath_mul(m, w, mp), m, mp) == m]
+                    yield from ((recompose(Factorization(t, m, b, lambda_ts)), c) for m in fixed[w])
+
+    return min(found(), key=lambda ec: ec[0].sort_key(), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +360,16 @@ def apex_set(f: Family, n: int, zero_pattern: ZeroPattern) -> ApexSet:
 
 
 def enumerate_family_monoid(f: Family, n: int, mp: MonoidParams) -> list[Diagram]:
-    """All decorated (n, n)-diagrams of the family, handle counts below K:
-    the union of its J-cells, one per admissible through-strand count."""
-    out = [d for lam in admissible_lambdas(f, n) for d in build_jcell(f, n, lam, mp)]
+    """All decorated (n, n)-diagrams of the family, handle counts below K,
+    in canonical order: star(top) o middle o bottom per J-cell, each
+    refused past JCELL_GUARD before its halves are enumerated."""
+    out = []
+    for lam in admissible_lambdas(f, n):
+        jcell_size(f, n, lam, mp)
+        halves = enumerate_half_diagrams(f, n, lam, mp.K)
+        tops = [star(h) for h in halves]
+        mids = list(wreath_elements(mp, lam, planar=f.planar))
+        out += [recompose(Factorization(t, m, b, lam)) for b in halves for t in tops for m in mids]
     out.sort(key=Diagram.sort_key)
     return out
 
@@ -395,10 +398,10 @@ def predicted_cells(elements: list[Diagram], f: Family, mp: MonoidParams):
     middle's H-class all agree.  Returns predicted (L, R, J, H) index
     partitions in the same format as greens_cells_bruteforce.
     """
-    lambdas = sorted({through_strands(d) for d in elements})
-    middle_class: dict[int, tuple] = {}
     facts = [factorize(d, mp) for d in elements]
-    for lam in lambdas:
+    layers = _group((i, fact.lambda_ts) for i, fact in enumerate(facts))
+    middle_class: dict[int, tuple] = {}
+    for lam in sorted(layers):
         mono = wreath_cayley(mp, lam, f.planar)
         cells = greens_cells_bruteforce(mono)
         index = {m: i for i, m in enumerate(mono.elements)}
@@ -406,9 +409,7 @@ def predicted_cells(elements: list[Diagram], f: Family, mp: MonoidParams):
             _membership(part, mono.size)
             for part in (cells.l_cells, cells.r_cells, cells.j_cells, cells.h_cells)
         )
-        for idx, d in enumerate(elements):
-            if through_strands(d) != lam:
-                continue
+        for idx in layers[lam]:
             mid = index[facts[idx].middle]
             middle_class[idx] = (lam, l_of[mid], r_of[mid], j_of[mid], h_of[mid])
 

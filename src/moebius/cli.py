@@ -160,16 +160,13 @@ def cmd_apex(args):
 def cmd_idempotents(args):
     fam = family_from_name(args.family)
     ps = _load_params(args.params)
-    mp = monoid_params_of(ps)
+    monoid_params_of(ps)  # refuses a q other than 1 - T^r before n is checked
     report = {}
     for lam in admissible_lambdas(fam, args.n):
-        jcell = cells.build_jcell(fam, args.n, lam, mp)
-        found = cells.find_strict_idempotent(jcell, ps)
-        report[str(lam)] = (
-            None
-            if found is None
-            else {"element": render_diagram(found[0]), "scalar": format_rational(found[1])}
-        )
+        found = cells.strict_idempotent(fam, args.n, lam, ps)
+        if found is not None:
+            found = {"element": render_diagram(found[0]), "scalar": format_rational(found[1])}
+        report[str(lam)] = found
     return {"strict_idempotents": report}
 
 

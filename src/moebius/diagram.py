@@ -333,14 +333,3 @@ def recompose(fact: Factorization) -> Diagram:
         blocks.append((bottom_through[i] + top_through[j], dec.i, dec.j))
     return Diagram.make(fact.bottom.n, fact.top.m, blocks)
 
-
-def wreath_to_diagram(w: WreathElem) -> Diagram:
-    """The (lambda, lambda)-diagram of a wreath element: bottom k joins
-    top perm(k), carrying the strand decoration."""
-    lam = len(w.strands)
-    blocks = []
-    for k in range(1, lam + 1):
-        j = w.perm[k - 1]
-        dec = w.strands[j - 1]
-        blocks.append(((k, -j), dec.i, dec.j))
-    return Diagram.make(lam, lam, blocks)

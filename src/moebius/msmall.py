@@ -49,9 +49,6 @@ class MElem:
         return "".join(parts)
 
 
-M_IDENTITY = MElem(0, 0)
-
-
 def m_mul(x: MElem, y: MElem, mp: MonoidParams) -> MElem:
     """Product in M: add exponents, rewrite b^3 = ab, reduce a^K = a^(K-r)."""
     i, j = reduce_mob_pair(x.i + y.i, x.j + y.j)
@@ -338,10 +335,6 @@ class WreathElem:
     def __post_init__(self):
         if sorted(self.perm) != list(range(1, len(self.strands) + 1)):
             raise PreconditionError("perm must be a bijection on 1..lambda")
-
-
-def wreath_identity(lam: int) -> WreathElem:
-    return WreathElem(tuple(M_IDENTITY for _ in range(lam)), tuple(range(1, lam + 1)))
 
 
 def wreath_mul(x: WreathElem, y: WreathElem, mp: MonoidParams) -> WreathElem:

@@ -4,16 +4,20 @@ union-find) used to cross-check the production composition,
 ``Diagram.make``-based star, linear and monoid composition, which the
 replayed canonical layouts must equal exactly, and a per-family
 membership oracle (an if-chain per core and a pairwise crossing test)
-for the block-rule ``is_member`` and the stack-scan ``is_planar``."""
+for the block-rule ``is_member`` and the stack-scan ``is_planar``; the
+helpers only the tests call; and the strict-idempotent oracle, a listed
+J-cell whose elements are squared one by one."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from moebius import Family, LinComb, evaluate_closed, validate_params
-from moebius.diagram import Diagram
+from moebius import Family, LinComb, compose_diagrams, evaluate_closed, validate_params
+from moebius.diagram import Diagram, star, tensor, through_strands
+from moebius.msmall import MElem, WreathElem
 from moebius.params import handle_reduce_monoid, reduce_mob_pair
 
 
@@ -290,3 +294,79 @@ def oracle_monoid_compose(x: Diagram | None, y: Diagram | None, mp, evals) -> Di
         h, mob = reduce_mob_pair(h, mob)
         blocks.append((nodes, handle_reduce_monoid(h, mp), mob))
     return Diagram.make(y.n, x.m, blocks)
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests call
+# ---------------------------------------------------------------------------
+
+
+def lincomb_scale(x: LinComb, c) -> LinComb:
+    c = Fraction(c)
+    return LinComb.make(x.n, x.m, {d: c * v for d, v in x.terms})
+
+
+def lincomb_star(x: LinComb) -> LinComb:
+    return LinComb.make(x.m, x.n, {star(d): c for d, c in x.terms})
+
+
+def lincomb_tensor(x: LinComb, y: LinComb) -> LinComb:
+    acc: dict = {}
+    for d1, c1 in x.terms:
+        for d2, c2 in y.terms:
+            d = tensor(d1, d2)
+            acc[d] = acc.get(d, Fraction(0)) + c1 * c2
+    return LinComb.make(x.n + y.n, x.m + y.m, acc)
+
+
+def wreath_identity(lam: int) -> WreathElem:
+    return WreathElem(tuple(MElem(0, 0) for _ in range(lam)), tuple(range(1, lam + 1)))
+
+
+def wreath_to_diagram(w: WreathElem) -> Diagram:
+    """The (lambda, lambda)-diagram of a wreath element: bottom k joins
+    top perm(k), carrying the strand decoration."""
+    lam = len(w.strands)
+    blocks = []
+    for k in range(1, lam + 1):
+        j = w.perm[k - 1]
+        dec = w.strands[j - 1]
+        blocks.append(((k, -j), dec.i, dec.j))
+    return Diagram.make(lam, lam, blocks)
+
+
+# ---------------------------------------------------------------------------
+# strict-idempotent oracle: a listed J-cell, each element squared
+# ---------------------------------------------------------------------------
+
+
+def oracle_jcell(f: Family, n: int, lam: int, K: int) -> list[Diagram]:
+    """Every decorated family (n, n)-diagram with lam through strands and
+    handle counts below K, in canonical order: each family shape from the
+    set-partition walk, each block taking one of the 3K decorations."""
+    decos = [(h, mob) for h in range(K) for mob in range(3)]
+    out = []
+    for shape in family_shapes(f, n, n):
+        if through_strands(shape) == lam:
+            for choice in itertools.product(decos, repeat=len(shape.blocks)):
+                blocks = [(nodes,) + d for (nodes, _, _), d in zip(shape.blocks, choice)]
+                out.append(Diagram.make(n, n, blocks))
+    out.sort(key=Diagram.sort_key)
+    return out
+
+
+def oracle_strict_idempotents(jcell: list[Diagram], ps):
+    """Each basis element e of the J-cell (canonical order) with e o e =
+    s . e modulo diagrams of strictly fewer through strands, s != 0, as
+    (e, s), found by squaring e in the full calculus."""
+    if not jcell:
+        return
+    lam = through_strands(jcell[0])
+    assert all(through_strands(d) == lam for d in jcell)
+    for e in sorted(jcell, key=Diagram.sort_key):
+        square = compose_diagrams(e, e, ps)
+        trimmed = {d: c for d, c in square.terms if through_strands(d) >= lam}
+        if len(trimmed) == 1:
+            (d, c), = trimmed.items()
+            if d == e and c != 0:
+                yield e, c

@@ -19,7 +19,6 @@ from moebius import (
     deligne_parameters,
     equal,
     exact_rank,
-    find_strict_idempotent,
     generalized_conjugacy_classes,
     gram_det_closed_form_rook0,
     gram_matrix,
@@ -27,11 +26,11 @@ from moebius import (
     m_cell_structure,
     normalize_mob,
     series_coeff,
+    strict_idempotent,
     through_strands,
     validate_params,
 )
-from moebius.algebra import lincomb_star
-from moebius.cells import build_jcell, family_monoid_cayley, predicted_cells
+from moebius.cells import family_monoid_cayley, predicted_cells
 from moebius.cli import main as cli_main
 from moebius.diagram import Diagram
 from moebius.families import admissible_lambdas
@@ -45,7 +44,7 @@ from moebius.msmall import (
 )
 from moebius.repcount import count_types
 
-from conftest import family_shapes, random_family_diagram, random_paramsets
+from conftest import family_shapes, lincomb_star, random_family_diagram, random_paramsets
 
 
 def report(number, label, started):
@@ -258,14 +257,12 @@ def test_criterion_10_apex_idempotent_agreement():
         ZeroPattern.SOME_NONZERO: validate_params([1], [1], [1], [1, -1]),
         ZeroPattern.ALL_ZERO: validate_params([], [], [], [1, -1], allow_zero_alpha=True),
     }
-    mp = MonoidParams(1, 1)
     for family in (Family.ROOK, Family.MOTZKIN, Family.TEMPERLEY_LIEB):
         for n in (1, 2, 3):
             for pattern, ps in ps_by_pattern.items():
                 apexes = apex_set(family, n, pattern).apexes
                 for lam in admissible_lambdas(family, n):
-                    jcell = build_jcell(family, n, lam, mp)
-                    found = find_strict_idempotent(jcell, ps)
+                    found = strict_idempotent(family, n, lam, ps)
                     assert (found is not None) == (lam in apexes), (
                         family, n, lam, pattern,
                     )

@@ -29,9 +29,6 @@ from moebius.algebra import (
     _expand_handles,
     _merge_diagrams,
     _topology,
-    lincomb_scale,
-    lincomb_star,
-    lincomb_tensor,
     monoid_table,
 )
 from moebius.cells import enumerate_family_monoid, family_monoid_cayley
@@ -40,6 +37,9 @@ from moebius.errors import InternalCheckError
 
 from conftest import (
     family_shapes,
+    lincomb_scale,
+    lincomb_star,
+    lincomb_tensor,
     oracle_compose,
     oracle_compose_diagrams,
     oracle_expand_handles,

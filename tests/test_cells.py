@@ -17,16 +17,15 @@ from moebius import (
     apex_set,
     cell_of,
     enumerate_half_diagrams,
-    find_strict_idempotent,
     greens_cells_bruteforce,
     identity,
     parse_diagram,
     star,
+    strict_idempotent,
     through_strands,
 )
 from moebius import cells as cells_mod
 from moebius.cells import (
-    build_jcell,
     checked_dims,
     enumerate_family_monoid,
     family_monoid_cayley,
@@ -35,9 +34,18 @@ from moebius.cells import (
 )
 from moebius.diagram import Diagram, factorize
 from moebius.families import admissible_lambdas
+from moebius.gram import gram_entry
+from moebius.msmall import wreath_order
+from moebius.params import monoid_params_of, validate_params
 from moebius.repcount import dim_left_cell
 
-from conftest import _set_partitions, family_shapes, member_oracle
+from conftest import (
+    _set_partitions,
+    family_shapes,
+    member_oracle,
+    oracle_jcell,
+    oracle_strict_idempotents,
+)
 
 
 def _decorated_monoid_oracle(f: Family, n: int, K: int) -> list[Diagram]:
@@ -313,9 +321,7 @@ def test_star_swaps_left_and_right_cells():
 
 
 def test_find_strict_idempotent_rook_dot_pair(ps_ones):
-    mp = MonoidParams(1, 1)
-    jcell = build_jcell(Family.ROOK, 2, 1, mp)
-    found = find_strict_idempotent(jcell, ps_ones)
+    found = strict_idempotent(Family.ROOK, 2, 1, ps_ones)
     assert found is not None
     element, scalar = found
     assert scalar == 1
@@ -323,17 +329,85 @@ def test_find_strict_idempotent_rook_dot_pair(ps_ones):
 
 
 def test_find_strict_idempotent_motzkin_all_zero(ps_zero):
-    mp = MonoidParams(1, 1)
-    jcell = build_jcell(Family.MOTZKIN, 2, 1, mp)
-    assert find_strict_idempotent(jcell, ps_zero) is None
+    assert strict_idempotent(Family.MOTZKIN, 2, 1, ps_zero) is None
 
 
 def test_find_strict_idempotent_identity_cell(ps_zero, ps_ones):
-    mp = MonoidParams(1, 1)
     for ps in (ps_zero, ps_ones):
-        jcell = build_jcell(Family.MOTZKIN, 2, 2, mp)
-        found = find_strict_idempotent(jcell, ps)
+        found = strict_idempotent(Family.MOTZKIN, 2, 2, ps)
         assert found is not None and found[0] == identity(2) and found[1] == 1
+
+
+IDEMPOTENT_GRID = {
+    "(2,1,1)": ([2], [1], [1], [1, -1]),
+    "(1,1,0)": ([1], [1], [0], [1, -1]),
+    "all-zero": ([], [], [], [1, -1]),
+    "K2": ([1, 1], [1], [1], [1, -1]),
+    "K3": ([2], [1, 1], [0, 1], [1, 0, 0, -1]),
+}
+
+
+def test_strict_idempotent_matches_the_squaring_oracle(monkeypatch):
+    # every cell of n <= 3 with at most 2,000 elements: squaring each
+    # element of a J-cell listed by the set-partition walk finds the strict
+    # idempotents that the sandwich test forms, each formed once, and the
+    # same least one with the same scalar, the Gram entry of its halves
+    formed = []
+    recompose = cells_mod.recompose
+
+    def recorded(fact):
+        formed.append(recompose(fact))
+        return formed[-1]
+
+    monkeypatch.setattr(cells_mod, "recompose", recorded)
+    cells = found = 0
+    for ps in (validate_params(*p, allow_zero_alpha=True) for p in IDEMPOTENT_GRID.values()):
+        mp = monoid_params_of(ps)
+        for f in Family:
+            for n in range(4):
+                for lam in admissible_lambdas(f, n):
+                    if dim_left_cell(f, n, lam, mp.K) ** 2 * wreath_order(mp, lam, f.planar) > 2000:
+                        continue
+                    formed.clear()
+                    got = strict_idempotent(f, n, lam, ps)
+                    want = list(oracle_strict_idempotents(oracle_jcell(f, n, lam, mp.K), ps))
+                    assert got == (want[0] if want else None), (f, n, lam, ps)
+                    assert sorted(formed, key=Diagram.sort_key) == [e for e, _ in want]
+                    cells += 1
+                    if got is not None:
+                        found += 1
+                        fact = factorize(got[0], mp)
+                        assert got[1] == gram_entry(fact.bottom, star(fact.top), ps, mp)
+    assert (cells, found) == (312, 288)
+
+
+@pytest.mark.parametrize("f, n", [(Family.ROOK, 3), (Family.MOTZKIN, 3), (Family.PARTITION, 2),
+                                  (Family.BRAUER, 4), (Family.PLANAR_PARTITION, 3)])
+def test_strict_idempotent_composes_each_pair_of_halves_once(monkeypatch, f, n):
+    from moebius import algebra
+
+    calls = []
+    compose_diagrams = algebra.compose_diagrams
+
+    def counted(x, y, ps):
+        calls.append(1)
+        return compose_diagrams(x, y, ps)
+
+    monkeypatch.setattr(algebra, "compose_diagrams", counted)
+    ps = validate_params([2], [1], [1], [1, -1])
+    for lam in admissible_lambdas(f, n):
+        calls.clear()
+        strict_idempotent(f, n, lam, ps)
+        assert 0 < len(calls) <= dim_left_cell(f, n, lam, 1) ** 2, (f, n, lam)
+
+
+def test_strict_idempotent_is_refused_before_its_halves(monkeypatch, ps_ones):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the guard")
+
+    monkeypatch.setattr(cells_mod, "enumerate_half_diagrams", refuse)
+    with pytest.raises(ResourceGuardError, match="the size of the J-cell at lambda=2"):
+        strict_idempotent(Family.PARTITION, 4, 2, ps_ones)
 
 
 def test_apex_set_rows():

@@ -22,11 +22,19 @@ from moebius import (
     through_strands,
 )
 from moebius.cells import enumerate_half_diagrams
-from moebius.diagram import Diagram, Factorization, _star_layout, is_planar, wreath_to_diagram
+from moebius.diagram import Diagram, Factorization, _star_layout, is_planar
 from moebius.families import admissible_lambdas
 from moebius.msmall import MElem, WreathElem, wreath_elements
 
-from conftest import _set_partitions, family_shapes, member_oracle, oracle_star, planar_oracle, random_diagram
+from conftest import (
+    _set_partitions,
+    family_shapes,
+    member_oracle,
+    oracle_star,
+    planar_oracle,
+    random_diagram,
+    wreath_to_diagram,
+)
 
 A_LITERAL = "6;6;{1,2'}[0,0]|{2,4,5}[0,0]|{3,3'}[0,0]|{6,1',4',6'}[0,0]|{5'}[0,0]"
 

@@ -89,6 +89,7 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
             add("cells", "--family", f, "--n", str(n))
             add("cells", "--family", f, "--n", str(n), "--K", "2", "--r", "1")
             add("idempotents", "--family", f, "--n", str(n), "--params", "@p211.json")
+        add("idempotents", "--family", f, "--n", "3", "--params", "@p211.json")
         for n in range(4):
             for lam in admissible_lambdas(fam, n):
                 for K, params in K_PARAMS.items():
@@ -107,6 +108,7 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     add("dims", "--family", "pp", "--n", "3", "--K", "1", "--check", "--output", "csv")
     add("idempotents", "--family", "rook", "--n", "2", "--params", "@pK2.json")
     add("idempotents", "--family", "motzkin", "--n", "2", "--params", "@pK3.json")
+    add("idempotents", "--family", "rook", "--n", "4", "--params", "@p211.json")
     add("cells", "--family", "temperley-lieb", "--n", "3")
     add("cells", "--family", "brauer", "--n", "2", "--K", "2")
     add("cells", "--family", "brauer", "--n", "2", "--K", "3", "--r", "3")

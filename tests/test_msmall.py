@@ -32,10 +32,11 @@ from moebius.msmall import (
     symmetric_group_cayley,
     wreath_cayley,
     wreath_elements,
-    wreath_identity,
     wreath_order,
 )
 from moebius.repcount import count_types, partition_count
+
+from conftest import wreath_identity
 
 
 def test_m_mul_examples():

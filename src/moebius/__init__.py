@@ -44,7 +44,6 @@ from .algebra import (
     all_ones_evals,
     compose,
     compose_diagrams,
-    equal,
     evaluate_closed,
     monoid_compose,
 )

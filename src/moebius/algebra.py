@@ -96,11 +96,6 @@ class LinComb:
         return [[render_diagram(d), format_rational(c)] for d, c in self.terms]
 
 
-def equal(x: LinComb, y: LinComb) -> bool:
-    """Structural equality of canonical forms."""
-    return (x.n, x.m) == (y.n, y.m) and x.terms == y.terms
-
-
 # ---------------------------------------------------------------------------
 # diagram merging (shared by linear and monoid composition)
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import algebra
 from .diagram import (
@@ -41,9 +42,9 @@ from .msmall import (
     CayleyMonoid,
     _group,
     _membership,
+    cayley_of_m,
     check_wreath_cost,
     greens_cells_bruteforce,
-    wreath_cayley,
     wreath_elements,
     wreath_mul,
     wreath_order,
@@ -388,38 +389,40 @@ def family_monoid_cayley(f: Family, n: int, mp: MonoidParams):
 
 
 def predicted_cells(elements: list[Diagram], f: Family, mp: MonoidParams):
-    """Combinatorial prediction of the decorated monoid's Green cells.
+    """The decorated monoid's Green cells predicted from factorizations,
+    as (L, R, J, H) index partitions in greens_cells_bruteforce's format.
 
-    Every cell lives inside one through-strand layer; within the layer
-    the factorization data separates cells further: two elements share a
-    J-cell iff their middles are J-equivalent in the sandwiched monoid,
-    an L-cell iff additionally the bottoms agree (with L-equivalent
-    middles), dually for R, and an H-cell iff bottom, top and the
-    middle's H-class all agree.  Returns predicted (L, R, J, H) index
-    partitions in the same format as greens_cells_bruteforce.
+    Cells lie in one through-strand layer lambda.  Two elements are L-
+    (R-) related iff their bottoms (tops) agree and their middles are L-
+    (R-) related in W = M wr S_lambda (M^lambda if planar), J-related iff
+    their middles are, and H-related iff L- and R-related.  W's cells
+    come from M's: for x = (s; p), strands s by top position and p
+    sending bottom k to top p[k], let t_k = s_(p[k]) (bottom order).
+    * R: x R y iff s_i R y_i in M for each i, as x (g; q) has strands
+      s_i g_(p^-1 i) and permutation pq, each factor free.
+    * L: t_k L (y's t_k) for each k, as (g; q) x has strands g_(qp[k]) t_k.
+    * J = D = L o R, W being finite.  x L z R y keeps each strand's
+      J-class along z's matching of bottom to top, so x's and y's strands
+      have the same J-classes as a multiset (as a tuple when p = 1).  A
+      matching t_k J y_(sigma k) gives w_k with t_k L w_k R y_(sigma k),
+      and w_k joining bottom k to top sigma(k) makes such a z.
     """
-    facts = [factorize(d, mp) for d in elements]
-    layers = _group((i, fact.lambda_ts) for i, fact in enumerate(facts))
-    middle_class: dict[int, tuple] = {}
-    for lam in sorted(layers):
-        mono = wreath_cayley(mp, lam, f.planar)
-        cells = greens_cells_bruteforce(mono)
-        index = {m: i for i, m in enumerate(mono.elements)}
-        l_of, r_of, j_of, h_of = (
-            _membership(part, mono.size)
-            for part in (cells.l_cells, cells.r_cells, cells.j_cells, cells.h_cells)
-        )
-        for idx in layers[lam]:
-            mid = index[facts[idx].middle]
-            middle_class[idx] = (lam, l_of[mid], r_of[mid], j_of[mid], h_of[mid])
-
-    def group(key_fn):
-        return list(_group((i, key_fn(i)) for i in range(len(elements))).values())
-
-    l_cells = group(lambda i: (facts[i].bottom, middle_class[i][0], middle_class[i][1]))
-    r_cells = group(lambda i: (facts[i].top, middle_class[i][0], middle_class[i][2]))
-    j_cells = group(lambda i: (middle_class[i][0], middle_class[i][3]))
-    h_cells = group(
-        lambda i: (facts[i].bottom, facts[i].top, middle_class[i][0], middle_class[i][4])
+    mono = cayley_of_m(mp)
+    m_cells = greens_cells_bruteforce(mono)
+    l_of, r_of, j_of = (
+        dict(zip(mono.elements, _membership(part, mono.size)))
+        for part in (m_cells.l_cells, m_cells.r_cells, m_cells.j_cells)
     )
-    return l_cells, r_cells, j_cells, h_cells
+    keys = []  # per element: (bottom, L-key), (top, R-key), (lambda, J-key)
+    for fact in (factorize(d, mp) for d in elements):
+        s = fact.middle.strands
+        j_key = tuple(j_of[x] for x in s)
+        keys.append((
+            (fact.bottom, tuple(l_of[s[k - 1]] for k in fact.middle.perm)),
+            (fact.top, tuple(r_of[x] for x in s)),
+            (fact.lambda_ts, j_key if f.planar else tuple(sorted(j_key))),
+        ))
+    return tuple(
+        list(_group((i, key_of(key)) for i, key in enumerate(keys)).values())
+        for key_of in (itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(0, 1))
+    )

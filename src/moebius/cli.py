@@ -160,9 +160,12 @@ def cmd_apex(args):
 def cmd_idempotents(args):
     fam = family_from_name(args.family)
     ps = _load_params(args.params)
-    monoid_params_of(ps)  # refuses a q other than 1 - T^r before n is checked
+    mp = monoid_params_of(ps)  # refuses a q other than 1 - T^r before n is checked
+    lambdas = admissible_lambdas(fam, args.n)
+    for lam in lambdas:  # every J-cell is charged before the first is searched
+        cells.jcell_size(fam, args.n, lam, mp)
     report = {}
-    for lam in admissible_lambdas(fam, args.n):
+    for lam in lambdas:
         found = cells.strict_idempotent(fam, args.n, lam, ps)
         if found is not None:
             found = {"element": render_diagram(found[0]), "scalar": format_rational(found[1])}
@@ -392,7 +395,7 @@ def cmd_selftest(args):
             x, y, z = (algebra.LinComb.from_diagram(rand_diagram(3)) for _ in range(3))
             lhs = algebra.compose(algebra.compose(x, y, ps), z, ps)
             rhs = algebra.compose(x, algebra.compose(y, z, ps), ps)
-            assert algebra.equal(lhs, rhs)
+            assert lhs == rhs
 
     check("roexp-rank", roexp)
     check("monoid-cells", monoid)

@@ -308,28 +308,22 @@ def factorize(d: Diagram, mp: MonoidParams) -> Factorization:
 
 
 def recompose(fact: Factorization) -> Diagram:
-    """Inverse of factorize on canonical factorizations."""
-    lam = fact.lambda_ts
-    bottom_through = {}
-    dead_bottom = []
-    for nodes, h, mob in fact.bottom.blocks:
-        tops = [v for v in nodes if v < 0]
-        if tops:
-            bottom_through[-tops[0]] = tuple(v for v in nodes if v > 0)
+    """Inverse of factorize on canonical factorizations.  Their halves are
+    canonical, so every block built here is too; only block order is left."""
+    blocks = []
+    bottom_through, top_through = {}, {}
+    for nodes, h, mob in fact.bottom.blocks:  # a through block ends in its top node
+        if nodes[-1] < 0:
+            bottom_through[-nodes[-1]] = nodes[:-1]
         else:
-            dead_bottom.append((nodes, h, mob))
-    top_through = {}
-    dead_top = []
-    for nodes, h, mob in fact.top.blocks:
-        bots = [v for v in nodes if v > 0]
-        if bots:
-            top_through[bots[0]] = tuple(v for v in nodes if v < 0)
+            blocks.append((nodes, h, mob))
+    for nodes, h, mob in fact.top.blocks:  # a through block starts with its bottom node
+        if nodes[0] > 0:
+            top_through[nodes[0]] = nodes[1:]
         else:
-            dead_top.append((nodes, h, mob))
-    blocks = list(dead_bottom) + list(dead_top)
-    for i in range(1, lam + 1):
-        j = fact.middle.perm[i - 1]
+            blocks.append((nodes, h, mob))
+    for i, j in enumerate(fact.middle.perm, 1):
         dec = fact.middle.strands[j - 1]
         blocks.append((bottom_through[i] + top_through[j], dec.i, dec.j))
-    return Diagram.make(fact.bottom.n, fact.top.m, blocks)
-
+    blocks.sort(key=least_node_key)
+    return Diagram(fact.bottom.n, fact.top.m, tuple(blocks))

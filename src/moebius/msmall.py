@@ -64,7 +64,7 @@ def m_elements(mp: MonoidParams) -> list[MElem]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CayleyMonoid:
     """Finite monoid as an index table; mul[i][j] = index of product ij."""
 
@@ -101,7 +101,7 @@ def symmetric_group_cayley(n: int) -> CayleyMonoid:
     return CayleyMonoid.from_op(perms, lambda p, q: tuple(p[q[i]] for i in range(n)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GreensCells:
     """Index partitions into L-, R-, J- and H-cells."""
 
@@ -178,7 +178,7 @@ def _index_components(n: int, pairs) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MCellReport:
     K: int
     r: int
@@ -293,29 +293,31 @@ def generalized_conjugacy_classes(mono: CayleyMonoid) -> list[list[int]]:
     """Classes of the relation: m ~ n iff there are x, x' with
     xx'x = x, x'xx' = x', x'x = m^w, xx' = n^w, x m^(w+1) x' = n^(w+1).
 
-    The classes are the components of this relation, sorted; each pair
-    m < n is tested against the witness pairs bucketed by (x'x, xx').
+    The classes are the components of this relation, sorted.  It is
+    symmetric, as (x', x) witnesses n ~ m: x' n^(w+1) x = x'x m^(w+1) x'x
+    = m^w m^(w+1) m^w = m^(w+1).  So one pass over each m's witnesses,
+    the pairs with x'x = m^w, joins m with every n whose (n^w, n^(w+1))
+    is (xx', x m^(w+1) x'), and no pair m, n is tested.
     """
     n = check_guard(CONJUGACY_WHAT, mono.size, CONJUGACY_GUARD)
     mul = mono.mul
     omega = [omega_power(v, mono) for v in range(n)]
     omega1 = [mul[omega[v]][v] for v in range(n)]
+    by_powers = _group((v, (omega[v], omega1[v])) for v in range(n))
 
-    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for x in range(n):
-        for xp in range(n):
-            if mul[mul[x][xp]][x] == x and mul[mul[xp][x]][xp] == xp:
-                buckets.setdefault((mul[xp][x], mul[x][xp]), []).append((x, xp))
-
-    def related():
-        for m in range(n):
-            for k in range(m + 1, n):
-                for x, xp in buckets.get((omega[m], omega[k]), ()):
-                    if mul[mul[x][omega1[m]]][xp] == omega1[k]:
-                        yield m, k
-                        break
-
-    return _index_components(n, related())
+    witnesses = _group(  # x'x -> the pairs (x, x')
+        ((x, xp), mul[xp][x])
+        for x in range(n)
+        for xp in range(n)
+        if mul[mul[x][xp]][x] == x and mul[mul[xp][x]][xp] == xp
+    )
+    related = (
+        (m, k)
+        for m in range(n)
+        for x, xp in witnesses.get(omega[m], ())
+        for k in by_powers.get((mul[x][xp], mul[mul[x][omega1[m]]][xp]), ())
+    )
+    return _index_components(n, related)
 
 
 # ---------------------------------------------------------------------------

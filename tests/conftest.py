@@ -5,8 +5,9 @@ union-find) used to cross-check the production composition,
 replayed canonical layouts must equal exactly, and a per-family
 membership oracle (an if-chain per core and a pairwise crossing test)
 for the block-rule ``is_member`` and the stack-scan ``is_planar``; the
-helpers only the tests call; and the strict-idempotent oracle, a listed
-J-cell whose elements are squared one by one."""
+helpers only the tests call; the strict-idempotent oracle, a listed
+J-cell whose elements are squared one by one; and the Green's-cell
+prediction from each layer's whole Cayley table of M wr S_lambda."""
 from __future__ import annotations
 
 import itertools
@@ -16,8 +17,15 @@ from fractions import Fraction
 import pytest
 
 from moebius import Family, LinComb, compose_diagrams, evaluate_closed, validate_params
-from moebius.diagram import Diagram, star, tensor, through_strands
-from moebius.msmall import MElem, WreathElem
+from moebius.diagram import Diagram, factorize, star, tensor, through_strands
+from moebius.msmall import (
+    MElem,
+    WreathElem,
+    _group,
+    _membership,
+    greens_cells_bruteforce,
+    wreath_cayley,
+)
 from moebius.params import handle_reduce_monoid, reduce_mob_pair
 
 
@@ -370,3 +378,40 @@ def oracle_strict_idempotents(jcell: list[Diagram], ps):
             (d, c), = trimmed.items()
             if d == e and c != 0:
                 yield e, c
+
+
+# ---------------------------------------------------------------------------
+# Green's-cell prediction oracle: each layer's sandwiched monoid brute-forced
+# ---------------------------------------------------------------------------
+
+
+def oracle_predicted_cells(elements: list[Diagram], f: Family, mp):
+    """(L, R, J, H) index partitions of the decorated monoid predicted from
+    the factorizations, each layer's middles classed by the brute-force
+    cells of the whole Cayley table of M wr S_lambda (M^lambda if planar):
+    L by bottom and the middle's L-class, R by top and R-class, J by the
+    J-class, H by bottom, top and H-class."""
+    facts = [factorize(d, mp) for d in elements]
+    layers = _group((i, fact.lambda_ts) for i, fact in enumerate(facts))
+    middle_class: dict[int, tuple] = {}
+    for lam in sorted(layers):
+        mono = wreath_cayley(mp, lam, f.planar)
+        cells = greens_cells_bruteforce(mono)
+        index = {m: i for i, m in enumerate(mono.elements)}
+        l_of, r_of, j_of, h_of = (
+            _membership(part, mono.size)
+            for part in (cells.l_cells, cells.r_cells, cells.j_cells, cells.h_cells)
+        )
+        for idx in layers[lam]:
+            mid = index[facts[idx].middle]
+            middle_class[idx] = (lam, l_of[mid], r_of[mid], j_of[mid], h_of[mid])
+
+    def group(key_fn):
+        return list(_group((i, key_fn(i)) for i in range(len(elements))).values())
+
+    return (
+        group(lambda i: (facts[i].bottom, middle_class[i][0], middle_class[i][1])),
+        group(lambda i: (facts[i].top, middle_class[i][0], middle_class[i][2])),
+        group(lambda i: (middle_class[i][0], middle_class[i][3])),
+        group(lambda i: (facts[i].bottom, facts[i].top, middle_class[i][0], middle_class[i][4])),
+    )

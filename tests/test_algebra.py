@@ -16,7 +16,6 @@ from moebius import (
     all_ones_evals,
     compose,
     compose_diagrams,
-    equal,
     evaluate_closed,
     monoid_compose,
     parse_diagram,
@@ -69,7 +68,7 @@ def test_compose_partition_example(ps_geometric_2):
     want = lc(
         "6;6;{1,2'}[0,0]|{2,4,5}[0,0]|{3}[0,0]|{6,1',4',6'}[0,0]|{3'}[0,0]|{5'}[0,0]"
     )
-    assert equal(out, want)
+    assert out == want
 
 
 def test_compose_hom_example():
@@ -79,7 +78,7 @@ def test_compose_hom_example():
     g = lc("4;2;{1,1'}[0,0]|{2,4}[0,0]|{3}[0,0]|{2'}[0,0]")
     out = compose(f, g, ps)
     want = lc("4;3;{1,1',2'}[0,0]|{2,4}[0,0]|{3}[0,0]|{3'}[0,0]")
-    assert equal(out, want)
+    assert out == want
 
 
 def test_compose_loop_evaluations(ps_geometric_2):
@@ -169,11 +168,11 @@ def test_handle_expansion_guard_trips_before_the_work(monkeypatch):
 
 def test_equal_examples(ps_geometric_2):
     x = lc("1;1;{1,1'}[0,0]")
-    assert equal(x, lincomb_scale(x, 1))
-    assert not equal(x, lc("1;1;{1,1'}[0,1]"))
+    assert x == lincomb_scale(x, 1)
+    assert x != lc("1;1;{1,1'}[0,1]")
     y = LinComb.make(1, 1, {parse_diagram("1;1;{1,1'}[0,0]"): Fraction(1),
                            parse_diagram("1;1;{1,1'}[0,1]"): Fraction(0)})
-    assert equal(x, y)
+    assert x == y
 
 
 def test_monoid_compose_tl_identity():
@@ -231,7 +230,7 @@ def test_associativity_random_families():
                 x, y, z = list(_random_lincombs(rng, shapes, ps, 3))
                 lhs = compose(compose(x, y, ps), z, ps)
                 rhs = compose(x, compose(y, z, ps), ps)
-                assert equal(lhs, rhs), (f, ps.q)
+                assert lhs == rhs, (f, ps.q)
 
 
 def test_interchange_law():
@@ -245,7 +244,7 @@ def test_interchange_law():
         )
         lhs = compose(lincomb_tensor(f1, f2), lincomb_tensor(g1, g2), ps)
         rhs = lincomb_tensor(compose(f1, g1, ps), compose(f2, g2, ps))
-        assert equal(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_star_anti_involution():
@@ -254,7 +253,7 @@ def test_star_anti_involution():
     shapes = family_shapes(Family.PARTITION, 3, 3)
     for _ in range(60):
         f, g = (LinComb.from_diagram(random_family_diagram(rng, shapes, 2, 4)) for _ in range(2))
-        assert equal(lincomb_star(compose(f, g, ps)), compose(lincomb_star(g), lincomb_star(f), ps))
+        assert lincomb_star(compose(f, g, ps)) == compose(lincomb_star(g), lincomb_star(f), ps)
 
 
 def test_eval_handle_commutation():

@@ -35,7 +35,7 @@ from moebius.cells import (
 from moebius.diagram import Diagram, factorize
 from moebius.families import admissible_lambdas
 from moebius.gram import gram_entry
-from moebius.msmall import wreath_order
+from moebius.msmall import wreath_cayley, wreath_order
 from moebius.params import monoid_params_of, validate_params
 from moebius.repcount import dim_left_cell
 
@@ -44,7 +44,9 @@ from conftest import (
     family_shapes,
     member_oracle,
     oracle_jcell,
+    oracle_predicted_cells,
     oracle_strict_idempotents,
+    wreath_to_diagram,
 )
 
 
@@ -284,6 +286,67 @@ def test_greens_vs_combinatorial_cells_decorated():
         assert sorted(sorted(c) for c in cells.r_cells) == pr
         assert sorted(sorted(c) for c in cells.j_cells) == pj
         assert sorted(sorted(c) for c in cells.h_cells) == ph
+
+
+def _sorted_cells(cells) -> tuple:
+    return tuple(sorted(sorted(c) for c in part)
+                 for part in (cells.l_cells, cells.r_cells, cells.j_cells, cells.h_cells))
+
+
+def test_predicted_cells_match_the_layer_oracle_and_brute_force():
+    # every decorated monoid the Cayley guard admits for n = 1, 2 at four
+    # (K, r), and TL n=3: the strand rule on M's own cells gives the cells
+    # of each layer's whole M wr S_lambda table, and the brute-force ones
+    checked = 0
+    for mp in (MonoidParams(1, 1), MonoidParams(2, 1), MonoidParams(3, 1), MonoidParams(3, 3)):
+        cases = [(f, n) for f in Family for n in (1, 2)]
+        if mp == MonoidParams(1, 1):
+            cases.append((Family.TEMPERLEY_LIEB, 3))
+        for f, n in cases:
+            try:
+                elements, mono = family_monoid_cayley(f, n, mp)
+            except ResourceGuardError:
+                continue
+            got = predicted_cells(elements, f, mp)
+            assert got == oracle_predicted_cells(elements, f, mp), (f, n, mp)
+            assert got == _sorted_cells(greens_cells_bruteforce(mono)), (f, n, mp)
+            checked += 1
+    assert checked == 63
+
+
+def test_strand_rule_matches_brute_force_on_wreath_tables():
+    # predicted_cells over the diagrams of M wr S_lambda (or M^lambda) in
+    # a symmetric family, whose halves are trivial, is the strand rule on
+    # the middles alone; each table up to 400 elements is brute-forced
+    checked = 0
+    for K, r in ((1, 1), (2, 1), (3, 1), (3, 3), (4, 3), (5, 3)):
+        mp = MonoidParams(K, r)
+        for f in (Family.SYMMETRIC, Family.PLANAR_SYMMETRIC):
+            for lam in range(4):
+                if wreath_order(mp, lam, f.planar) > 400:
+                    continue
+                mono = wreath_cayley(mp, lam, f.planar)
+                elements = [wreath_to_diagram(w) for w in mono.elements]
+                got = predicted_cells(elements, f, mp)
+                assert got == _sorted_cells(greens_cells_bruteforce(mono)), (mp, f, lam)
+                checked += 1
+    assert checked == 38
+
+
+def test_predicted_cells_build_no_wreath_table(monkeypatch):
+    from moebius import msmall
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a wreath product was formed")
+
+    for owner, name in ((msmall, "wreath_mul"), (msmall, "wreath_cayley"),
+                        (cells_mod, "wreath_mul")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert not hasattr(cells_mod, "wreath_cayley")
+    mp = MonoidParams(2, 1)
+    elements, mono = family_monoid_cayley(Family.BRAUER, 2, mp)
+    assert predicted_cells(elements, Family.BRAUER, mp) == _sorted_cells(
+        greens_cells_bruteforce(mono))
 
 
 def test_l_cells_equal_size_within_j():

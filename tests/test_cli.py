@@ -291,6 +291,21 @@ def test_apex_and_idempotents(capsys, params_file):
     assert all(v is not None for v in found.values())
 
 
+def test_idempotents_charges_every_jcell_before_the_first_search(capsys, monkeypatch, tmp_path):
+    # rook n=4 at K=3 refuses lambda=3's J-cell; lambdas 0 to 2 fit, and
+    # none of them is searched before the refusal
+    from moebius import cells
+
+    calls = []
+    monkeypatch.setattr(cells, "strict_idempotent", lambda *args: calls.append(args))
+    path = tmp_path / "pK3.json"
+    path.write_text('{"p_alpha":["2"],"p_beta":["1","1"],"p_gamma":["0","1"],'
+                    '"q":["1","0","0","-1"]}')
+    assert main(["idempotents", "--family", "rook", "--n", "4", "--params", str(path)]) == 4
+    assert "the size of the J-cell at lambda=3" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_cells_command(capsys):
     doc = run_json(capsys, "cells", "--family", "tl", "--n", "2")
     res = doc["result"]

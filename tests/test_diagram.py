@@ -410,6 +410,26 @@ def test_factorize_matches_the_make_oracle():
     assert checked > 1000
 
 
+def test_recompose_builds_canonical_blocks():
+    # the grid above: recompose's blocks, built without Diagram.make, are
+    # those Diagram.make gives for the same blocks
+    rng = random.Random(9)
+    checked = 0
+    for f in Family:
+        for n in (1, 2, 3):
+            for mp in (MonoidParams(1, 1), MonoidParams(3, 1), MonoidParams(3, 3)):
+                for lam in admissible_lambdas(f, n):
+                    halves = enumerate_half_diagrams(f, n, lam, mp.K)
+                    mids = list(wreath_elements(mp, lam, planar=f.planar))
+                    for _ in range(6):
+                        fact = Factorization(star(rng.choice(halves)), rng.choice(mids),
+                                             rng.choice(halves), lam)
+                        d = recompose(fact)
+                        assert d == Diagram.make(d.n, d.m, d.blocks), d
+                        checked += 1
+    assert checked > 1000
+
+
 def test_wreath_to_diagram():
     w = WreathElem((MElem(1, 0), MElem(0, 2)), (2, 1))
     d = wreath_to_diagram(w)

@@ -112,6 +112,9 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     add("cells", "--family", "temperley-lieb", "--n", "3")
     add("cells", "--family", "brauer", "--n", "2", "--K", "2")
     add("cells", "--family", "brauer", "--n", "2", "--K", "3", "--r", "3")
+    add("cells", "--family", "brauer", "--n", "3")
+    add("cells", "--family", "symmetric", "--n", "3", "--K", "2")
+    add("cells", "--family", "planar-symmetric", "--n", "3", "--K", "3", "--r", "3")
     for argv in (
         ("--family", "rook", "--n", "2", "--lambda", "0", "--params", "@p211.json"),
         ("--family", "partition", "--n", "2", "--lambda", "1", "--params", "@pK2.json"),
@@ -225,6 +228,8 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     add("gram", "--family", "rook", "--n", "7", "--lambda", "0", "--params", "@p211.json")
     add("dims", "--family", "partition", "--n", "8", "--K", "3", "--check")
     add("idempotents", "--family", "symmetric", "--n", "5", "--params", "@pK2.json")
+    # every lambda's J-cell is charged before the first lambda's work
+    add("idempotents", "--family", "rook", "--n", "4", "--params", "@pK3.json")
     add("monoid-m", "--K", "600", "--r", "1")
     add("conjugacy", "--K", "101", "--r", "1")
     add("conjugacy", "--sym", "6")

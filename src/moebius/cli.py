@@ -305,9 +305,13 @@ def cmd_rank(args):
     if args.matrix.endswith(".json"):
         try:
             data = json.loads(text)
-            rows = [[parse_rational(str(x)) for x in row] for row in data]
-        except (json.JSONDecodeError, TypeError) as exc:
+        except json.JSONDecodeError as exc:
             raise ParseError(f"bad matrix JSON: {exc}") from None
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ParseError("bad matrix JSON: the matrix must be an array of row arrays")
+        if not data:
+            raise PreconditionError("empty matrix")
+        rows = [[parse_rational(str(x)) for x in row] for row in data]
     else:
         rows = gram.matrix_from_csv(text)
     rep = gram.exact_rank(rows)

@@ -91,7 +91,7 @@ class Diagram:
 
 
 def _node_str(v: int) -> str:
-    return str(v) if v > 0 else f"{-v}'"
+    return str(v) if v >= 0 else f"{-v}'"
 
 
 def identity(n: int) -> Diagram:
@@ -102,11 +102,16 @@ def identity(n: int) -> Diagram:
 # literal grammar:  n;m;{1,2'}[h,mob]|{...}[h,mob]|...
 # ---------------------------------------------------------------------------
 
-_BLOCK_RE = re.compile(r"\{([^{}]*)\}\[(\d+),(\d+)\]")
+_BLOCK_RE = re.compile(r"\{([^{}]*)\}\[(\d+),(\d+)\]", re.ASCII)
+_NODE_RE = re.compile(r"(\d+)('?)", re.ASCII)
 
 
 def parse_diagram(text: str) -> Diagram:
-    """Parse the literal grammar; inverse of render_diagram."""
+    """Parse the literal grammar; inverse of render_diagram.
+
+    A boundary size is decimal digits, and a node is decimal digits with
+    at most one trailing ' (a top node); no sign or digit separator is
+    read, as ``int`` would."""
     s = re.sub(r"\s+", "", text)
     parts = s.split(";", 2)
     if len(parts) != 3:
@@ -115,6 +120,9 @@ def parse_diagram(text: str) -> Diagram:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError("boundary sizes must be integers") from None
+    for size in parts[:2]:
+        if not re.fullmatch(r"\d+", size, re.ASCII):
+            raise ParseError(f"boundary size {size!r} is not decimal digits")
     body = parts[2]
     blocks = []
     if body:
@@ -126,10 +134,10 @@ def parse_diagram(text: str) -> Diagram:
             for tok in match.group(1).split(","):
                 if not tok:
                     raise ParseError(f"empty node in block {piece!r}")
-                if tok.endswith("'"):
-                    nodes.append(-int(tok[:-1]))
-                else:
-                    nodes.append(int(tok))
+                node = _NODE_RE.fullmatch(tok)
+                if not node:
+                    raise ParseError(f"bad node {tok!r} in block {piece!r}")
+                nodes.append(-int(node[1]) if node[2] else int(node[1]))
             blocks.append((nodes, int(match.group(2)), int(match.group(3))))
     try:
         return Diagram.make(n, m, blocks)

@@ -133,6 +133,7 @@ def _gram_blocks(halves, n, lam, ps, mp) -> tuple:
     block_of = {a: k for k, comp in enumerate(comps) for a in comp}
     index_sets = [tuple(sorted(i for a in comp for i in groups[a])) for comp in comps]
     pos = {i: p for idx in index_sets for p, i in enumerate(idx)}  # half -> place in its block
+    members = [[halves[i] for i in idx] for idx in index_sets]
     squares = [[[_ZERO] * len(idx) for _ in idx] for idx in index_sets]
     values: dict[tuple[int, int], Rat] = {}  # summed closed decoration -> value
     products: dict = {}  # (closed components, radix) -> summed code -> entry
@@ -171,8 +172,7 @@ def _gram_blocks(halves, n, lam, ps, mp) -> tuple:
                         start=_ONE,
                     )
                 row[c] = x
-        members = [halves[i] for i in index_sets[block_of[top]]]
-        _check_pair_keys(members, square, *sums(through), ps, mp, walked)
+        _check_pair_keys(members[block_of[top]], square, *sums(through), ps, mp, walked)
     return tuple(zip(index_sets, (tuple(map(tuple, square)) for square in squares)))
 
 

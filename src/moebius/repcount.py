@@ -249,23 +249,6 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _double_factorial(n: int) -> int:
-    # (-1)!! = 1 covers the empty pairing
-    if n <= 0:
-        return 1
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def _narayana(m: int, k: int) -> int:
-    if m == 0:
-        return 1 if k == 0 else 0
-    return math.comb(m, k) * math.comb(m, k - 1) // m
-
-
 def _ballot(m: int, t: int) -> int:
     """C(m, t) - C(m, t - 1) = C(m, t) (m - 2t + 1) / (m - t + 1): the
     walks of m steps, t of them down, that never go below 0 (2t <= m)."""
@@ -273,28 +256,36 @@ def _ballot(m: int, t: int) -> int:
 
 
 def _planar_partition_dim(n: int, lam: int, y: int) -> int:
-    """[x^(n-lam)] D (D G)^lam, with D(x) = sum_m sum_k N(m,k) y^k x^m the
-    Narayana polynomial generating function and G = 1 / (1 - x D).
+    """(1/n) sum_{j=0}^{n-lam} C(n, j) y^j [lam C(n, lam+j) + (lam+1) y C(n, lam+j+1)]
+    for n >= 1, and 1 at n = 0: the decorated noncrossing halves of n
+    nodes with lam through blocks, each dead block carrying one of y = 3K
+    decorations.
 
-    A planar half with lam through blocks is a sequence of through blocks
-    separated by gaps; every gap (including the gaps between consecutive
-    nodes of one through block) holds an independent noncrossing partition
-    of dead blocks, each dead block carrying y = 3K decorations.  So a
-    half is a gap D, then per through block its first node, a gap, and
-    any further nodes each followed by a gap: x D G, or the step D G once
-    the lam first nodes are taken out of x^n.  Every series is cut after
-    x^(n-lam).
+    A half is a gap, then per through block its first node, a gap, and
+    any further nodes each followed by a gap.  Every gap holds a
+    noncrossing partition of dead blocks; let D(x) count them, weighted
+    y per block, and G = 1 / (1 - x D).  Then a through block is x D G and
+    the half is D (x D G)^lam, read at x^n.  A gap is empty, or the block
+    of its first node, k >= 1 nodes each followed by a gap:
+    D = 1 + y sum_k (x D)^k.  So u = x D obeys u = x phi(u) with
+    phi(u) = 1 + y u / (1 - u), and the half is H(u) with
+    H(u) = phi(u) (u / (1 - u))^lam.  By Lagrange inversion, for n >= 1,
+
+        [x^n] H(u) = (1/n) [t^(n-1)] H'(t) phi(t)^n,
+
+    where H'(t) = lam t^(lam-1) (1-t)^(-lam-1) + (lam+1) y t^lam (1-t)^(-lam-2)
+    and phi(t)^n = sum_j C(n, j) y^j t^j (1-t)^(-j).  Since
+    [t^k] (1-t)^(-a) = C(k + a - 1, a - 1), the j-th terms give
+    C(n, lam+j) and C(n, lam+j+1), and the sum is n times the count, so
+    the division is exact.
     """
-    size = n - lam + 1
-    d = [1] + [sum(_narayana(m, k) * y**k for k in range(1, m + 1)) for m in range(1, size)]
-    g = [1] * size  # G = 1 + x D G
-    for i in range(1, size):
-        g[i] = sum(d[j - 1] * g[i - j] for j in range(1, i + 1))
-    step = [sum(d[j] * g[i - j] for j in range(i + 1)) for i in range(size)]  # D G
-    term = d
-    for _ in range(lam):
-        term = [sum(term[j] * step[i - j] for j in range(i + 1)) for i in range(size)]
-    return term[-1]
+    if n == 0:
+        return 1
+    return sum(
+        math.comb(n, j) * y**j
+        * (lam * math.comb(n, lam + j) + (lam + 1) * y * math.comb(n, lam + j + 1))
+        for j in range(n - lam + 1)
+    ) // n
 
 
 def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
@@ -304,7 +295,10 @@ def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
     below K, crosscap count at most 2); cells.checked_dims compares it
     with explicit half-diagram enumeration.  Every form is in integers:
     the Motzkin and Temperley-Lieb ballot factor (lam+1)/(lam+t+1) C(m, t)
-    is the ballot number C(m, t) - C(m, t-1).
+    is the ballot number C(m, t) - C(m, t-1); the (2t-1)!! pairings of 2t
+    nodes in Brauer and rook-Brauer are (2t)!/t! = 2^t (2t-1)!!, shifted
+    right t bits; and the planar partition sum is n times the count, so
+    its division by n is exact.
     """
     check_lambda(f, n, lambda_ts)
     if K <= 0:
@@ -319,7 +313,7 @@ def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
         val = _planar_partition_dim(n, lam, y)
     elif f is Family.ROOK_BRAUER:
         val = sum(
-            math.comb(n, lam) * math.comb(n - lam, 2 * t) * _double_factorial(2 * t - 1)
+            math.comb(n, lam) * math.comb(n - lam, 2 * t) * (math.perm(2 * t, t) >> t)
             * y ** (n - lam - t)
             for t in range(0, (n - lam) // 2 + 1)
         )
@@ -329,7 +323,8 @@ def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
             for t in range(0, (n - lam) // 2 + 1)
         )
     elif f is Family.BRAUER:
-        val = math.comb(n, lam) * _double_factorial(n - lam - 1) * y ** ((n - lam) // 2)
+        t = (n - lam) // 2
+        val = math.comb(n, lam) * (math.perm(2 * t, t) >> t) * y**t
     elif f is Family.TEMPERLEY_LIEB:
         val = _ballot(n, (n - lam) // 2) * y ** ((n - lam) // 2)
     elif f in (Family.ROOK, Family.PLANAR_ROOK):

@@ -206,6 +206,26 @@ def test_gram_csv_and_rank_roundtrip(capsys, params_file_201, tmp_path):
     assert doc["result"] == {"det": "1", "rank": 3}
 
 
+NOT_ROWS = "parse error: bad matrix JSON: the matrix must be an array of row arrays"
+
+
+@pytest.mark.parametrize("name, text, code, message", [
+    ("m.json", '["12","34"]', 2, NOT_ROWS),
+    ("m.json", '{"12": 0, "34": 1}', 2, NOT_ROWS),
+    ("m.json", '"1"', 2, NOT_ROWS),
+    ("m.json", "[[1, 2], 3]", 2, NOT_ROWS),
+    ("m.json", "[]", 3, "precondition violated: empty matrix"),
+    ("m.csv", "", 3, "precondition violated: empty matrix"),
+])
+def test_rank_json_must_be_an_array_of_row_arrays(capsys, tmp_path, name, text, code, message):
+    # strings and objects iterate as rows too, so each was ranked as some
+    # other matrix; a matrix with no rows exits 3 in either format
+    matrix_file = tmp_path / name
+    matrix_file.write_text(text)
+    assert main(["rank", "--matrix", str(matrix_file)]) == code
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_dims_with_check_and_cache(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     doc = run_json(capsys, "dims", "--family", "tl", "--n", "3", "--K", "2",

@@ -74,6 +74,35 @@ def test_parse_errors():
         parse_diagram("1;1")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1;1;{1,1''}[0,0]", "bad node \"1''\" in block \"{1,1''}[0,0]\""),
+    ("1;1;{a,1'}[0,0]", "bad node 'a' in block \"{a,1'}[0,0]\""),
+    ("1;1;{1,-1}[0,0]", "bad node '-1' in block '{1,-1}[0,0]'"),
+    ("1;1;{-1',1'}[0,0]", "bad node \"-1'\" in block \"{-1',1'}[0,0]\""),
+    ("1;1;{+1,1'}[0,0]", "bad node '+1' in block \"{+1,1'}[0,0]\""),
+    ("1;1;{1,'}[0,0]", "bad node \"'\" in block \"{1,'}[0,0]\""),
+    ("1;1;{\u0661,1'}[0,0]", "bad node '\u0661' in block \"{\u0661,1'}[0,0]\""),
+    ("1;1;{1,1'}[\u0661,0]", "malformed block \"{1,1'}[\u0661,0]\""),
+    ("10;0;{1_0,1,2,3,4,5,6,7,8,9}[0,0]", "bad node '1_0' in block '{1_0,1,2,3,4,5,6,7,8,9}[0,0]'"),
+    ("1_0;0;{1,2,3,4,5,6,7,8,9,10}[0,0]", "boundary size '1_0' is not decimal digits"),
+    ("1;+1;{1,1'}[0,0]", "boundary size '+1' is not decimal digits"),
+    ("-1;0;", "boundary size '-1' is not decimal digits"),
+    ("1;x;{1}[0,0]", "boundary sizes must be integers"),
+    ("1;1;{0,1,1'}[0,0]", "bad node cover: unexpected 0"),
+    ("1;1;{1,1',0'}[0,0]", "bad node cover: unexpected 0"),
+])
+def test_parse_reads_only_decimal_nodes_and_sizes(text, message):
+    # int() would read a sign, a digit separator or a non-ASCII digit, so
+    # each of these was some other diagram, or a ValueError traceback
+    with pytest.raises(ParseError) as err:
+        parse_diagram(text)
+    assert str(err.value) == message
+
+
+def test_parse_reads_leading_zeros_as_decimal():
+    assert parse_diagram("01;1;{01,1'}[0,0]") == parse_diagram("1;1;{1,1'}[0,0]")
+
+
 MAKE_FAULTS = [
     (-1, 0, [], "boundary sizes must be nonnegative"),
     (1, -2, [], "boundary sizes must be nonnegative"),
@@ -85,7 +114,7 @@ MAKE_FAULTS = [
     (2, 1, [((1, -1), 0, 0), ((1,), 0, 0)], "node 1 appears twice"),  # right count
     (2, 2, [((1, -1), 0, 0)], "bad node cover: missing 2,2'"),
     (1, 1, [((1, -1, -2), 0, 0)], "bad node cover: unexpected 2'"),
-    (2, 1, [((1, -1), 0, 0), ((3, 0), 0, 0)], "bad node cover: missing 2; unexpected 3,0'"),
+    (2, 1, [((1, -1), 0, 0), ((3, 0), 0, 0)], "bad node cover: missing 2; unexpected 3,0"),
     # faults inside a block are reported in block order, before the cover
     (1, 1, [((1, -1, 5), 0, 0), ((), 0, 0)], "blocks must be nonempty"),
     (2, 2, [((1, 1), 0, 0), ((-1,), 0, -1)], "node 1 appears twice"),

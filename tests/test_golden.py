@@ -66,6 +66,11 @@ FILES = {
     "tall.csv": "1,2\n3,4\n5,6\n",
     "ragged.csv": "1,2\n3\n",
     "truncated-matrix.json": "[[1, 2], [3,",
+    "strings-matrix.json": '["12", "34"]',
+    "object-matrix.json": '{"12": 0, "34": 1}',
+    "scalar-matrix.json": '"1"',
+    "no-rows.json": "[]",
+    "empty.csv": "",
 }
 K_PARAMS = {1: "@p211.json", 2: "@pK2.json", 3: "@pK3.json"}
 TIER1_DIM = 100  # Gram cells above this go to the CI tier
@@ -191,6 +196,14 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     for bad in ("@truncated.json", "@nokey.json", "@notarrays.json"):
         add("gram", "--family", "rook", "--n", "1", "--lambda", "0", "--params", bad)
     add("rank", "--matrix", "@truncated-matrix.json")
+    # a node is digits with at most one trailing ', and a size is digits:
+    # int() read these as other nodes or sizes, or raised a ValueError
+    for literal in ("1;1;{1,1''}[0,0]", "1;1;{a,1'}[0,0]", "1;1;{1,-1}[0,0]", "1;1;{+1,1'}[0,0]",
+                    "10;0;{1_0,1,2,3,4,5,6,7,8,9}[0,0]", "1_0;0;{1,2,3,4,5,6,7,8,9,10}[0,0]"):
+        add("star", literal)
+    # matrix JSON is an array of row arrays; strings and objects were read as rows
+    for bad in ("@strings-matrix.json", "@object-matrix.json", "@scalar-matrix.json"):
+        add("rank", "--matrix", bad)
     add("dims", "--family", "rook", "--n", "2", "--K", "1", "--check", "--cache-dir", "/dev/null")
     # exit 3: contracts and flag combinations
     add("dims", "--family", "nope", "--n", "2", "--K", "1")
@@ -222,6 +235,8 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     add("count-simples", "--family", "rook", "--n", "3", "--lambda", "1", "--field",
         "char0bar", "--r", "2")
     add("rank", "--matrix", "@ragged.csv")
+    add("rank", "--matrix", "@no-rows.json")
+    add("rank", "--matrix", "@empty.csv")
     add("deligne", "--alpha0", "2", "--beta0", "1", "--gamma0", "1", "--lam", "4",
         "--sqrt-lam", "3")
     # exit 4: each guard, before its work

@@ -247,7 +247,7 @@ def _planar_partition_oracle(n: int, lam: int, y: int) -> int:
     """[x^n] D^(lam+1) (x / (1 - x D))^lam, each series to x^n, with D the
     Narayana polynomial generating function in y."""
     size = n + 1
-    d = [1] + [sum(repcount._narayana(m, k) * y**k for k in range(1, m + 1))
+    d = [1] + [sum(comb(m, k) * comb(m, k - 1) // m * y**k for k in range(1, m + 1))
                for m in range(1, size)]
 
     def mul(a, b):
@@ -271,13 +271,31 @@ def _planar_partition_oracle(n: int, lam: int, y: int) -> int:
     return term[n]
 
 
+def _double_factorial(n: int) -> int:
+    """n (n-2) (n-4) ... down to 1 or 2; 1 for n <= 0, so (-1)!! = 1
+    counts the empty pairing."""
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
 def _dim_oracle(f: Family, n: int, lam: int, K: int) -> int | None:
-    """The planar-partition form with full-length series, and the Motzkin
-    and Temperley-Lieb forms with the ballot factors as fractions; None
-    for the families whose forms did not change."""
+    """The planar-partition form with full-length series, the Brauer and
+    rook-Brauer forms with a double factorial multiplied out, and the
+    Motzkin and Temperley-Lieb forms with the ballot factors as fractions;
+    None for the families whose forms did not change."""
     y = 3 * K
     if f is Family.PLANAR_PARTITION:
         return _planar_partition_oracle(n, lam, y)
+    if f is Family.BRAUER:
+        return comb(n, lam) * _double_factorial(n - lam - 1) * y ** ((n - lam) // 2)
+    if f is Family.ROOK_BRAUER:
+        return sum(
+            comb(n, lam) * comb(n - lam, 2 * t) * _double_factorial(2 * t - 1) * y ** (n - lam - t)
+            for t in range((n - lam) // 2 + 1)
+        )
     if f is Family.MOTZKIN:
         val = sum(
             Fraction(lam + 1, lam + t + 1)

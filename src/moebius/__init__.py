@@ -41,7 +41,6 @@ from .diagram import (
 )
 from .algebra import (
     LinComb,
-    all_ones_evals,
     compose,
     compose_diagrams,
     evaluate_closed,
@@ -73,7 +72,6 @@ from .repcount import (
     CHAR0_ALG_CLOSED,
     RATIONALS,
     FieldSpec,
-    SimpleCountQuery,
     count_simples,
     count_types,
     deligne_parameters,
@@ -90,10 +88,8 @@ from .gram import (
     RankReport,
     exact_rank,
     gram_det_closed_form_rook0,
-    gram_entry,
     gram_matrix,
     gramcond_check,
-    simple_dimension,
 )
 
 __version__ = "0.1.0"

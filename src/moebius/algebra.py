@@ -81,9 +81,6 @@ class LinComb:
     def from_diagram(d: Diagram, coeff=1) -> "LinComb":
         return LinComb.make(d.n, d.m, {d: Fraction(coeff)})
 
-    def term_dict(self) -> dict[Diagram, Rat]:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -262,10 +259,6 @@ def compose(f: LinComb, g: LinComb, ps: ParamSet) -> LinComb:
 # ---------------------------------------------------------------------------
 
 MonoidEvals = dict[tuple[int, int], int]  # (mob in {0,1,2}, h in [0,K)) -> 0/1
-
-
-def all_ones_evals(mp: MonoidParams) -> MonoidEvals:
-    return {(mob, h): 1 for mob in range(3) for h in range(mp.K)}
 
 
 def monoid_compose(

@@ -98,6 +98,13 @@ def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
     its nodes left cannot fill such blocks and open the missing through
     blocks, so every branch ends in a member."""
     low, high, side = f.block_rule
+    # A block born unable to take another bottom node never enters reach,
+    # so rook and symmetric walks carry none.  lacking reads reach alone
+    # and stays exact: a block born full meets the rule's minimum (a
+    # through block has two nodes, a rook dead block needs one), save
+    # symmetric's dead block, which short prunes at the next node, as
+    # symmetric admits only lam = n.
+    dead_grows, through_grows = 1 < min(side, high), 1 < side and 2 < high
     shapes = []
     blocks: list[tuple[list[int], tuple[int, ...]]] = []  # (bottoms, top)
 
@@ -124,10 +131,11 @@ def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
         new = len(blocks)
         bots = [k]
         blocks.append((bots, ()))
-        yield k + 1, tops, short + low - 1, reach + (new,)
+        yield k + 1, tops, short + low - 1, reach + (new,) if dead_grows else reach
         if tops < lam and not (f.planar and lacking(reach)):
             blocks[-1] = (bots, (-(tops + 1),))
-            yield k + 1, tops + 1, short, (new,) if f.planar else reach + (new,)
+            held = (new,) if through_grows else ()
+            yield k + 1, tops + 1, short, held if f.planar else reach + held
         blocks.pop()
 
     stack = [place(1, 0, 0, ())]  # the open branches, innermost last

@@ -12,7 +12,9 @@ Exit codes: 0 success, and for each error class the code that
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -255,8 +257,7 @@ def cmd_count_simples(args):
         field = repcount.RATIONALS
     else:
         field = repcount.CHAR0_ALG_CLOSED
-    query = repcount.SimpleCountQuery(fam, args.n, args.lam, field, args.r)
-    result = repcount.count_simples(query)
+    result = repcount.count_simples(fam, args.n, args.lam, field, args.r)
     return {"count": result.count, "exact": result.exact}
 
 
@@ -305,15 +306,16 @@ def cmd_rank(args):
     if args.matrix.endswith(".json"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
             raise ParseError(f"bad matrix JSON: {exc}") from None
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ParseError("bad matrix JSON: the matrix must be an array of row arrays")
-        if not data:
-            raise PreconditionError("empty matrix")
         rows = [[parse_rational(str(x)) for x in row] for row in data]
     else:
-        rows = gram.matrix_from_csv(text)
+        records = csv.reader(io.StringIO(text))
+        rows = [[parse_rational(x) for x in record] for record in records if record]
+    if not rows:
+        raise PreconditionError("empty matrix")
     rep = gram.exact_rank(rows)
     return {
         "rank": rep.rank,

@@ -10,6 +10,7 @@ Diagram values are immutable; all operations return new diagrams.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,9 +48,10 @@ class Diagram:
 
         One pass sorts each block's nodes by ``node_key`` and names the
         first fault in block order: an empty block, a negative decoration
-        or a repeated node; else the missing and unexpected nodes.  The
-        blocks are then sorted by least node.  Code that already holds
-        canonical blocks calls the constructor instead.
+        or a repeated node; else the first three missing nodes, with the
+        count of the rest, and the unexpected ones.  The blocks are then
+        sorted by least node.  Code that already holds canonical blocks
+        calls the constructor instead.
         """
         if n < 0 or m < 0:
             raise PreconditionError("boundary sizes must be nonnegative")
@@ -66,15 +68,20 @@ class Diagram:
                     raise PreconditionError(f"node {_node_str(v)} appears twice")
                 seen.add(v)
             blocks.append((nodes, h, mob))
-        expected = {*range(1, n + 1), *range(-m, 0)}
-        if seen != expected:
-            missing = sorted(expected - seen, key=node_key)
-            extra = sorted(seen - expected, key=node_key)
+        # n + m distinct nodes within the bounds are the boundary
+        if len(seen) != n + m or seen and (min(seen) < -m or max(seen) > n or 0 in seen):
+            extra = sorted([v for v in seen if not (0 < v <= n or -m <= v < 0)], key=node_key)
+            lacking = n + m - len(seen) + len(extra)
+            # only the first three missing nodes are looked for, so a huge
+            # n or m costs no more than the blocks given
+            boundary = itertools.chain(range(1, n + 1), range(-1, -m - 1, -1))
+            missing = list(itertools.islice((v for v in boundary if v not in seen), 3))
+            rest = f" and {lacking - 3} more" if lacking > 3 else ""
             detail = []
             if missing:
-                detail.append("missing " + ",".join(_node_str(v) for v in missing))
+                detail.append("missing " + ",".join(map(_node_str, missing)) + rest)
             if extra:
-                detail.append("unexpected " + ",".join(_node_str(v) for v in extra))
+                detail.append("unexpected " + ",".join(map(_node_str, extra)))
             raise PreconditionError("bad node cover: " + "; ".join(detail))
         blocks.sort(key=least_node_key)
         return Diagram(n, m, tuple(blocks))
@@ -137,12 +144,21 @@ def parse_diagram(text: str) -> Diagram:
                 node = _NODE_RE.fullmatch(tok)
                 if not node:
                     raise ParseError(f"bad node {tok!r} in block {piece!r}")
-                nodes.append(-int(node[1]) if node[2] else int(node[1]))
-            blocks.append((nodes, int(match.group(2)), int(match.group(3))))
+                v = _decimal(node[1], "a node")
+                nodes.append(-v if node[2] else v)
+            blocks.append((nodes, _decimal(match[2], "a handle count"),
+                           _decimal(match[3], "a crosscap count")))
     try:
         return Diagram.make(n, m, blocks)
     except PreconditionError as exc:
         raise ParseError(str(exc)) from None
+
+
+def _decimal(digits: str, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on digits read by int()
+        raise ParseError(f"{what} of {len(digits)} digits is too long to read") from None
 
 
 def render_diagram(d: Diagram) -> str:

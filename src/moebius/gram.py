@@ -34,7 +34,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm, prod
+from math import lcm, prod
 
 from . import algebra
 from .algebra import _summed, evaluate_closed
@@ -43,14 +43,7 @@ from .diagram import Diagram, _star_layout, factorize, render_diagram, star, thr
 from .errors import PRINTABLE_BITS, InternalCheckError, PreconditionError, check_guard
 from .families import Family, check_lambda
 from .msmall import MElem, _group, _index_components, m_mul, wreath_mul
-from .params import (
-    MonoidParams,
-    ParamSet,
-    Rat,
-    format_rational,
-    monoid_params_of,
-    parse_rational,
-)
+from .params import ParamSet, Rat, format_rational, monoid_params_of
 from .repcount import dim_left_cell
 
 SIZE_GUARD = 2000
@@ -83,19 +76,6 @@ class GramMatrix:
 class RankReport:
     rank: int
     det: Rat | None = None
-
-
-def gram_entry(bottom: Diagram, top: Diagram, ps: ParamSet, mp: MonoidParams) -> Rat:
-    """Entry for the H-cell with the given bottom (column) and top (row)
-    half diagrams: entry (0, 1) of ``gram_matrix``'s kernel run on
-    [top, bottom], which stars the top itself and runs the same
-    regularity check."""
-    if mp != monoid_params_of(ps):
-        raise PreconditionError("monoid parameters do not match the parameter set")
-    if (top.n, top.m) != (bottom.n, bottom.m):
-        raise PreconditionError("half diagrams come from different cells")
-    idx, square = _gram_blocks([top, bottom], bottom.n, bottom.m, ps, mp)[0]
-    return square[0][1] if len(idx) == 2 else _ZERO
 
 
 def gram_matrix(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> GramMatrix:
@@ -262,11 +242,13 @@ def exact_rank(mat) -> RankReport:
     """Rank by integer fraction-free elimination; determinant when square.
 
     A GramMatrix is taken by its stored blocks, and square rows as one
-    block.  Each block's rows are scaled to integers once, and the block is
-    split into the connected components of its nonzero pattern (i ~ j when
-    entry (i, j) or (j, i) is nonzero).  Permuting rows and columns alike
-    puts it in block-diagonal form without changing the determinant, so
-    ranks add and determinants multiply over the components.  Within one
+    block; rows that are not square are scaled to integers and
+    eliminated once, with no determinant.  Each block's rows are scaled
+    to integers once, and the block is split into the connected
+    components of its nonzero pattern (i ~ j when entry (i, j) or (j, i)
+    is nonzero).  Permuting rows and columns alike puts it in
+    block-diagonal form without changing the determinant, so ranks add
+    and determinants multiply over the components.  Within one
     call, a block of the same entry objects as an earlier one (as the
     kernel's shared products give equal blocks) reuses its integer rows,
     and one with the same integer rows, as every block of a rook cell has,
@@ -275,9 +257,14 @@ def exact_rank(mat) -> RankReport:
     if isinstance(mat, GramMatrix):
         squares = [square for _, square in mat.blocks]
     else:
-        squares = [[list(row) for row in mat]]
-        if any(len(r) != len(squares[0]) for r in squares[0]):
-            return _bareiss(squares[0])  # not square: one elimination, or the row-length error
+        rows = [list(row) for row in mat]
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise PreconditionError("matrix rows have unequal lengths")
+        if width != len(rows):  # no determinant, so the row scales go unused
+            work, _ = _integer_rows(rows)
+            return RankReport(_eliminate(list(map(list, work)))[0])
+        squares = [rows]
     rank, det, scale = 0, 1, 1
     converted: dict = {}  # entry ids (the squares keep them alive) -> _integer_rows
     eliminated: dict = {}  # integer rows -> (rank, det)
@@ -312,21 +299,6 @@ def _integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
         scale *= row_scale
         work.append(tuple([x.numerator * (row_scale // x.denominator) for x in row]))
     return tuple(work), scale
-
-
-def _bareiss(rows) -> RankReport:
-    """Rank by integer fraction-free elimination with full pivoting;
-    determinant when square.
-
-    Rational input is scaled row-wise to integers first (rank invariant;
-    the determinant is rescaled back).
-    """
-    ncols = len(rows[0]) if rows else 0
-    if any(len(r) != ncols for r in rows):
-        raise PreconditionError("matrix rows have unequal lengths")
-    work, scale = _integer_rows(rows)
-    rank, det = _eliminate(list(map(list, work)))
-    return RankReport(rank=rank, det=None if det is None else Fraction(det, scale))
 
 
 def _eliminate(work: list[list[int]]) -> tuple[int, int | None]:
@@ -417,6 +389,11 @@ def gramcond_check(n: int, lambda_ts: int, alpha0, beta0, gamma0) -> bool:
                          ^ (C(lbar,i) 2^(lbar-i))
         * (g^2 - b^2) ^ (lbar 3^(lbar-1))
 
+    The i-th factor is read in closed form: the binomial theorem gives
+    sum_{k=1..i-1} C(i,k) a^(i-k) g^k = (a+g)^i - a^i - g^i and
+    sum_{k=1..i-1} C(i,k) = 2^i - 2, so the factor is
+    2 a^i - (a+g)^i + (2^i - 2) g^i.
+
     This is a sufficient condition for full rank: its factors include
     (a - g) and (g^2 - b^2), whose nonvanishing already forces the exact
     determinant of every diagonal block to be nonzero.
@@ -429,23 +406,7 @@ def gramcond_check(n: int, lambda_ts: int, alpha0, beta0, gamma0) -> bool:
     a0, b0, g0 = Fraction(alpha0), Fraction(beta0), Fraction(gamma0)
     if g0 * g0 - b0 * b0 == 0:
         return False
-    for i in range(1, lbar + 1):
-        factor = (a0**i - g0**i) - sum(
-            comb(i, k) * (a0 ** (i - k) * g0**k - g0**i) for k in range(1, i)
-        )
-        if factor == 0:
-            return False
-    return True
-
-
-def simple_dimension(f: Family, n: int, lambda_ts: int, ps: ParamSet) -> int:
-    """Dimension of the simple modules at the apex: the exact Gram rank.
-
-    Only stated for the rook families (commutative sandwiched monoid with
-    one-dimensional simples)."""
-    if f not in (Family.ROOK, Family.PLANAR_ROOK):
-        raise PreconditionError("simple_dimension applies to the rook families only")
-    return exact_rank(gram_matrix(f, n, lambda_ts, ps)).rank
+    return all(2 * a0**i - (a0 + g0) ** i + (2**i - 2) * g0**i for i in range(1, lbar + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +450,3 @@ def gram_to_csv(g: GramMatrix, order: list[int] | None = None) -> str:
 def _formatted(g: GramMatrix, order) -> list[list[str]]:
     rows = g.entries
     return [[format_rational(rows[r][c]) for c in order] for r in order]
-
-
-def matrix_from_csv(text: str) -> list[list[Rat]]:
-    records = csv.reader(io.StringIO(text))
-    rows = [[parse_rational(x) for x in record] for record in records if record]
-    if not rows:
-        raise PreconditionError("empty matrix")
-    return rows

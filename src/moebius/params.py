@@ -137,7 +137,7 @@ def params_from_json(text: str) -> ParamSet:
     """Parameter file format: arrays of rational strings, index = degree."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise ParseError(f"bad parameter JSON: {exc}") from None
     try:
         entries = [data[key] for key in ("p_alpha", "p_beta", "p_gamma", "q")]

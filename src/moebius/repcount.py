@@ -204,21 +204,12 @@ def s_value(field: FieldSpec, r: int) -> int:
 
 
 @dataclass(frozen=True)
-class SimpleCountQuery:
-    family: Family
-    n: int
-    lambda_ts: int
-    field: FieldSpec
-    r: int
-
-
-@dataclass(frozen=True)
 class SimpleCount:
     count: int
     exact: bool  # False = upper bound only (non-planar over a general field)
 
 
-def count_simples(q: SimpleCountQuery) -> SimpleCount:
+def count_simples(f: Family, n: int, lambda_ts: int, field: FieldSpec, r: int) -> SimpleCount:
     """Simple modules of apex lambda_ts.
 
     Planar families: s^lambda over any field.  Non-planar families:
@@ -226,13 +217,13 @@ def count_simples(q: SimpleCountQuery) -> SimpleCount:
     exact over algebraically closed characteristic zero, an upper bound
     otherwise.  s^lambda is refused past PRINTABLE_BITS bits.
     """
-    check_lambda(q.family, q.n, q.lambda_ts)
-    s = s_value(q.field, q.r)
-    if q.family.planar:
-        bits = q.lambda_ts * (s - 1).bit_length()
+    check_lambda(f, n, lambda_ts)
+    s = s_value(field, r)
+    if f.planar:
+        bits = lambda_ts * (s - 1).bit_length()
         check_guard("the size in bits of s^lambda", bits, PRINTABLE_BITS)
-        return SimpleCount(s ** q.lambda_ts, True)
-    return SimpleCount(count_types(q.lambda_ts, s), q.field.kind == "char0-alg-closed")
+        return SimpleCount(s**lambda_ts, True)
+    return SimpleCount(count_types(lambda_ts, s), field.kind == "char0-alg-closed")
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ union-find) used to cross-check the production composition,
 replayed canonical layouts must equal exactly, and a per-family
 membership oracle (an if-chain per core and a pairwise crossing test)
 for the block-rule ``is_member`` and the stack-scan ``is_planar``; the
-helpers only the tests call; the strict-idempotent oracle, a listed
-J-cell whose elements are squared one by one; and the Green's-cell
-prediction from each layer's whole Cayley table of M wr S_lambda."""
+helpers only the tests call, among them one Gram entry and the dense
+elimination that ``exact_rank``'s blocks are compared with; the
+strict-idempotent oracle, a listed J-cell whose elements are squared
+one by one; and the Green's-cell prediction from each layer's whole
+Cayley table of M wr S_lambda."""
 from __future__ import annotations
 
 import itertools
@@ -16,8 +18,9 @@ from fractions import Fraction
 
 import pytest
 
-from moebius import Family, LinComb, compose_diagrams, evaluate_closed, validate_params
+from moebius import Family, LinComb, compose_diagrams, evaluate_closed, gram, validate_params
 from moebius.diagram import Diagram, factorize, star, tensor, through_strands
+from moebius.errors import PreconditionError
 from moebius.msmall import (
     MElem,
     WreathElem,
@@ -325,6 +328,31 @@ def lincomb_tensor(x: LinComb, y: LinComb) -> LinComb:
             d = tensor(d1, d2)
             acc[d] = acc.get(d, Fraction(0)) + c1 * c2
     return LinComb.make(x.n + y.n, x.m + y.m, acc)
+
+
+def all_ones_evals(mp) -> dict[tuple[int, int], int]:
+    """The monoid evaluation table that keeps every closed component."""
+    return {(mob, h): 1 for mob in range(3) for h in range(mp.K)}
+
+
+def gram_entry(bottom: Diagram, top: Diagram, ps, mp) -> Fraction:
+    """Entry for the H-cell with the given bottom (column) and top (row)
+    half diagrams: entry (0, 1) of the Gram kernel run on [top, bottom],
+    which stars the top itself and runs the same regularity check."""
+    idx, square = gram._gram_blocks([top, bottom], bottom.n, bottom.m, ps, mp)[0]
+    return square[0][1] if len(idx) == 2 else Fraction(0)
+
+
+def dense_rank(rows) -> gram.RankReport:
+    """Rank, and the determinant when square, by one dense fraction-free
+    elimination of the whole matrix, its rows scaled to integers first:
+    the oracle for ``exact_rank``'s block-wise path."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise PreconditionError("matrix rows have unequal lengths")
+    work, scale = gram._integer_rows(rows)
+    rank, det = gram._eliminate(list(map(list, work)))
+    return gram.RankReport(rank=rank, det=None if det is None else Fraction(det, scale))
 
 
 def wreath_identity(lam: int) -> WreathElem:

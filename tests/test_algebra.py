@@ -13,7 +13,6 @@ from moebius import (
     MonoidParams,
     PreconditionError,
     ResourceGuardError,
-    all_ones_evals,
     compose,
     compose_diagrams,
     evaluate_closed,
@@ -35,6 +34,7 @@ from moebius.diagram import is_member, node_key
 from moebius.errors import InternalCheckError
 
 from conftest import (
+    all_ones_evals,
     family_shapes,
     lincomb_scale,
     lincomb_star,
@@ -107,7 +107,7 @@ def test_handle_expansion_two_terms():
         parse_diagram("1;1;{1,1'}[1,0]"): Fraction(1),
         parse_diagram("1;1;{1,1'}[0,0]"): Fraction(1),
     }
-    assert out.term_dict() == want
+    assert dict(out.terms) == want
 
 
 def test_handle_expansion_matches_the_recursive_oracle():
@@ -136,14 +136,14 @@ def test_handle_expansion_is_linear_in_the_handle_count():
     # which one recursion per rewrite takes 2^40 steps to reach
     ps = validate_params([1], [1], [1], [1, -1, -1])
     out = compose(lc("1;1;{1,1'}[40,0]"), lc("1;1;{1,1'}[0,0]"), ps)
-    assert out.term_dict() == {
+    assert dict(out.terms) == {
         parse_diagram("1;1;{1,1'}[0,0]"): Fraction(63245986),
         parse_diagram("1;1;{1,1'}[1,0]"): Fraction(102334155),
     }
     # a handle count deeper than the interpreter's recursion limit
     ones = validate_params([1], [1], [1], [1, -1])
     out = compose(lc("1;1;{1,1'}[3000,0]"), lc("1;1;{1,1'}[0,0]"), ones)
-    assert out.term_dict() == {parse_diagram("1;1;{1,1'}[0,0]"): Fraction(1)}
+    assert dict(out.terms) == {parse_diagram("1;1;{1,1'}[0,0]"): Fraction(1)}
 
 
 def test_handle_expansion_guard_trips_before_the_work(monkeypatch):

@@ -34,7 +34,6 @@ from moebius.cells import (
 )
 from moebius.diagram import Diagram, factorize
 from moebius.families import admissible_lambdas
-from moebius.gram import gram_entry
 from moebius.msmall import wreath_cayley, wreath_order
 from moebius.params import monoid_params_of, validate_params
 from moebius.repcount import dim_left_cell
@@ -42,6 +41,7 @@ from moebius.repcount import dim_left_cell
 from conftest import (
     _set_partitions,
     family_shapes,
+    gram_entry,
     member_oracle,
     oracle_jcell,
     oracle_predicted_cells,
@@ -167,6 +167,31 @@ def test_the_half_shape_walk_is_not_bounded_by_the_recursion_limit():
         if 1200 in admissible_lambdas(f, 1200):
             assert len(cells_mod._half_shapes(f, 1200, 1200)) == 1, f
     assert checked_dims(Family.SYMMETRIC, 1200, 1) == {1200: 1}
+
+
+def test_a_block_born_full_never_enters_reach():
+    # reach holds the blocks a later node may join; a dead block that can
+    # take no second bottom node, or a through block that can take no
+    # further node, is left out as it is opened, so the rook and symmetric
+    # walks carry no reach at all
+    for f in Family:
+        low, high, side = f.block_rule
+        held = []  # the top of each block in reach, at each placement
+
+        def watch(frame, event, arg):
+            if frame.f_code.co_name == "place" and event == "call":
+                blocks = frame.f_locals["blocks"]
+                held.extend(blocks[b][1] for b in frame.f_locals["reach"])
+
+        for n in range(7):
+            for lam in admissible_lambdas(f, n):
+                sys.setprofile(watch)
+                try:
+                    cells_mod._half_shapes(f, n, lam)
+                finally:
+                    sys.setprofile(None)
+        assert all(1 < side and (2 if top else 1) < high for top in held), f
+        assert bool(held) is (f.nonplanar_core not in (Family.ROOK, Family.SYMMETRIC)), f
 
 
 def test_halves_are_canonical_as_built(tmp_path, monkeypatch):

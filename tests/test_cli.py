@@ -1,5 +1,6 @@
 """CLI surface: envelopes, exit codes, determinism, file formats."""
 import json
+import sys
 
 import pytest
 
@@ -226,6 +227,28 @@ def test_rank_json_must_be_an_array_of_row_arrays(capsys, tmp_path, name, text, 
     assert capsys.readouterr() == ("", message + "\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter's int() reads any number of digits")
+def test_a_number_past_the_int_digit_limit_exits_2(capsys, tmp_path):
+    # int() and json.loads raise ValueError past the interpreter's digit
+    # limit; each reader turns it into a parse error, not a traceback
+    digits = "1" * (sys.get_int_max_str_digits() + 700)
+    matrix_file = tmp_path / "m.json"
+    matrix_file.write_text(f"[[{digits}]]")
+    params = tmp_path / "p.json"
+    params.write_text(f'{{"p_alpha": [{digits}], "p_beta": [], "p_gamma": [], "q": ["1", "-1"]}}')
+    for argv, prefix in (
+        (["rank", "--matrix", str(matrix_file)], "parse error: bad matrix JSON: "),
+        (["compose", "1;1;{1,1'}[0,0]", "1;1;{1,1'}[0,0]", "--params", str(params)],
+         "parse error: bad parameter JSON: "),
+        (["star", "1;1;{1,1'}[" + digits + ",0]"], "parse error: a handle count of "),
+        (["star", "1;1;{1," + digits + "'}[0,0]"], "parse error: a node of "),
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_dims_with_check_and_cache(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     doc = run_json(capsys, "dims", "--family", "tl", "--n", "3", "--K", "2",
@@ -399,11 +422,11 @@ def test_gram_does_no_work_its_output_drops(capsys, monkeypatch, params_file, fl
 
 
 def test_rank_alone_forms_no_dense_matrix(capsys, monkeypatch):
-    from moebius import Family, gram, simple_dimension, validate_params
+    from moebius import Family, gram, validate_params
 
     monkeypatch.setattr(gram.GramMatrix, "entries", property(_refuse))
     ps = validate_params([1], [1], [0], [1, -1], allow_zero_alpha=True)
-    assert simple_dimension(Family.ROOK, 3, 1, ps) == 27
+    assert gram.exact_rank(gram.gram_matrix(Family.ROOK, 3, 1, ps)).rank == 27
     doc = run_json(capsys, "gram-det", "--n", "2", "--alpha0", "2", "--beta0", "1",
                    "--gamma0", "3", "--check")
     assert doc["result"]["agree"] is True

@@ -1,6 +1,8 @@
 """Diagram structure: literals, normalization, tensor/star/through,
 family membership, and the top/middle/bottom factorization."""
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +121,13 @@ MAKE_FAULTS = [
     (1, 1, [((1, -1, 5), 0, 0), ((), 0, 0)], "blocks must be nonempty"),
     (2, 2, [((1, 1), 0, 0), ((-1,), 0, -1)], "node 1 appears twice"),
     (2, 2, [((-1,), 0, -1), ((1, 1), 0, 0)], "decorations must be nonnegative"),
+    # three missing nodes are named, and the rest only counted
+    (2, 3, [((1, -2), 0, 0)], "bad node cover: missing 2,1',3'"),
+    (4, 0, [], "bad node cover: missing 1,2,3 and 1 more"),
+    (2, 3, [((2, 7), 0, 0), ((-2, 0), 0, 0)], "bad node cover: missing 1,1',3'; unexpected 7,0"),
+    (30_000_000, 1, [((2, 30_000_001), 0, 0)],
+     "bad node cover: missing 1,3,4 and 29999997 more; unexpected 30000001"),
+    (0, 30_000_000, [((-5,), 0, 0)], "bad node cover: missing 1',2',3' and 29999996 more"),
 ]
 
 
@@ -129,6 +138,36 @@ def test_make_fault_messages(n, m, blocks, message, as_generator):
     with pytest.raises(PreconditionError) as err:
         Diagram.make(n, m, raw)
     assert str(err.value) == message
+
+
+def test_a_huge_boundary_is_neither_built_nor_listed():
+    # the cover is checked from the nodes the blocks hold: a literal of 30
+    # million boundary nodes and no block allocates no set of them, and
+    # its message names three
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_diagram("30000000;0;")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "bad node cover: missing 1,2,3 and 29999997 more"
+    assert peak < 1 << 20
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter's int() reads any number of digits")
+@pytest.mark.parametrize("literal, what", [
+    ("1;1;{1,1'}[D,0]", "a handle count"),
+    ("1;1;{1,1'}[0,D]", "a crosscap count"),
+    ("1;1;{1,D'}[0,0]", "a node"),
+    ("1;1;{D,1'}[0,0]", "a node"),
+])
+def test_a_number_past_the_int_digit_limit_is_a_parse_error(literal, what):
+    digits = sys.get_int_max_str_digits() + 700
+    with pytest.raises(ParseError) as err:
+        parse_diagram(literal.replace("D", "1" * digits))
+    assert str(err.value) == f"{what} of {digits} digits is too long to read"
 
 
 def test_make_accepts_a_generator_of_blocks():

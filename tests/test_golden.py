@@ -201,6 +201,9 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     for literal in ("1;1;{1,1''}[0,0]", "1;1;{a,1'}[0,0]", "1;1;{1,-1}[0,0]", "1;1;{+1,1'}[0,0]",
                     "10;0;{1_0,1,2,3,4,5,6,7,8,9}[0,0]", "1_0;0;{1,2,3,4,5,6,7,8,9,10}[0,0]"):
         add("star", literal)
+    # a cover fault names three missing nodes and counts the rest: this
+    # literal's fault listed 30 million nodes, or raised MemoryError first
+    add("star", "30000000;0;")
     # matrix JSON is an array of row arrays; strings and objects were read as rows
     for bad in ("@strings-matrix.json", "@object-matrix.json", "@scalar-matrix.json"):
         add("rank", "--matrix", bad)

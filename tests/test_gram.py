@@ -1,4 +1,5 @@
 """Gram matrices, exact rank/determinant, closed forms, and block structure."""
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -11,10 +12,8 @@ from moebius import (
     ResourceGuardError,
     exact_rank,
     gram_det_closed_form_rook0,
-    gram_entry,
     gram_matrix,
     gramcond_check,
-    simple_dimension,
     validate_params,
 )
 from moebius import gram
@@ -24,15 +23,15 @@ from moebius.families import admissible_lambdas
 from moebius.gram import (
     GramMatrix,
     RankReport,
-    _bareiss,
     _pattern_components,
     gram_to_csv,
     gram_to_json,
-    matrix_from_csv,
     mob_grouped_order,
 )
 from moebius.params import format_rational, monoid_params_of
 from moebius.repcount import dim_left_cell
+
+from conftest import dense_rank, gram_entry
 
 
 def geometric(a0, b0, g0):
@@ -193,6 +192,27 @@ def test_det_closed_form_refuses_an_unprintable_power_before_forming_it():
             gram_det_closed_form_rook0(n, 3, Fraction(1, 2), -1)
 
 
+def _gramcond_display(n, lam, a, b, g):
+    """The condition read factor by factor off the displayed product,
+    whose (g^2 - b^2) factor has exponent 0 at lambda = n."""
+    if n > lam and g * g == b * b:
+        return False
+    return all((a**i - g**i) - sum(comb(i, k) * (a ** (i - k) * g**k - g**i) for k in range(1, i))
+               for i in range(1, n - lam + 1))
+
+
+def test_gramcond_closed_form_factor_is_the_displayed_sum():
+    values = [Fraction(x) for x in (-2, -1, 0, 1, 3, "1/2", "-5/3")]
+    held = 0
+    for n in range(9):
+        for lam in range(n + 1):
+            for a, b, g in itertools.product(values, repeat=3):
+                want = _gramcond_display(n, lam, a, b, g)
+                assert gramcond_check(n, lam, a, b, g) is want, (n, lam, a, b, g)
+                held += want
+    assert 0 < held < 45 * len(values) ** 3
+
+
 def test_gramcond_examples():
     assert gramcond_check(5, 2, 1, 1, 0) is True
     assert gramcond_check(5, 2, 1, 1, 1) is False
@@ -239,7 +259,9 @@ def test_exact_rank_against_gauss_oracle():
             [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nc)]
             for _ in range(nr)
         ]
-        assert exact_rank(rows).rank == _gauss_rank_oracle(rows)
+        report = exact_rank(rows)
+        assert report.rank == _gauss_rank_oracle(rows)
+        assert report == dense_rank(rows) and (report.det is None) is (nr != nc)
 
 
 def _hidden_block_diagonal(rng, sizes):
@@ -271,11 +293,11 @@ def test_blockwise_rank_matches_one_elimination():
         mat = _hidden_block_diagonal(rng, sizes)
         split += len(_pattern_components(mat)) > 1
         rep = exact_rank(mat)
-        assert rep == _bareiss(mat)
+        assert rep == dense_rank(mat)
         singular += rep.det == 0
     assert split > 100 and 20 < singular < 130
     for mat in ([], [[Fraction(0)]], [[Fraction(-5, 3)]], [[0, 0], [0, 0]], [[0, 1], [0, 0]]):
-        assert exact_rank(mat) == _bareiss(mat)
+        assert exact_rank(mat) == dense_rank(mat)
 
 
 # (family, n, lambda, K) cells whose Gram matrices are small enough to
@@ -341,7 +363,7 @@ def test_blockwise_rank_on_gram_grid():
             _assert_blocks_partition_the_matrix(g)
             split += len(g.blocks) > 1
             report = exact_rank(g)
-            assert report == _bareiss(g.entries), (f, n, lam, K)
+            assert report == dense_rank(g.entries), (f, n, lam, K)
             shuffled = list(range(len(g.labels)))
             rng.shuffle(shuffled)
             for order in (mob_grouped_order(g.labels), shuffled):
@@ -371,7 +393,7 @@ def test_headline_stores_only_its_kernel_blocks(abc, rank, monkeypatch):
     assert calls["_eliminate"] == 1
     assert "entries" not in vars(g)  # the dense view is formed when first read
     assert report.rank == rank
-    assert report == _bareiss(g.entries)
+    assert report == dense_rank(g.entries)
     assert len(g.entries) == 270 and "entries" in vars(g)
 
 
@@ -402,7 +424,7 @@ def test_equal_blocks_are_eliminated_once_and_each_keeps_its_scale(monkeypatch):
     g = GramMatrix(Family.ROOK, 3, 1, tuple(enumerate_half_diagrams(Family.ROOK, 3, 1, 1))[:10], blocks)
     report = exact_rank(g)
     assert calls["_eliminate"] == 2
-    assert report == RankReport(10, Fraction(-61, 6) ** 4 / 4 * 3) == _bareiss(g.entries)
+    assert report == RankReport(10, Fraction(-61, 6) ** 4 / 4 * 3) == dense_rank(g.entries)
 
 
 def test_rook_cells_rank_by_blocks_and_by_the_kronecker_formula():
@@ -421,7 +443,7 @@ def test_rook_cells_rank_by_blocks_and_by_the_kronecker_formula():
                             continue
                         g = gram_matrix(f, n, lam, ps)
                         report = exact_rank(g)
-                        assert report == _bareiss(g.entries), (f, n, lam, K)
+                        assert report == dense_rank(g.entries), (f, n, lam, K)
                         assert report == _kronecker_report(a1, n, lam, K), (f, n, lam, K)
                         formula += a1.det not in (0, 1, -1)
     assert formula >= 20  # the determinant exponent is tested, not only its sign
@@ -490,17 +512,24 @@ def test_mob_grouped_order_matches_tensor_reduction():
     assert tail == [[format_rational(x) for x in row] for row in expect]
 
 
-def test_simple_dimension_gate():
+def test_rook_simple_dimension_is_the_gram_rank():
     ps = geometric(1, 1, 0)
-    assert simple_dimension(Family.ROOK, 3, 1, ps) == comb(3, 1) * 9
-    with pytest.raises(PreconditionError):
-        simple_dimension(Family.MOTZKIN, 3, 1, ps)
+    assert exact_rank(gram_matrix(Family.ROOK, 3, 1, ps)).rank == comb(3, 1) * 9
 
 
-def test_csv_roundtrip():
-    g = gram_matrix(Family.ROOK, 1, 0, geometric(2, 0, 1))
-    text = gram_to_csv(g)
-    assert matrix_from_csv(text) == [list(r) for r in g.entries]
+def test_csv_roundtrip(tmp_path, capsys, monkeypatch):
+    # the printed CSV reads back through `rank --matrix` as the same rows
+    from moebius.cli import main
+
+    g = gram_matrix(Family.ROOK, 1, 0, geometric(2, 1, 3))
+    path = tmp_path / "g.csv"
+    path.write_text(gram_to_csv(g))
+    read = []
+    rank = gram.exact_rank
+    monkeypatch.setattr(gram, "exact_rank", lambda rows: read.append(rows) or rank(rows))
+    assert main(["--stable", "rank", "--matrix", str(path)]) == 0
+    assert read == [[list(r) for r in g.entries]]
+    assert '"det": "-8", "rank": 3' in capsys.readouterr().out
 
 
 def test_gram_entry_rejects_mismatched_params():
@@ -520,17 +549,6 @@ def test_gram_guard_trips_before_enumerating(monkeypatch):
     monkeypatch.setattr(gram_mod, "enumerate_half_diagrams", refuse)
     with pytest.raises(ResourceGuardError):
         gram_matrix(Family.PARTITION, 7, 1, geometric(1, 1, 1))
-
-
-def test_gram_entry_rejects_halves_of_different_cells():
-    ps = geometric(1, 1, 1)
-    mp = monoid_params_of(ps)
-    bottom = enumerate_half_diagrams(Family.ROOK, 2, 1, 1)[0]
-    top = enumerate_half_diagrams(Family.ROOK, 2, 0, 1)[0]
-    with pytest.raises(PreconditionError):
-        gram_entry(bottom, top, ps, mp)
-    with pytest.raises(PreconditionError):
-        gram_entry(bottom, enumerate_half_diagrams(Family.ROOK, 3, 1, 1)[0], ps, mp)
 
 
 def test_gram_supports_monomial_higher_K():

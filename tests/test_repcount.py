@@ -14,7 +14,6 @@ from moebius import (
     Family,
     PreconditionError,
     ResourceGuardError,
-    SimpleCountQuery,
     checked_dims,
     count_simples,
     count_types,
@@ -174,33 +173,30 @@ def test_prime_field_validation():
 
 
 def test_count_simples_planar():
-    q = SimpleCountQuery(Family.MOTZKIN, 4, 2, CHAR0_ALG_CLOSED, 1)  # s = 4
-    out = count_simples(q)
+    out = count_simples(Family.MOTZKIN, 4, 2, CHAR0_ALG_CLOSED, 1)  # s = 4
     assert (out.count, out.exact) == (16, True)
 
 
 def test_count_simples_nonplanar():
-    q = SimpleCountQuery(Family.ROOK, 4, 2, CHAR0_ALG_CLOSED, 1)
-    out = count_simples(q)
+    out = count_simples(Family.ROOK, 4, 2, CHAR0_ALG_CLOSED, 1)
     # 4 tuples with a 2 plus 6 tuples with two 1s
     assert (out.count, out.exact) == (4 * 2 + 6, True)
-    q_up = SimpleCountQuery(Family.ROOK, 4, 2, RATIONALS, 1)
-    assert count_simples(q_up).exact is False
+    assert count_simples(Family.ROOK, 4, 2, RATIONALS, 1).exact is False
 
 
 def test_count_simples_lambda_zero_and_errors():
-    assert count_simples(SimpleCountQuery(Family.ROOK, 3, 0, CHAR0_ALG_CLOSED, 1)).count == 1
-    assert count_simples(SimpleCountQuery(Family.MOTZKIN, 3, 0, RATIONALS, 3)).count == 1
+    assert count_simples(Family.ROOK, 3, 0, CHAR0_ALG_CLOSED, 1).count == 1
+    assert count_simples(Family.MOTZKIN, 3, 0, RATIONALS, 3).count == 1
     with pytest.raises(PreconditionError):
-        count_simples(SimpleCountQuery(Family.TEMPERLEY_LIEB, 3, 2, CHAR0_ALG_CLOSED, 1))
+        count_simples(Family.TEMPERLEY_LIEB, 3, 2, CHAR0_ALG_CLOSED, 1)
 
 
 def test_count_simples_matches_count_types():
     for r in (1, 3):
         s = s_value(CHAR0_ALG_CLOSED, r)
         for lam in range(4):
-            q = SimpleCountQuery(Family.PARTITION, 4, lam, CHAR0_ALG_CLOSED, r)
-            assert count_simples(q).count == count_types(lam, s)
+            out = count_simples(Family.PARTITION, 4, lam, CHAR0_ALG_CLOSED, r)
+            assert out.count == count_types(lam, s)
 
 
 def test_count_simples_refuses_an_unprintable_power_or_a_long_sum(monkeypatch):
@@ -216,12 +212,11 @@ def test_count_simples_refuses_an_unprintable_power_or_a_long_sum(monkeypatch):
     # and at 20,000 takes 1.6 billion; 4^7000 has 14,000 bits
     monkeypatch.setattr(repcount, "_partition_counts", summing)
     with pytest.raises(Summing):
-        count_simples(SimpleCountQuery(Family.PARTITION, 2000, 2000, CHAR0_ALG_CLOSED, 1))
+        count_simples(Family.PARTITION, 2000, 2000, CHAR0_ALG_CLOSED, 1)
     for fam in (Family.PLANAR_PARTITION, Family.PARTITION):
         with pytest.raises(ResourceGuardError):
-            count_simples(SimpleCountQuery(fam, 20000, 20000, CHAR0_ALG_CLOSED, 1))
-    q = SimpleCountQuery(Family.PLANAR_PARTITION, 7000, 7000, CHAR0_ALG_CLOSED, 1)
-    assert count_simples(q).count == 4**7000
+            count_simples(fam, 20000, 20000, CHAR0_ALG_CLOSED, 1)
+    assert count_simples(Family.PLANAR_PARTITION, 7000, 7000, CHAR0_ALG_CLOSED, 1).count == 4**7000
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +316,43 @@ def test_dim_left_cell_matches_the_fraction_and_series_oracle(f):
                 want = _dim_oracle(f, n, lam, K)
                 assert type(got) is int, (f, n, lam, K)
                 assert want is None or got == want, (f, n, lam, K)
+
+
+def _block_rule_dims(f: Family, n: int, K: int) -> list[list[int]]:
+    """Row m of the result holds A_m(mu) for mu = 0..m: the decorated
+    halves of m bottom nodes with mu blocks still open, read off
+    Family.block_rule and planar alone.  Bottom nodes are read left to
+    right: an up step opens a block; a flat step is a dead singleton or a
+    further node of an open block; a down step closes an open block as a
+    dead block, which takes one of y = 3K decorations; the blocks still
+    open at the end are the through blocks, so A_n(lam) is dim(n, lam).
+    A planar node can join or close only the innermost open block."""
+    low, high, side = f.block_rule
+    y = 3 * K
+
+    def flat(mu):
+        return y * (low <= 1) + (high >= 3) * (mu > 0 if f.planar else mu)
+
+    def down(mu):
+        return y * (high >= 2 and side >= 2) * (1 if f.planar else mu + 1)
+
+    rows = [[1]]
+    for m in range(n):
+        prev = rows[-1] + [0, 0]
+        rows.append([(prev[mu - 1] if mu else 0) + flat(mu) * prev[mu] + down(mu) * prev[mu + 1]
+                     for mu in range(m + 2)])
+    return rows
+
+
+@pytest.mark.parametrize("f", list(Family))
+def test_dim_left_cell_is_the_block_rule_walk(f):
+    # one oracle for every family, from the rule that _half_shapes and
+    # is_member also read: each closed form counts the walks it admits
+    for K in (1, 2, 3):
+        for n, row in enumerate(_block_rule_dims(f, 30, K)):
+            lams = admissible_lambdas(f, n)
+            assert row == [dim_left_cell(f, n, lam, K) if lam in lams else 0
+                           for lam in range(n + 1)], (f, n, K)
 
 
 def test_dims_table_bound_holds_the_table_sum():

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import prod
 from operator import itemgetter
 
@@ -295,15 +295,22 @@ def monoid_table(elements: list[Diagram], mp: MonoidParams) -> list[list[int]]:
     runs once per ordered shape pair (x over y reads ``_topology(y_shape,
     x_shape, n)``), and each open component carries the product in M of
     its members' decorations.  A block decoration (h, mob) is coded
-    3h + mob, its index in ``msmall.m_elements`` and ``cayley_of_m``;
-    per shape pair each element folds its members once through M's
-    table, so an entry costs one M lookup per open component and one
-    dict lookup into the target shape.  Every evaluation is 1, so a
-    closed component multiplies the product by 1 and drops out.
+    3h + mob, its index in ``msmall.m_elements`` and ``cayley_of_m``.
+    Every evaluation is 1, so a closed component multiplies the product
+    by 1 and drops out.
+
+    Per shape pair, each element folds its members through M's table
+    into one code per open component, once per way the pair splits its
+    blocks.  The x elements with one fold vector a share one row segment
+    over the y shape: per component k, one C-level pass reads M's row
+    a_k at the ys' folds, the passes zip into the target codes, and one
+    more pass looks them up in the target shape.  Each row joins its
+    segments in shape-grouped column order and is permuted once to
+    element order.
     """
     mt = cayley_of_m(mp).mul
     n = elements[0].n if elements else 0
-    by_shape: dict[tuple, dict[tuple, int]] = {}
+    by_shape: dict[tuple, dict[tuple, int]] = {}  # shape -> block codes -> index
     for idx, d in enumerate(elements):
         if d.n != n or d.m != n:
             raise PreconditionError(f"monoid elements must all be {n}->{n} diagrams")
@@ -314,28 +321,47 @@ def monoid_table(elements: list[Diagram], mp: MonoidParams) -> list[list[int]]:
     if sum(map(len, by_shape.values())) != len(elements):
         raise PreconditionError("duplicate elements in Cayley construction")
 
-    table = [[0] * len(elements) for _ in elements]
-    groups = [(shape, list(members.items())) for shape, members in by_shape.items()]
-    for x_shape, xs in groups:
-        for y_shape, ys in groups:
+    # column j of the table is position place[j] of a shape-grouped row
+    place = [0] * len(elements)
+    for pos, j in enumerate(j for members in by_shape.values() for j in members.values()):
+        place[j] = pos
+    table: list = [None] * len(elements)
+    columns_of: dict[tuple, list] = {}  # (y shape, its parts) -> per part, the ys' folds
+    for x_shape, xs in by_shape.items():
+        rows = [[] for _ in xs]
+        classes_of: dict[tuple, dict] = {}  # x's parts -> fold -> positions in xs
+        for y_shape, ys in by_shape.items():
             opened, _ = _topology(y_shape, x_shape, n)
             target = by_shape.get(tuple(map(_nodes_of, opened)), {})
             offset = len(y_shape)
-            x_parts = [[i - offset for i in members if i >= offset] for _, members in opened]
-            y_parts = [[i for i in members if i < offset] for _, members in opened]
-            y_cols = [(j, _fold(codes, y_parts, mt)) for codes, j in ys]
-            try:
-                for codes, i in xs:
-                    rows = [mt[c] for c in _fold(codes, x_parts, mt)]
-                    out = table[i]
-                    for j, cols in y_cols:
-                        out[j] = target[tuple(map(list.__getitem__, rows, cols))]
-            except KeyError:
-                raise PreconditionError("multiplication leaves the element list") from None
+            x_parts = tuple(tuple(i - offset for i in m if i >= offset) for _, m in opened)
+            y_parts = tuple(tuple(i for i in m if i < offset) for _, m in opened)
+            if x_parts not in classes_of:
+                classes = classes_of[x_parts] = {}
+                for p, codes in enumerate(xs):
+                    classes.setdefault(_fold(codes, x_parts, mt), []).append(p)
+            y_key = y_shape, y_parts
+            if y_key not in columns_of:
+                columns_of[y_key] = list(zip(*[_fold(codes, y_parts, mt) for codes in ys]))
+            columns = columns_of[y_key]
+            for fold, members in classes_of[x_parts].items():
+                # with no open component (n = 0) every product is the empty code
+                products = (
+                    zip(*[map(mt[a].__getitem__, column) for a, column in zip(fold, columns)])
+                    if fold else repeat((), len(ys))
+                )
+                try:
+                    segment = list(map(target.__getitem__, products))
+                except KeyError:
+                    raise PreconditionError("multiplication leaves the element list") from None
+                for p in members:
+                    rows[p] += segment
+        for i, row in zip(xs.values(), rows):
+            table[i] = list(map(row.__getitem__, place))
     return table
 
 
-def _fold(codes: tuple, parts: list, mt: list[list[int]]) -> list[int]:
+def _fold(codes: tuple, parts: tuple, mt: list[list[int]]) -> tuple[int, ...]:
     """Per part, the product in M of the coded decorations it indexes;
     code 0 is M's identity."""
     out = []
@@ -344,4 +370,4 @@ def _fold(codes: tuple, parts: list, mt: list[list[int]]) -> list[int]:
         for i in part:
             c = mt[c][codes[i]]
         out.append(c)
-    return out
+    return tuple(out)

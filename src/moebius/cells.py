@@ -9,8 +9,10 @@ decorations.  Left cells of the diagram algebra fix the bottom half,
 right cells fix the top half (the star image of a bottom half).
 
 A cell's halves are its undecorated shapes, each decorated by one
-product over its blocks; ``checked_dims`` compares their number with
-the closed form ``repcount.dim_left_cell`` at every lambda.
+product over its blocks, so a shape with d dead blocks has (3K)^d of
+them.  ``checked_dims`` counts them that way, forming no half, and
+compares the count with the closed form ``repcount.dim_left_cell`` at
+every lambda; enumeration and counting read one shape source.
 """
 from __future__ import annotations
 
@@ -149,26 +151,34 @@ def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
     return shapes
 
 
+def _is_dead(nodes: tuple[int, ...]) -> bool:
+    """A half's block with no top node: it carries a decoration."""
+    return all(v > 0 for v in nodes)
+
+
 def _decorate(shape: Diagram, K: int):
     """Every half of the shape: one product over its blocks, a through
     block keeping its one option and a dead block taking each (h, mob) in
     [0, K) x {0, 1, 2}.  Decorating moves no node, so each half keeps the
-    shape's canonical blocks and the Diagram constructor makes it."""
+    shape's canonical blocks and the Diagram constructor makes it.  A
+    shape with no dead block is its own one half, and forms no decoration
+    list, whatever K is."""
+    if not any(_is_dead(nodes) for nodes, _, _ in shape.blocks):
+        return (shape,)
     decos = [(h, mob) for h in range(K) for mob in range(3)]
     options = [
-        (block,) if any(v < 0 for v in block[0]) else tuple((block[0], *d) for d in decos)
+        tuple((block[0], *d) for d in decos) if _is_dead(block[0]) else (block,)
         for block in shape.blocks
     ]
     return (Diagram(shape.n, shape.m, blocks) for blocks in itertools.product(*options))
 
 
-def enumerate_half_diagrams(
-    f: Family, n: int, lambda_ts: int, K: int, cache_dir: str | None = None
+def _shapes_of_cell(
+    f: Family, n: int, lambda_ts: int, K: int, cache_dir: str | None
 ) -> list[Diagram]:
-    """All half diagrams for the cell (f, n, lambda), deterministic order:
-    shapes sorted canonically, decorations in lexicographic order.  The
-    shapes come from the cache_dir file, shared by every K, or else from
-    _half_shapes and are stored there; _decorate makes every half."""
+    """The cell's undecorated half shapes, sorted canonically: from the
+    cache_dir file, shared by every K, or else from _half_shapes and
+    stored there.  The one shape source of enumeration and counting."""
     check_lambda(f, n, lambda_ts)
     if K <= 0:
         raise PreconditionError("K must be positive")
@@ -180,23 +190,46 @@ def enumerate_half_diagrams(
                 _cache_store(cache_dir, f, n, lambda_ts, shapes)
             except OSError as exc:  # a cache_dir that cannot hold the file: a bad flag
                 raise ParseError(f"cannot write shape cache in {cache_dir}: {exc}") from None
+    return shapes
+
+
+def enumerate_half_diagrams(
+    f: Family, n: int, lambda_ts: int, K: int, cache_dir: str | None = None
+) -> list[Diagram]:
+    """All half diagrams for the cell (f, n, lambda), deterministic order:
+    shapes sorted canonically, decorations in lexicographic order.  The
+    shapes come from _shapes_of_cell; _decorate makes every half."""
+    shapes = _shapes_of_cell(f, n, lambda_ts, K, cache_dir)
     return [d for shape in shapes for d in _decorate(shape, K)]
+
+
+def count_half_diagrams(
+    f: Family, n: int, lambda_ts: int, K: int, cache_dir: str | None = None
+) -> int:
+    """len(enumerate_half_diagrams(...)) without forming a half: a shape
+    with d dead blocks has (3K)^d halves, one per decoration of each."""
+    y = 3 * K
+    return sum(
+        y ** sum(1 for nodes, _, _ in shape.blocks if _is_dead(nodes))
+        for shape in _shapes_of_cell(f, n, lambda_ts, K, cache_dir)
+    )
 
 
 def checked_dims(f: Family, n: int, K: int, cache_dir: str | None = None) -> dict[int, int]:
     """dim_left_cell for every admissible lambda, each compared with the
-    number of enumerated halves.  Each dimension is charged to
-    HALVES_GUARD as soon as it is formed, so a refusal forms none past the
-    first one over the bound, and every guard check precedes the first
-    enumeration; a disagreement is an InternalCheckError."""
+    number of halves counted over the walked (or cached) shapes.  Each
+    dimension is charged to HALVES_GUARD as soon as it is formed, so a
+    refusal forms none past the first one over the bound, and every guard
+    check precedes the first shape walk; a disagreement is an
+    InternalCheckError."""
     dims = {
         lam: check_guard(HALVES_WHAT, dim_left_cell(f, n, lam, K), HALVES_GUARD)
         for lam in admissible_lambdas(f, n)
     }
     for lam, val in dims.items():
-        enum = len(enumerate_half_diagrams(f, n, lam, K, cache_dir=cache_dir))
-        if enum != val:
-            raise InternalCheckError(f"closed form {val} != enumeration {enum} at lambda={lam}")
+        counted = count_half_diagrams(f, n, lam, K, cache_dir=cache_dir)
+        if counted != val:
+            raise InternalCheckError(f"closed form {val} != enumeration {counted} at lambda={lam}")
     return dims
 
 
@@ -335,6 +368,10 @@ def strict_idempotent(f: Family, n: int, lambda_ts: int, ps: ParamSet):
 # ---------------------------------------------------------------------------
 
 
+# the apexes one table may list
+APEX_GUARD = 1_000_000
+
+
 def apex_set(f: Family, n: int, zero_pattern: ZeroPattern) -> ApexSet:
     """Apexes of simple modules by family and evaluation zero-pattern.
 
@@ -345,22 +382,29 @@ def apex_set(f: Family, n: int, zero_pattern: ZeroPattern) -> ApexSet:
     k >= 1 whose scope is ambiguous; the table is implemented verbatim
     per column, and parameter sets exercised in the test suite satisfy
     both readings.
+
+    Every entry is {n}, or the lambdas in [0, n] of n's parity or of any
+    parity, less 0 under ALL_ZERO: one arithmetic progression, whose
+    length is charged to APEX_GUARD before its set is formed.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
-    full = set(range(0, n + 1))
-    parity = {lam for lam in full if (n - lam) % 2 == 0}
-    if f in (Family.SYMMETRIC, Family.PLANAR_SYMMETRIC):
-        apexes = {n}
-    elif f in (Family.ROOK, Family.PLANAR_ROOK):
-        apexes = {n} if zero_pattern is ZeroPattern.ALL_ZERO else full
-    elif f in (Family.BRAUER, Family.TEMPERLEY_LIEB):
-        apexes = parity - {0} if zero_pattern is ZeroPattern.ALL_ZERO else parity
-    elif f in (Family.ROOK_BRAUER, Family.MOTZKIN):
-        apexes = parity - {0} if zero_pattern is ZeroPattern.ALL_ZERO else full
-    else:  # partition families
-        apexes = full - {0} if zero_pattern is ZeroPattern.ALL_ZERO else full
-    return ApexSet(f, n, zero_pattern, frozenset(apexes))
+    all_zero = zero_pattern is ZeroPattern.ALL_ZERO
+    if f in (Family.SYMMETRIC, Family.PLANAR_SYMMETRIC) or (
+        all_zero and f in (Family.ROOK, Family.PLANAR_ROOK)
+    ):
+        low, step = n, 1
+    else:
+        parity = f in (Family.BRAUER, Family.TEMPERLEY_LIEB) or (
+            all_zero and f in (Family.ROOK_BRAUER, Family.MOTZKIN)
+        )
+        step = 2 if parity else 1
+        low = n % step
+        if all_zero and low == 0:
+            low = step
+    count = max(0, (n - low) // step + 1)
+    check_guard("the number of apexes to list", count, APEX_GUARD)
+    return ApexSet(f, n, zero_pattern, frozenset(range(low, n + 1, step)))
 
 
 # ---------------------------------------------------------------------------

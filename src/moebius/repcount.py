@@ -269,14 +269,22 @@ def _planar_partition_dim(n: int, lam: int, y: int) -> int:
     [t^k] (1-t)^(-a) = C(k + a - 1, a - 1), the j-th terms give
     C(n, lam+j) and C(n, lam+j+1), and the sum is n times the count, so
     the division is exact.
+
+    The j-th term's binomials and power come from the (j-1)-th's, each
+    by one exact step (C(n, i+1) = C(n, i) (n-i) / (i+1)), so a term
+    costs a few products and no fresh binomial.
     """
     if n == 0:
         return 1
-    return sum(
-        math.comb(n, j) * y**j
-        * (lam * math.comb(n, lam + j) + (lam + 1) * y * math.comb(n, lam + j + 1))
-        for j in range(n - lam + 1)
-    ) // n
+    total = 0
+    c_j, c_low, c_high, power = 1, math.comb(n, lam), math.comb(n, lam + 1), 1
+    for j in range(n - lam + 1):
+        # c_j = C(n, j), c_low = C(n, lam+j), c_high = C(n, lam+j+1), power = y^j
+        total += c_j * power * (lam * c_low + (lam + 1) * y * c_high)
+        c_j = c_j * (n - j) // (j + 1)
+        c_low, c_high = c_high, c_high * (n - lam - j - 1) // (lam + j + 2)
+        power *= y
+    return total // n
 
 
 def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
@@ -284,12 +292,12 @@ def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
 
     Each non-through block carries one of 3K decorations (handle count
     below K, crosscap count at most 2); cells.checked_dims compares it
-    with explicit half-diagram enumeration.  Every form is in integers:
-    the Motzkin and Temperley-Lieb ballot factor (lam+1)/(lam+t+1) C(m, t)
-    is the ballot number C(m, t) - C(m, t-1); the (2t-1)!! pairings of 2t
-    nodes in Brauer and rook-Brauer are (2t)!/t! = 2^t (2t-1)!!, shifted
-    right t bits; and the planar partition sum is n times the count, so
-    its division by n is exact.
+    with the halves counted over the walked half shapes.  Every form is
+    in integers: the Motzkin and Temperley-Lieb ballot factor
+    (lam+1)/(lam+t+1) C(m, t) is the ballot number C(m, t) - C(m, t-1);
+    the (2t-1)!! pairings of 2t nodes in Brauer and rook-Brauer are
+    (2t)!/t! = 2^t (2t-1)!!, shifted right t bits; and the planar
+    partition sum is n times the count, so its division by n is exact.
     """
     check_lambda(f, n, lambda_ts)
     if K <= 0:

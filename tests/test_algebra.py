@@ -432,13 +432,16 @@ def test_family_monoid_table_matches_the_make_oracle():
 
 
 def _table_oracle_cases():
-    # (family, n, params, row step): every n = 1 monoid up to K = 3 and the
-    # n = 2 monoids at K = 1, on every 5th row where they are large
+    # (family, n, params, row step): the one-element n = 0 monoids, every
+    # n = 1 monoid up to K = 3 and the n = 2 monoids at K = 1, on every 5th
+    # row where they are large, save two that keep every row
+    full = {(Family.PLANAR_PARTITION, 2), (Family.TEMPERLEY_LIEB, 3)}
     cases = []
     for f in Family:
+        cases += [(f, 0, MonoidParams(K, 1), 1) for K in (1, 2)]
         cases += [(f, 1, MonoidParams(K, 3 if K == 3 else 1), 1) for K in (1, 2, 3)]
-        cases.append((f, 2, MonoidParams(1, 1), 5))
-    cases.append((Family.TEMPERLEY_LIEB, 3, MonoidParams(1, 1), 5))
+        cases.append((f, 2, MonoidParams(1, 1), 1 if (f, 2) in full else 5))
+    cases.append((Family.TEMPERLEY_LIEB, 3, MonoidParams(1, 1), 1))
     cases += [(Family.BRAUER, 2, MonoidParams(K, r), 5) for K, r in ((2, 1), (3, 1), (3, 3))]
     return [
         pytest.param(f, n, mp, step, id=f"{f.value}-n{n}-K{mp.K}-r{mp.r}")
@@ -464,6 +467,13 @@ def test_monoid_table_rejects_bad_element_lists():
     elements = enumerate_family_monoid(Family.BRAUER, 2, mp)
     with pytest.raises(PreconditionError, match="multiplication leaves the element list"):
         monoid_table(elements[:-1], mp)
+    # one element gone from a shape whose other elements stay: a product
+    # that lands on it finds no key in its shape, though the shape is there
+    shapes = list(dict.fromkeys(tuple(nodes for nodes, _, _ in d.blocks) for d in elements))
+    middle = shapes[len(shapes) // 2]
+    gone = [d for d in elements if tuple(nodes for nodes, _, _ in d.blocks) == middle][1]
+    with pytest.raises(PreconditionError, match="multiplication leaves the element list"):
+        monoid_table([d for d in elements if d != gone], mp)
     with pytest.raises(PreconditionError, match="duplicate elements"):
         monoid_table(elements + elements[:1], mp)
     with pytest.raises(PreconditionError, match="handle counts below K"):

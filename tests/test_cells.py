@@ -512,6 +512,48 @@ def test_apex_set_rows():
         apex_set(Family.ROOK, -1, ZeroPattern.ALL_ZERO)
 
 
+def _apex_oracle(f: Family, n: int, zero_pattern: ZeroPattern) -> set[int]:
+    """The classification's table as sets, column by column."""
+    full = set(range(n + 1))
+    parity = {lam for lam in full if (n - lam) % 2 == 0}
+    all_zero = zero_pattern is ZeroPattern.ALL_ZERO
+    if f in (Family.SYMMETRIC, Family.PLANAR_SYMMETRIC):
+        return {n}
+    if f in (Family.ROOK, Family.PLANAR_ROOK):
+        return {n} if all_zero else full
+    if f in (Family.BRAUER, Family.TEMPERLEY_LIEB):
+        return parity - {0} if all_zero else parity
+    if f in (Family.ROOK_BRAUER, Family.MOTZKIN):
+        return parity - {0} if all_zero else full
+    return full - {0} if all_zero else full
+
+
+def test_apex_set_matches_the_table_oracle():
+    for f in Family:
+        for n in range(14):
+            for pattern in ZeroPattern:
+                assert apex_set(f, n, pattern).apexes == _apex_oracle(f, n, pattern), (f, n)
+
+
+def test_apex_set_is_refused_before_its_set_forms(monkeypatch):
+    huge = 10**20
+    with pytest.raises(ResourceGuardError, match="apexes to list is a 67-bit number"):
+        apex_set(Family.ROOK, huge, ZeroPattern.SOME_NONZERO)
+    for f in (Family.SYMMETRIC, Family.ROOK):
+        assert apex_set(f, huge, ZeroPattern.ALL_ZERO).apexes == {huge}
+    # the charge is the set's exact size
+    monkeypatch.setattr(cells_mod, "APEX_GUARD", 5)
+    for f in Family:
+        for n in range(14):
+            for pattern in ZeroPattern:
+                size = len(_apex_oracle(f, n, pattern))
+                if size <= 5:
+                    assert len(apex_set(f, n, pattern).apexes) == size
+                else:
+                    with pytest.raises(ResourceGuardError, match=f"apexes to list is {size},"):
+                        apex_set(f, n, pattern)
+
+
 def test_enumeration_cache_roundtrip(tmp_path):
     cache = str(tmp_path)
     first = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
@@ -598,15 +640,41 @@ def test_cell_of_guard_trips_before_enumerating(monkeypatch):
 
 def test_checked_dims_guards_then_compares(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerated before the guard")
+        raise AssertionError("walked a shape before the guard")
 
-    monkeypatch.setattr(cells_mod, "enumerate_half_diagrams", refuse)
+    monkeypatch.setattr(cells_mod, "_shapes_of_cell", refuse)
     # lambdas 13 down to 7 are within the guard; lambda = 6 has 3,752,892 halves
     with pytest.raises(ResourceGuardError, match="halves to enumerate is 3752892"):
         cells_mod.checked_dims(Family.ROOK, 13, 1)
-    monkeypatch.setattr(cells_mod, "enumerate_half_diagrams", lambda *a, **k: [None])
+    monkeypatch.setattr(cells_mod, "count_half_diagrams", lambda *a, **k: 1)
     with pytest.raises(InternalCheckError, match="closed form 3 != enumeration 1 at lambda=0"):
         cells_mod.checked_dims(Family.ROOK, 1, 1)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_counted_halves_are_the_enumerated_ones(tmp_path, cached):
+    cache = str(tmp_path) if cached else None
+    for f in Family:
+        for n in range(6):
+            for lam in admissible_lambdas(f, n):
+                for K in (1, 2, 3):
+                    want = len(enumerate_half_diagrams(f, n, lam, K, cache_dir=cache))
+                    got = cells_mod.count_half_diagrams(f, n, lam, K, cache_dir=cache)
+                    assert got == want, (f, n, lam, K)
+
+
+def test_checked_dims_forms_no_half(monkeypatch):
+    # counting reads (3K)^dead per shape; a shape with no dead block forms
+    # no decoration list, so K = 10^7 costs nothing at n = 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed a half")
+
+    monkeypatch.setattr(cells_mod, "_decorate", refuse)
+    assert checked_dims(Family.ROOK, 3, 2) == {lam: dim_left_cell(Family.ROOK, 3, lam, 2)
+                                               for lam in range(4)}
+    assert checked_dims(Family.BRAUER, 0, 10**7) == {0: 1}
+    monkeypatch.undo()
+    assert enumerate_half_diagrams(Family.BRAUER, 0, 0, 10**7) == [Diagram(0, 0, ())]
 
 
 def _decorate_oracle(shape: Diagram, K: int):

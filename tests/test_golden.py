@@ -139,6 +139,9 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     # deeper than the interpreter's recursion limit: walks of 1,200 nodes, a
     # handle count of 3,000, and h = 40 at q = 1 - T - T^2 (2^40 paths)
     add("dims", "--family", "symmetric", "--n", "1200", "--K", "1", "--check")
+    # counting forms no decoration list, so K sets no cost at n = 0; listing
+    # the 3K decorations raised MemoryError
+    add("dims", "--family", "brauer", "--n", "0", "--K", "10000000", "--check")
     add("gram", "--family", "rook", "--n", "1200", "--lambda", "1200", "--params", "@p211.json",
         "--no-matrix")
     add("compose", "1;1;{1,1'}[3000,0]", "1;1;{1,1'}[0,0]", "--params", "@p211.json")
@@ -283,6 +286,10 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     for f in ("motzkin", "rook-brauer", "partition"):
         add("dims", "--family", f, "--n", "1500", "--K", "1", "--check")
     add("dims", "--family", "planar-partition", "--n", "100", "--K", "1", "--check")
+    # exit 4 on an apex set of 10^20 + 1 entries, counted before the set
+    # forms; forming it raised MemoryError
+    add("apex", "--family", "rook", "--n", "99999999999999999999", "--zero-pattern",
+        "some-nonzero")
     # exit 4 before a trial division of about 10^9 steps starts
     for field in (("rationals", "--r", "1000000000000000001"),
                   ("fp", "--p", "1000000000000000003", "--r", "1")):

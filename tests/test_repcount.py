@@ -1,6 +1,7 @@
 """Counting formulas, with brute-force oracles for partitions and
 finite-field factor counts."""
 import itertools
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -233,7 +234,8 @@ def test_dim_left_cell_examples():
 
 
 def test_dim_left_cell_check_flag():
-    # checked_dims re-derives each value by explicit half-diagram enumeration
+    # checked_dims re-derives each value by counting the decorated halves
+    # of every walked half shape
     assert checked_dims(Family.MOTZKIN, 3, 2)[1] == 120
     assert checked_dims(Family.PLANAR_PARTITION, 3, 2)[1] == 139
 
@@ -316,6 +318,32 @@ def test_dim_left_cell_matches_the_fraction_and_series_oracle(f):
                 want = _dim_oracle(f, n, lam, K)
                 assert type(got) is int, (f, n, lam, K)
                 assert want is None or got == want, (f, n, lam, K)
+
+
+@lru_cache(maxsize=1)
+def _binomial_row(n: int) -> list[int]:
+    return [comb(n, k) for k in range(n + 2)]
+
+
+def _planar_partition_three_binomials(n: int, lam: int, y: int) -> int:
+    """The Lagrange-inversion sum with its three binomials and power of y
+    formed afresh per term, the binomials read off the row C(n, .)."""
+    if n == 0:
+        return 1
+    row = _binomial_row(n)
+    return sum(
+        row[j] * y**j * (lam * row[lam + j] + (lam + 1) * y * row[lam + j + 1])
+        for j in range(n - lam + 1)
+    ) // n
+
+
+def test_planar_partition_steps_match_the_three_binomial_sum():
+    for n in range(201):
+        for lam in range(n + 1):
+            for K in (1, 2, 3):
+                assert repcount._planar_partition_dim(n, lam, 3 * K) == (
+                    _planar_partition_three_binomials(n, lam, 3 * K)
+                ), (n, lam, K)
 
 
 def _block_rule_dims(f: Family, n: int, K: int) -> list[list[int]]:

@@ -91,56 +91,56 @@ JCELL_GUARD = 200_000
 
 def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
     """Undecorated family bottoms with lam through blocks, sorted.
-    One walk places bottom nodes 1..n: each joins an open block that the
-    block rule lets grow, opens a dead block, or opens the next through
-    block (top -(tops + 1)), so tops follow least nodes and each shape is
-    canonical as built.  In a planar family the open blocks are a stack
-    from the innermost through block up; joining one closes those above.
-    A branch stops once it closes a block below the rule's minimum, or
-    its nodes left cannot fill such blocks and open the missing through
-    blocks, so every branch ends in a member."""
+    One walk reads bottom nodes 1..n by the block rule's steps: a node
+    opens a block, is a dead block alone (low <= 1), joins an open block
+    that stays open (high >= 3; high is 2 or unbounded), or joins one and
+    closes it as a dead block (high >= 2, side >= 2); a planar node joins
+    only the innermost open block.  Blocks open after node n are through
+    blocks, topped -1, -2, ... by least node: canonical as built.  Each of
+    the rest nodes left opens or closes at most one block, so a step is
+    taken only if it leaves open - rest * closes <= lam <= open + rest."""
     low, high, side = f.block_rule
-    # A block born unable to take another bottom node never enters reach,
-    # so rook and symmetric walks carry none.  lacking reads reach alone
-    # and stays exact: a block born full meets the rule's minimum (a
-    # through block has two nodes, a rook dead block needs one), save
-    # symmetric's dead block, which short prunes at the next node, as
-    # symmetric admits only lam = n.
-    dead_grows, through_grows = 1 < min(side, high), 1 < side and 2 < high
+    single, grows, closes = low <= 1, high >= 3, high >= 2 and side >= 2
     shapes = []
-    blocks: list[tuple[list[int], tuple[int, ...]]] = []  # (bottoms, top)
+    blocks: list[tuple[list[int], bool]] = []  # (bottoms, still open), by least node
+    reach: list[int] = []  # the open blocks a node may join, as indices into blocks
 
-    def lacking(reach: tuple[int, ...]) -> bool:
-        return any(len(blocks[b][0]) + len(blocks[b][1]) < low for b in reach)
-
-    def place(k: int, tops: int, short: int, reach: tuple[int, ...]):
-        # reach: the blocks node k may join, in opening order; short: the
-        # nodes that blocks below the rule's minimum still lack.  It yields
-        # each child's arguments while its own placement stands, and the
-        # loop below runs the children depth first, so n sets no depth limit
-        if short + lam - tops > n - k + 1:
-            return
+    def place(k: int, opened: int):
+        # yields each child's arguments while its own step stands
         if k > n:
-            shapes.append(Diagram(n, lam, tuple([(tuple(bots) + top, 0, 0) for bots, top in blocks])))
+            tops = itertools.count(-1, -1)
+            shape = [(tuple(bots) + ((next(tops),) if live else ()), 0, 0) for bots, live in blocks]
+            shapes.append(Diagram(n, lam, tuple(shape)))
             return
-        for i, b in enumerate(reach):
-            bots, top = blocks[b]
-            size = len(bots) + len(top)
-            if len(bots) < side and size < high and not (f.planar and lacking(reach[i + 1 :])):
-                bots.append(k)
-                yield k + 1, tops, short - (size < low), reach[: i + 1] if f.planar else reach
-                bots.pop()
-        new = len(blocks)
-        bots = [k]
-        blocks.append((bots, ()))
-        yield k + 1, tops, short + low - 1, reach + (new,) if dead_grows else reach
-        if tops < lam and not (f.planar and lacking(reach)):
-            blocks[-1] = (bots, (-(tops + 1),))
-            held = (new,) if through_grows else ()
-            yield k + 1, tops + 1, short, held if f.planar else reach + held
-        blocks.pop()
+        rest = n - k
+        up, flat, down = (o - rest * closes <= lam <= o + rest for o in (opened + 1, opened, opened - 1))
+        stay, shut = grows and flat, closes and down
+        joinable = range(len(reach) if stay or shut else 0)
+        for i in joinable[-1:] if f.planar else joinable:
+            bots = blocks[reach[i]][0]
+            bots.append(k)
+            if stay:
+                yield k + 1, opened
+            if shut:
+                b = reach.pop(i)
+                blocks[b] = (bots, False)
+                yield k + 1, opened - 1
+                blocks[b] = (bots, True)
+                reach.insert(i, b)
+            bots.pop()
+        if single and flat:
+            blocks.append(([k], False))
+            yield k + 1, opened
+            blocks.pop()
+        if up:
+            joins = grows or closes  # a block that can take no node stays out of reach
+            reach.extend([len(blocks)] * joins)
+            blocks.append(([k], True))
+            yield k + 1, opened + 1
+            blocks.pop()
+            del reach[len(reach) - joins:]
 
-    stack = [place(1, 0, 0, ())]  # the open branches, innermost last
+    stack = [place(1, 0)]  # the open branches, run depth first: n sets no depth limit
     while stack:
         child = next(stack[-1], None)
         if child is None:

@@ -356,10 +356,11 @@ def wreath_mul(x: WreathElem, y: WreathElem, mp: MonoidParams) -> WreathElem:
 
 def wreath_elements(mp: MonoidParams, lam: int, planar: bool = False):
     """All of M^lam (planar) or M wr S_lam, as an iterator; a negative lam
-    is rejected on the call, before the first element."""
+    is rejected on the call, before the first element.  M's own 3K
+    elements are formed only for lam > 0: M^0 is the empty strand tuple."""
     if lam < 0:
         raise PreconditionError("lambda must be nonnegative")
-    melems = m_elements(mp)
+    melems = m_elements(mp) if lam else []
     perms = (
         [tuple(range(1, lam + 1))]
         if planar

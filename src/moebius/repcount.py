@@ -287,17 +287,40 @@ def _planar_partition_dim(n: int, lam: int, y: int) -> int:
     return total // n
 
 
+def _dead_pairs_dim(n: int, lam: int, y: int, planar: bool) -> int:
+    """sum_t w_t y^(m-t) over the t dead pairs of m = n - lam dead nodes,
+    the other m - 2t dead singletons: the rook-Brauer (w_t = C(n, lam)
+    C(m, 2t) (2t-1)!!) or, planar, the Motzkin (w_t = C(n, lam+2t)
+    ballot(lam+2t, t)) halves with lam through blocks, each dead block
+    carrying one of y = 3K decorations.
+
+    w_0 = C(n, lam), and each w_(t+1) is w_t (m-2t)(m-2t-1) divided by
+    2(t+1), or by (t+1)(lam+t+2) in the Motzkin sum, as w_t is there
+    n! (lam+1) / (t! (lam+t+1)! (m-2t)!); each quotient is the integer
+    w_(t+1), so the division is exact.  The powers of y come by Horner's
+    rule, one factor y per term and y^(m - m//2) at the end, so a term
+    costs a few products by small integers and no fresh binomial.
+    """
+    m = n - lam
+    acc, w = 0, math.comb(n, lam)
+    for t in range(m // 2 + 1):
+        acc = acc * y + w  # sum_(s <= t) w_s y^(t-s), by Horner's rule
+        w = w * (m - 2 * t) * (m - 2 * t - 1) // ((t + 1) * (lam + t + 2 if planar else 2))
+    return acc * y ** (m - m // 2)
+
+
 def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
     """Closed-form number of left cells (half diagrams) at the given cell.
 
     Each non-through block carries one of 3K decorations (handle count
     below K, crosscap count at most 2); cells.checked_dims compares it
     with the halves counted over the walked half shapes.  Every form is
-    in integers: the Motzkin and Temperley-Lieb ballot factor
-    (lam+1)/(lam+t+1) C(m, t) is the ballot number C(m, t) - C(m, t-1);
-    the (2t-1)!! pairings of 2t nodes in Brauer and rook-Brauer are
-    (2t)!/t! = 2^t (2t-1)!!, shifted right t bits; and the planar
-    partition sum is n times the count, so its division by n is exact.
+    in integers: the Temperley-Lieb ballot factor (lam+1)/(lam+t+1)
+    C(m, t) is the ballot number C(m, t) - C(m, t-1); the (2t-1)!!
+    pairings of 2t nodes in Brauer are (2t)!/t! = 2^t (2t-1)!!, shifted
+    right t bits; the rook-Brauer and Motzkin terms step from one another
+    by exact divisions; and the planar partition sum is n times the
+    count, so its division by n is exact.
     """
     check_lambda(f, n, lambda_ts)
     if K <= 0:
@@ -310,17 +333,8 @@ def dim_left_cell(f: Family, n: int, lambda_ts: int, K: int) -> int:
         )
     elif f is Family.PLANAR_PARTITION:
         val = _planar_partition_dim(n, lam, y)
-    elif f is Family.ROOK_BRAUER:
-        val = sum(
-            math.comb(n, lam) * math.comb(n - lam, 2 * t) * (math.perm(2 * t, t) >> t)
-            * y ** (n - lam - t)
-            for t in range(0, (n - lam) // 2 + 1)
-        )
-    elif f is Family.MOTZKIN:
-        val = sum(
-            math.comb(n, lam + 2 * t) * _ballot(lam + 2 * t, t) * y ** (n - lam - t)
-            for t in range(0, (n - lam) // 2 + 1)
-        )
+    elif f in (Family.ROOK_BRAUER, Family.MOTZKIN):
+        val = _dead_pairs_dim(n, lam, y, f.planar)
     elif f is Family.BRAUER:
         t = (n - lam) // 2
         val = math.comb(n, lam) * (math.perm(2 * t, t) >> t) * y**t

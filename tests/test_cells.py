@@ -169,29 +169,27 @@ def test_the_half_shape_walk_is_not_bounded_by_the_recursion_limit():
     assert checked_dims(Family.SYMMETRIC, 1200, 1) == {1200: 1}
 
 
-def test_a_block_born_full_never_enters_reach():
-    # reach holds the blocks a later node may join; a dead block that can
-    # take no second bottom node, or a through block that can take no
-    # further node, is left out as it is opened, so the rook and symmetric
-    # walks carry no reach at all
-    for f in Family:
-        low, high, side = f.block_rule
-        held = []  # the top of each block in reach, at each placement
+def test_the_walk_at_lambda_n_places_each_node_once():
+    # at lambda = n every node must open a through block, so the walk takes
+    # no other step: n + 1 placements, the last keeping the one shape.
+    # Partition and planar partition at 2,000 nodes are in, as their open
+    # blocks could always take another node.  A placement ends with a
+    # "return" that carries no yielded child
+    ended = []
 
-        def watch(frame, event, arg):
-            if frame.f_code.co_name == "place" and event == "call":
-                blocks = frame.f_locals["blocks"]
-                held.extend(blocks[b][1] for b in frame.f_locals["reach"])
+    def watch(frame, event, arg):
+        if frame.f_code.co_name == "place" and event == "return" and arg is None:
+            ended.append(frame.f_locals["k"])
 
-        for n in range(7):
-            for lam in admissible_lambdas(f, n):
-                sys.setprofile(watch)
-                try:
-                    cells_mod._half_shapes(f, n, lam)
-                finally:
-                    sys.setprofile(None)
-        assert all(1 < side and (2 if top else 1) < high for top in held), f
-        assert bool(held) is (f.nonplanar_core not in (Family.ROOK, Family.SYMMETRIC)), f
+    cases = [(f, n) for f in Family for n in range(7)]
+    for f, n in cases + [(Family.PARTITION, 2000), (Family.PLANAR_PARTITION, 2000)]:
+        ended.clear()
+        sys.setprofile(watch)
+        try:
+            shapes = cells_mod._half_shapes(f, n, n)
+        finally:
+            sys.setprofile(None)
+        assert len(shapes) == 1 and sorted(ended) == list(range(1, n + 2)), (f, n)
 
 
 def test_halves_are_canonical_as_built(tmp_path, monkeypatch):

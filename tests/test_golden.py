@@ -142,6 +142,9 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     # counting forms no decoration list, so K sets no cost at n = 0; listing
     # the 3K decorations raised MemoryError
     add("dims", "--family", "brauer", "--n", "0", "--K", "10000000", "--check")
+    # M wr S_0 has one element, and forms none of M's 3K: listing them took
+    # 14 s and 1.3 GiB at K = 4,000,000
+    add("conjugacy", "--K", "4000000", "--r", "3", "--wreath-lambda", "0")
     add("gram", "--family", "rook", "--n", "1200", "--lambda", "1200", "--params", "@p211.json",
         "--no-matrix")
     add("compose", "1;1;{1,1'}[3000,0]", "1;1;{1,1'}[0,0]", "--params", "@p211.json")
@@ -265,6 +268,9 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     add("idempotents", "--family", "partition", "--n", "500", "--params", "@p211.json")
     add("cells", "--family", "symmetric", "--n", "1700")
     add("cells", "--family", "rook", "--n", "1000")
+    # the n = 0 monoid's one element forms none of M's 3K elements before
+    # the Cayley guard refuses M's table
+    add("cells", "--family", "rook", "--n", "0", "--K", "4000000")
     add("dims", "--family", "partition", "--n", "500", "--K", "1", "--check")
     add("dims", "--family", "rook", "--n", "9100", "--K", "1")
     add("gram", "--family", "partition", "--n", "1000", "--lambda", "999", "--params", "@p211.json")

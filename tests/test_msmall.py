@@ -483,6 +483,16 @@ def test_wreath_lambda_must_be_nonnegative():
     assert wreath_order(mp, 0) == 1
 
 
+def test_the_lambda_0_middle_forms_no_element_of_m(monkeypatch):
+    # M wr S_0 is the empty strand tuple, whatever K is
+    def refuse(mp):
+        raise AssertionError("formed M's elements for lambda = 0")
+
+    monkeypatch.setattr(msmall, "m_elements", refuse)
+    for planar in (False, True):
+        assert list(wreath_elements(MonoidParams(4_000_000, 3), 0, planar)) == [WreathElem((), ())]
+
+
 def test_wreath_elem_validation():
     with pytest.raises(PreconditionError):
         WreathElem((MElem(0, 0),), (2,))

@@ -306,10 +306,11 @@ def monoid_table(elements: list[Diagram], mp: MonoidParams) -> list[list[int]]:
     a_k at the ys' folds, the passes zip into the target codes, and one
     more pass looks them up in the target shape.  Each row joins its
     segments in shape-grouped column order and is permuted once to
-    element order.
+    element order.  At n = 0 no element has a block, and M's table is
+    not formed.
     """
-    mt = cayley_of_m(mp).mul
     n = elements[0].n if elements else 0
+    mt = cayley_of_m(mp).mul if n else []  # n = 0 has no block to fold
     by_shape: dict[tuple, dict[tuple, int]] = {}  # shape -> block codes -> index
     for idx, d in enumerate(elements):
         if d.n != n or d.m != n:

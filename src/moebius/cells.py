@@ -459,14 +459,17 @@ def predicted_cells(elements: list[Diagram], f: Family, mp: MonoidParams):
       matching t_k J y_(sigma k) gives w_k with t_k L w_k R y_(sigma k),
       and w_k joining bottom k to top sigma(k) makes such a z.
     """
-    mono = cayley_of_m(mp)
-    m_cells = greens_cells_bruteforce(mono)
-    l_of, r_of, j_of = (
-        dict(zip(mono.elements, _membership(part, mono.size)))
-        for part in (m_cells.l_cells, m_cells.r_cells, m_cells.j_cells)
-    )
+    facts = [factorize(d, mp) for d in elements]
+    l_of = r_of = j_of = {}
+    if any(fact.lambda_ts for fact in facts):  # else no strand reads M's cells
+        mono = cayley_of_m(mp)
+        m_cells = greens_cells_bruteforce(mono)
+        l_of, r_of, j_of = (
+            dict(zip(mono.elements, _membership(part, mono.size)))
+            for part in (m_cells.l_cells, m_cells.r_cells, m_cells.j_cells)
+        )
     keys = []  # per element: (bottom, L-key), (top, R-key), (lambda, J-key)
-    for fact in (factorize(d, mp) for d in elements):
+    for fact in facts:
         s = fact.middle.strands
         j_key = tuple(j_of[x] for x in s)
         keys.append((

@@ -34,7 +34,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from . import algebra
 from .algebra import _summed, evaluate_closed
@@ -234,7 +234,7 @@ def _check_regular_power(w_mid, mp) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact rank / determinant: block-wise fraction-free Bareiss
+# exact rank / determinant: blocks, Kronecker factors, fraction-free Bareiss
 # ---------------------------------------------------------------------------
 
 
@@ -243,16 +243,34 @@ def exact_rank(mat) -> RankReport:
 
     A GramMatrix is taken by its stored blocks, and square rows as one
     block; rows that are not square are scaled to integers and
-    eliminated once, with no determinant.  Each block's rows are scaled
-    to integers once, and the block is split into the connected
-    components of its nonzero pattern (i ~ j when entry (i, j) or (j, i)
-    is nonzero).  Permuting rows and columns alike puts it in
-    block-diagonal form without changing the determinant, so ranks add
-    and determinants multiply over the components.  Within one
-    call, a block of the same entry objects as an earlier one (as the
-    kernel's shared products give equal blocks) reuses its integer rows,
-    and one with the same integer rows, as every block of a rook cell has,
-    reuses its (rank, det); its own row scales still divide the determinant.
+    eliminated once, with no determinant.  Each block's rows are made
+    primitive integer rows once (``_integer_rows``), and the block's
+    (rank, det) comes from ``_rank_det``.
+
+    * Kronecker split.  When ``_kronecker_split`` finds the block W =
+      (A' (x) B) / piv, with A' k x k, B b x b and N = kb, both factors
+      are ranked the same way.  With invertible P, Q such that A' =
+      P_A E_A Q_A and B = P_B E_B Q_B, E_A and E_B diagonal 0/1 matrices
+      of rank(A') and rank(B) ones, A' (x) B = (P_A (x) P_B)(E_A (x)
+      E_B)(Q_A (x) Q_B), so rank(A' (x) B) = rank(A') rank(B).  And A'
+      (x) B = (A' (x) I_b)(I_k (x) B), where A' (x) I_b is b copies of A'
+      up to a permutation of rows and columns alike, so det(A' (x) B) =
+      det(A')^b det(B)^k.  Hence det(W) = det(A')^b det(B)^k / piv^N;
+      W is an integer matrix, so its determinant is an integer and the
+      division is exact.
+    * Pattern split.  A block or factor that does not split is split
+      into the connected components of its nonzero pattern (i ~ j when
+      entry (i, j) or (j, i) is nonzero), and Bareiss eliminates each.
+      Permuting rows and columns alike puts it in block-diagonal form
+      without changing the determinant, so ranks add and determinants
+      multiply over the components.
+
+    Within one call, a block of the same entry objects as an earlier one
+    (as the kernel's shared products give equal blocks) reuses its
+    integer rows, and any block or factor with the same integer rows as
+    an earlier one reuses its (rank, det); a block's own row scales still
+    divide the determinant.  So the 3K x 3K one-strand factor of every
+    block of a rook cell is eliminated once.
     """
     if isinstance(mat, GramMatrix):
         squares = [square for _, square in mat.blocks]
@@ -267,20 +285,68 @@ def exact_rank(mat) -> RankReport:
         squares = [rows]
     rank, det, scale = 0, 1, 1
     converted: dict = {}  # entry ids (the squares keep them alive) -> _integer_rows
-    eliminated: dict = {}  # integer rows -> (rank, det)
+    eliminated: dict = {}  # integer rows, of blocks and their factors -> (rank, det)
     for square in squares:
         ids = tuple([tuple(map(id, row)) for row in square])
         if ids not in converted:
             converted[ids] = _integer_rows(square)
         work, block_scale = converted[ids]
         scale *= block_scale
-        found = eliminated.get(work)
-        if found is None:
-            comps = [_eliminate([[work[i][j] for j in c] for i in c]) for c in _pattern_components(work)]
-            found = eliminated[work] = sum(r for r, _ in comps), prod(d for _, d in comps)
-        rank += found[0]
-        det *= found[1]
+        block_rank, block_det = _rank_det(work, eliminated)
+        rank += block_rank
+        det *= block_det
     return RankReport(rank=rank, det=Fraction(det, scale))
+
+
+def _rank_det(work, eliminated) -> tuple[int, int]:
+    """(rank, det) of square integer rows through a Kronecker split when
+    one holds, else per pattern component (see ``exact_rank``), memoized
+    in eliminated."""
+    found = eliminated.get(work)
+    if found is None:
+        split = _kronecker_split(work)
+        if split is None:
+            comps = [_eliminate([[work[i][j] for j in c] for i in c]) for c in _pattern_components(work)]
+            found = sum(r for r, _ in comps), prod(d for _, d in comps)
+        else:
+            a, b, piv = split
+            (rank_a, det_a), (rank_b, det_b) = _rank_det(a, eliminated), _rank_det(b, eliminated)
+            found = rank_a * rank_b, det_a ** len(b) * det_b ** len(a) // piv ** len(work)
+        eliminated[work] = found
+    return found
+
+
+def _kronecker_split(work):
+    """(A', B, piv) with work = (A' (x) B) / piv, all integer, or None.
+
+    The sizes k of A' are tried in increasing order over the divisors of
+    N = len(work) with 1 < k < N, and b = N / k.  piv is work's first
+    nonzero entry (row by row), B is the b x b sub-block that holds it,
+    at (p0, q0) within the sub-block, and A'[i][j] = work[ib+p0][jb+q0].
+    The split holds exactly when work[ib+p][jb+q] * piv == A'[i][j] *
+    B[p][q] for every entry; each try stops at its first mismatch, so a
+    failed try costs at most N^2 integer comparisons."""
+    n = len(work)
+    first = next(((r, c) for r, row in enumerate(work) for c, x in enumerate(row) if x), None)
+    if first is None:
+        return None
+    r0, c0 = first
+    piv = work[r0][c0]
+    for k in range(2, n):
+        if n % k:
+            continue
+        b = n // k
+        (i0, p0), (j0, q0) = divmod(r0, b), divmod(c0, b)
+        a_rows = tuple([tuple(work[i * b + p0][q0::b]) for i in range(k)])
+        b_rows = tuple([work[i0 * b + p][j0 * b:(j0 + 1) * b] for p in range(b)])
+        if all(
+            [x * piv for x in work[i * b + p][j * b:(j + 1) * b]] == [a * y for y in b_rows[p]]
+            for i, a_row in enumerate(a_rows)
+            for p in range(b)
+            for j, a in enumerate(a_row)
+        ):
+            return a_rows, b_rows, piv
+    return None
 
 
 def _pattern_components(rows) -> list[list[int]]:
@@ -290,15 +356,25 @@ def _pattern_components(rows) -> list[list[int]]:
     return _index_components(len(rows), edges)
 
 
-def _integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Each row of int or Fraction entries times the lcm of its
-    denominators, as a tuple of row tuples, and the product of those lcms."""
-    work, scale = [], 1
+def _integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], Fraction]:
+    """Each row of int or Fraction entries as the primitive integer row
+    along it (times the lcm of its denominators, then over the gcd of
+    those integers; a zero row stays 0), as a tuple of row tuples, and
+    the product of the rows' factors lcm / gcd.
+
+    The gcd of all products u_j v_q is gcd(u) gcd(v), so the primitive
+    row along u (x) v is the primitive row along u times the one along v:
+    a Kronecker product of rational squares has the Kronecker product of
+    their primitive rows as its rows."""
+    work, scale, content = [], 1, 1
     for row in rows:
         row_scale = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (row_scale // x.denominator) for x in row]
+        row_gcd = gcd(*ints) or 1
         scale *= row_scale
-        work.append(tuple([x.numerator * (row_scale // x.denominator) for x in row]))
-    return tuple(work), scale
+        content *= row_gcd
+        work.append(tuple(ints) if row_gcd == 1 else tuple([x // row_gcd for x in ints]))
+    return tuple(work), Fraction(scale, content)
 
 
 def _eliminate(work: list[list[int]]) -> tuple[int, int | None]:

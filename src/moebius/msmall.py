@@ -98,7 +98,14 @@ def cayley_of_m(mp: MonoidParams) -> CayleyMonoid:
 def symmetric_group_cayley(n: int) -> CayleyMonoid:
     check_wreath_cost(CAYLEY_WHAT, n, lambda: math.factorial(n) ** 2, CAYLEY_GUARD)
     perms = list(itertools.permutations(range(n)))
-    return CayleyMonoid.from_op(perms, lambda p, q: tuple(p[q[i]] for i in range(n)))
+    return CayleyMonoid(perms, _composition_table(perms))
+
+
+def _composition_table(perms: list[tuple[int, ...]]) -> list[list[int]]:
+    """The index of p o q (q first, then p) for each pair of perms,
+    permutations of range(n) closed under composition."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
 
 
 @dataclass(frozen=True)
@@ -389,10 +396,32 @@ def check_wreath_cost(what: str, lam: int, cost, bound: int) -> int:
 
 
 def wreath_cayley(mp: MonoidParams, lam: int, planar: bool = False) -> CayleyMonoid:
+    """M wr S_lam (M^lam if planar) in ``wreath_elements``' order, its
+    table filled by lookups in M's table and S_lam's.
+
+    An element is its strands' indices into M's elements and its
+    permutation p (0-based here), at index code(s) |S| + index(p), with
+    code(s) the strands' indices as digits in base 3K.  By ``wreath_mul``
+    the product's strand i is s_i t_(p^-1 i), so y's strand j meets x's
+    strand p[j], and a row of x's products is built one of y's strand
+    positions at a time, as sums of weighted digits in y's order."""
     check_wreath_cost(CAYLEY_WHAT, lam, lambda: wreath_order(mp, lam, planar) ** 2, CAYLEY_GUARD)
-    return CayleyMonoid.from_op(
-        wreath_elements(mp, lam, planar), lambda x, y: wreath_mul(x, y, mp)
-    )
+    m_table = cayley_of_m(mp).mul if lam else []  # M^0 forms none of M's elements
+    perms = [tuple(range(lam))] if planar else list(itertools.permutations(range(lam)))
+    p_table = _composition_table(perms)
+    # digits[i][a][e]: the code of a e as x's strand i, in place and weight
+    digits = [
+        [[len(perms) * (3 * mp.K) ** (lam - 1 - i) * m for m in row] for row in m_table]
+        for i in range(lam)
+    ]
+    table = []
+    for s in itertools.product(range(3 * mp.K), repeat=lam):
+        for p, p_row in zip(perms, p_table):
+            codes = [0]
+            for i in p:
+                codes = [c + d for c in codes for d in digits[i][s[i]]]
+            table.append([c + q for c in codes for q in p_row])
+    return CayleyMonoid(list(wreath_elements(mp, lam, planar)), table)
 
 
 def _cycles(perm: tuple[int, ...]) -> list[list[int]]:

@@ -7,6 +7,7 @@ membership oracle (an if-chain per core and a pairwise crossing test)
 for the block-rule ``is_member`` and the stack-scan ``is_planar``; the
 helpers only the tests call, among them one Gram entry and the dense
 elimination that ``exact_rank``'s blocks are compared with; the
+Cayley tables of M wr S_lambda and S_n one product at a time; the
 strict-idempotent oracle, a listed J-cell whose elements are squared
 one by one; and the Green's-cell prediction from each layer's whole
 Cayley table of M wr S_lambda."""
@@ -22,12 +23,15 @@ from moebius import Family, LinComb, compose_diagrams, evaluate_closed, gram, va
 from moebius.diagram import Diagram, factorize, star, tensor, through_strands
 from moebius.errors import PreconditionError
 from moebius.msmall import (
+    CayleyMonoid,
     MElem,
     WreathElem,
     _group,
     _membership,
     greens_cells_bruteforce,
     wreath_cayley,
+    wreath_elements,
+    wreath_mul,
 )
 from moebius.params import handle_reduce_monoid, reduce_mob_pair
 
@@ -353,6 +357,18 @@ def dense_rank(rows) -> gram.RankReport:
     work, scale = gram._integer_rows(rows)
     rank, det = gram._eliminate(list(map(list, work)))
     return gram.RankReport(rank=rank, det=None if det is None else Fraction(det, scale))
+
+
+def oracle_wreath_cayley(mp, lam: int, planar: bool = False) -> CayleyMonoid:
+    """M wr S_lambda's table (M^lambda's if planar), one ``wreath_mul``
+    of two elements per product."""
+    return CayleyMonoid.from_op(wreath_elements(mp, lam, planar), lambda x, y: wreath_mul(x, y, mp))
+
+
+def oracle_symmetric_group_cayley(n: int) -> CayleyMonoid:
+    """S_n's table, p o q composed one position at a time per product."""
+    perms = list(itertools.permutations(range(n)))
+    return CayleyMonoid.from_op(perms, lambda p, q: tuple(p[q[i]] for i in range(n)))
 
 
 def wreath_identity(lam: int) -> WreathElem:

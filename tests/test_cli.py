@@ -106,12 +106,14 @@ def test_dims_guard_trips_before_enumerating(capsys, monkeypatch):
     ],
 )
 def test_cayley_guards_trip_before_the_table(capsys, monkeypatch, argv, guard):
+    from moebius import msmall
     from moebius.msmall import CayleyMonoid
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a Cayley table before the guard")
 
     monkeypatch.setattr(CayleyMonoid, "from_op", refuse)
+    monkeypatch.setattr(msmall, "_composition_table", refuse)  # S_lambda's, in a wreath table
     assert main(list(argv)) == 4
     assert guard in capsys.readouterr().err
 

@@ -10,9 +10,11 @@ cases, Gram matrices of dimension 101 to 400, run in CI through
 and ``python tests/test_golden.py record`` re-records the whole file with
 the ``moebius`` package it imports.  A digest that changes is re-recorded with the
 change that changes it, and the reason goes in CHANGES.md.  Since the first
-recording, two have changed: ``gram ... @notarrays.json`` exits 2, as a
+recording, three have changed: ``gram ... @notarrays.json`` exits 2, as a
 string is no longer read as an array, and ``conjugacy --K 2 --r 1
 --wreath-lambda 4`` still exits 4 but from the conjugacy size guard.
+``cells --family rook --n 0 --K 4000000`` exits 0 where it exited 4, as
+the one-element n = 0 monoid no longer forms M's Cayley table.
 Every exit-4 case's stderr digest changed once more when all guards took
 the one message shape of ``errors.check_guard``.
 
@@ -145,8 +147,17 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     # M wr S_0 has one element, and forms none of M's 3K: listing them took
     # 14 s and 1.3 GiB at K = 4,000,000
     add("conjugacy", "--K", "4000000", "--r", "3", "--wreath-lambda", "0")
+    # the n = 0 monoid's one element has no strand, so neither its table nor
+    # its predicted cells form M's table (past the Cayley guard at K = 1000)
+    for K in ("1000", "4000000"):
+        add("cells", "--family", "rook", "--n", "0", "--K", K)
     add("gram", "--family", "rook", "--n", "1200", "--lambda", "1200", "--params", "@p211.json",
         "--no-matrix")
+    # the 729 x 729 rook cells at K = 3 rank through their 9 x 9 Kronecker
+    # factor; Bareiss on the whole block took 26 s each
+    for f in ("rook", "planar-rook"):
+        add("gram", "--family", f, "--n", "3", "--lambda", "0", "--params", "@pK3.json",
+            "--no-matrix")
     add("compose", "1;1;{1,1'}[3000,0]", "1;1;{1,1'}[0,0]", "--params", "@p211.json")
     add("compose", "1;1;{1,1'}[40,0]", "1;1;{1,1'}[0,0]", "--params", "@nonmonomial.json")
     # a dim-1 cell whose closed form cuts its series after one term
@@ -268,9 +279,6 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     add("idempotents", "--family", "partition", "--n", "500", "--params", "@p211.json")
     add("cells", "--family", "symmetric", "--n", "1700")
     add("cells", "--family", "rook", "--n", "1000")
-    # the n = 0 monoid's one element forms none of M's 3K elements before
-    # the Cayley guard refuses M's table
-    add("cells", "--family", "rook", "--n", "0", "--K", "4000000")
     add("dims", "--family", "partition", "--n", "500", "--K", "1", "--check")
     add("dims", "--family", "rook", "--n", "9100", "--K", "1")
     add("gram", "--family", "partition", "--n", "1000", "--lambda", "999", "--params", "@p211.json")

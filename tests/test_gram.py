@@ -23,6 +23,8 @@ from moebius.families import admissible_lambdas
 from moebius.gram import (
     GramMatrix,
     RankReport,
+    _integer_rows,
+    _kronecker_split,
     _pattern_components,
     gram_to_csv,
     gram_to_json,
@@ -454,6 +456,77 @@ def test_rook_cells_rank_by_blocks_and_by_the_kronecker_formula():
         report = exact_rank(g)
         assert report.rank == rank
         assert report == _kronecker_report(exact_rank(gram_matrix(Family.ROOK, 1, 0, ps)), 6, 1, 1)
+
+
+def _kron(a, b):
+    return [[x * y for x in a_row for y in b_row] for a_row in a for b_row in b]
+
+
+def _random_factor(rng, size):
+    """A random rational square, singular about a third of the time."""
+    rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)]
+            for _ in range(size)]
+    if size > 1 and rng.random() < 0.3:  # a row repeats, scaled
+        rows[-1] = [x * rng.randint(-2, 2) for x in rows[0]]
+    return rows
+
+
+def test_kronecker_products_split_and_rank_as_one_elimination():
+    # A (x) B and A (x) B (x) C, factors of size 1 to 4, rank and det as
+    # one dense elimination does; and with one entry moved off the
+    # product, the matrix falls back to the pattern split and Bareiss
+    rng = random.Random(29)
+    split = fell_back = singular = 0
+    for trial in range(120):
+        factors = [_random_factor(rng, rng.randint(1, 4)) for _ in range(2 + trial % 2)]
+        mat = factors[0]
+        for factor in factors[1:]:
+            mat = _kron(mat, factor)
+        report = exact_rank(mat)
+        assert report == dense_rank(mat), factors
+        if sum(len(factor) > 1 for factor in factors) > 1 and any(map(any, mat)):
+            # primitive integer rows keep a rational product a product
+            assert _kronecker_split(_integer_rows(mat)[0]) is not None, factors
+            split += 1
+        singular += report.det == 0
+        i, j = rng.randrange(len(mat)), rng.randrange(len(mat))
+        mat[i][j] += 1
+        assert exact_rank(mat) == dense_rank(mat), (factors, i, j)
+        fell_back += _kronecker_split(_integer_rows(mat)[0]) is None
+    assert split > 80 and fell_back > 110 and 20 < singular < 100
+
+
+def test_the_split_checks_every_entry_of_the_dense_rook_block():
+    # rook n=4 lambda=0 is one 81 x 81 block A_1^(x)4; moving any one entry,
+    # the last included, leaves no split at 3 x 27 or 9 x 9 or 27 x 3
+    g = gram_matrix(Family.ROOK, 4, 0, geometric(2, 1, 3))
+    (_, square), = g.blocks
+    assert _kronecker_split(_integer_rows(square)[0]) is not None
+    for i, j in ((80, 80), (80, 0), (40, 41), (0, 80), (26, 27)):
+        rows = [list(row) for row in square]
+        rows[i][j] += 1
+        assert _kronecker_split(_integer_rows(rows)[0]) is None, (i, j)
+        assert exact_rank(rows) == dense_rank(rows), (i, j)
+
+
+def test_a_rook_cell_eliminates_only_its_one_strand_factor(monkeypatch):
+    # the 81 x 81 block splits down to 3 x 3 pieces, all the same, so
+    # Bareiss runs once, on a 3 x 3
+    pieces = []
+
+    def recording(work):
+        pieces.append(tuple(map(tuple, work)))
+        return eliminate(work)
+
+    eliminate = gram._eliminate
+    monkeypatch.setattr(gram, "_eliminate", recording)
+    g = gram_matrix(Family.ROOK, 4, 0, geometric(2, 1, 3))
+    report = exact_rank(g)
+    assert {len(piece) for piece in pieces} == {3}
+    assert len(set(pieces)) == len(pieces) == 1
+    monkeypatch.setattr(gram, "_eliminate", eliminate)
+    assert report == dense_rank(g.entries)
+    assert report == RankReport(81, gram_det_closed_form_rook0(4, 2, 1, 3))
 
 
 def _kronecker_report(a1, n, lam, K):

@@ -36,7 +36,7 @@ from moebius.msmall import (
 )
 from moebius.repcount import count_types, partition_count
 
-from conftest import wreath_identity
+from conftest import oracle_symmetric_group_cayley, oracle_wreath_cayley, wreath_identity
 
 
 def test_m_mul_examples():
@@ -326,6 +326,7 @@ def test_cayley_guards_trip_before_the_table(monkeypatch):
 
     monkeypatch.setattr(CayleyMonoid, "from_op", refuse)
     monkeypatch.setattr(msmall, "m_elements", refuse)
+    monkeypatch.setattr(msmall, "_composition_table", refuse)
     with pytest.raises(ResourceGuardError, match="over the bound 2000000"):
         cayley_of_m(MonoidParams(1667, 1))
     with pytest.raises(ResourceGuardError, match="over the bound 2000000"):
@@ -464,6 +465,27 @@ def test_wreath_conjugacy_matches_type_fibers():
     for i, w in enumerate(mono.elements):
         fibers.setdefault(wreath_type(w, classes, mp), set()).add(i)
     assert sorted(sorted(c) for c in brute) == sorted(sorted(s) for s in fibers.values())
+
+
+def test_wreath_and_symmetric_tables_equal_the_product_by_product_oracles():
+    # tables filled by lookups in M's and S_lambda's own tables equal one
+    # wreath_mul (or one composition of permutations) per product
+    compared = 0
+    for K in (1, 2, 3):
+        for r in range(1, K + 1, 2):
+            mp = MonoidParams(K, r)
+            for lam in (0, 1, 2):
+                for planar in (False, True):
+                    fast, slow = wreath_cayley(mp, lam, planar), oracle_wreath_cayley(mp, lam, planar)
+                    assert fast.elements == slow.elements, (K, r, lam, planar)
+                    assert fast.mul == slow.mul, (K, r, lam, planar)
+                    compared += fast.size ** 2
+    fast, slow = wreath_cayley(MonoidParams(1, 1), 3), oracle_wreath_cayley(MonoidParams(1, 1), 3)
+    assert fast.elements == slow.elements and fast.mul == slow.mul
+    for n in range(6):
+        fast, slow = symmetric_group_cayley(n), oracle_symmetric_group_cayley(n)
+        assert fast.elements == slow.elements and fast.mul == slow.mul, n
+    assert compared > 60_000
 
 
 def test_wreath_cayley_guard():

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
 from math import prod
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .diagram import Diagram, least_node_key, node_key, render_diagram
 from .errors import HANDLE_GUARD, InternalCheckError, PreconditionError, check_guard
@@ -295,80 +295,116 @@ def monoid_table(elements: list[Diagram], mp: MonoidParams) -> list[list[int]]:
     runs once per ordered shape pair (x over y reads ``_topology(y_shape,
     x_shape, n)``), and each open component carries the product in M of
     its members' decorations.  A block decoration (h, mob) is coded
-    3h + mob, its index in ``msmall.m_elements`` and ``cayley_of_m``.
-    Every evaluation is 1, so a closed component multiplies the product
-    by 1 and drops out.
+    3h + mob, its index in ``msmall.m_elements`` and ``cayley_of_m``; a
+    vector of codes is read as one integer in base 3K.  Every evaluation
+    is 1, so a closed component multiplies the product by 1 and drops
+    out.
 
-    Per shape pair, each element folds its members through M's table
-    into one code per open component, once per way the pair splits its
-    blocks.  The x elements with one fold vector a share one row segment
-    over the y shape: per component k, one C-level pass reads M's row
-    a_k at the ys' folds, the passes zip into the target codes, and one
-    more pass looks them up in the target shape.  Each row joins its
-    segments in shape-grouped column order and is permuted once to
-    element order.  At n = 0 no element has a block, and M's table is
-    not formed.
+    Each element folds the blocks of each open component through M's
+    table into one code per component (a one-block part is its block's
+    code), per shape and part once.  Component k of the product is the
+    target shape's block k, with code a_k b_k from x's fold a and y's
+    fold b; so one lookup per (target shape, x fold) maps y's fold code
+    to the product's index, and is filled only at the folds some y has.
+    Per shape pair, the ys are numbered by their distinct folds and each
+    x fold reads its lookup once per distinct fold.  An x element's row
+    is then one read, in element order, of those short lists joined over
+    the y shapes.  At n = 0 no element has a block, and M's table is not
+    formed.
     """
     n = elements[0].n if elements else 0
+    base = 3 * mp.K
     mt = cayley_of_m(mp).mul if n else []  # n = 0 has no block to fold
     by_shape: dict[tuple, dict[tuple, int]] = {}  # shape -> block codes -> index
+    codes_of: dict[tuple, list] = {}  # shape -> its elements' block codes, as listed
     for idx, d in enumerate(elements):
         if d.n != n or d.m != n:
             raise PreconditionError(f"monoid elements must all be {n}->{n} diagrams")
         if any(h >= mp.K or mob > 2 for _, h, mob in d.blocks):
             raise PreconditionError("monoid elements need handle counts below K and mob below 3")
-        codes = tuple([3 * h + mob for _, h, mob in d.blocks])
-        by_shape.setdefault(tuple(map(_nodes_of, d.blocks)), {})[codes] = idx
+        codes = [3 * h + mob for _, h, mob in d.blocks]
+        shape = tuple(map(_nodes_of, d.blocks))
+        by_shape.setdefault(shape, {})[tuple(codes)] = idx
+        codes_of.setdefault(shape, []).append(codes)
     if sum(map(len, by_shape.values())) != len(elements):
         raise PreconditionError("duplicate elements in Cayley construction")
+
+    folded: dict[tuple, list] = {}  # (shape, part) -> per element, the part's product in M
+
+    def folds(shape, parts):
+        # per element of the shape, its fold vector over parts
+        columns = []
+        for part in parts:
+            column = folded.get((shape, part))
+            if column is None:
+                codes = codes_of[shape]
+                column = [c[part[0]] for c in codes] if part else [0] * len(codes)
+                for i in part[1:]:
+                    row_of = map(mt.__getitem__, column)
+                    column = list(map(getitem, row_of, map(itemgetter(i), codes)))
+                folded[shape, part] = column
+            columns.append(column)
+        return zip(*columns) if columns else repeat((), len(codes_of[shape]))
 
     # column j of the table is position place[j] of a shape-grouped row
     place = [0] * len(elements)
     for pos, j in enumerate(j for members in by_shape.values() for j in members.values()):
         place[j] = pos
     table: list = [None] * len(elements)
-    columns_of: dict[tuple, list] = {}  # (y shape, its parts) -> per part, the ys' folds
+    lookups: dict[tuple, dict] = {}  # target shape -> x fold -> y fold code -> index
+    # (y shape, its parts) -> (the distinct folds by part, their codes, each y's number)
+    numbered: dict[tuple, tuple] = {}
     for x_shape, xs in by_shape.items():
-        rows = [[] for _ in xs]
+        joined = [[] for _ in xs]  # per x, its lists over the y shapes
+        reads = []  # per y, shape-grouped: its place in every x's joined list
+        width = 0  # the length of each joined list so far
         classes_of: dict[tuple, dict] = {}  # x's parts -> fold -> positions in xs
-        for y_shape, ys in by_shape.items():
+        for y_shape in by_shape:
             opened, _ = _topology(y_shape, x_shape, n)
-            target = by_shape.get(tuple(map(_nodes_of, opened)), {})
+            target_shape = tuple(map(_nodes_of, opened))
+            target = by_shape.get(target_shape, {})
             offset = len(y_shape)
             x_parts = tuple(tuple(i - offset for i in m if i >= offset) for _, m in opened)
             y_parts = tuple(tuple(i for i in m if i < offset) for _, m in opened)
             if x_parts not in classes_of:
                 classes = classes_of[x_parts] = {}
-                for p, codes in enumerate(xs):
-                    classes.setdefault(_fold(codes, x_parts, mt), []).append(p)
+                for p, fold in enumerate(folds(x_shape, x_parts)):
+                    classes.setdefault(fold, []).append(p)
             y_key = y_shape, y_parts
-            if y_key not in columns_of:
-                columns_of[y_key] = list(zip(*[_fold(codes, y_parts, mt) for codes in ys]))
-            columns = columns_of[y_key]
+            if y_key not in numbered:
+                distinct: dict[tuple, int] = {}
+                numbers = [
+                    distinct.setdefault(fold, len(distinct)) for fold in folds(y_shape, y_parts)
+                ]
+                numbered[y_key] = list(zip(*distinct)), [_code(b, base) for b in distinct], numbers
+            y_columns, y_codes, numbers = numbered[y_key]
+            reads += [width + k for k in numbers]
+            width += len(y_codes)
+            by_fold = lookups.setdefault(target_shape, {})
             for fold, members in classes_of[x_parts].items():
-                # with no open component (n = 0) every product is the empty code
-                products = (
-                    zip(*[map(mt[a].__getitem__, column) for a, column in zip(fold, columns)])
-                    if fold else repeat((), len(ys))
-                )
-                try:
-                    segment = list(map(target.__getitem__, products))
-                except KeyError:
-                    raise PreconditionError("multiplication leaves the element list") from None
+                lookup = by_fold.setdefault(fold, {})
+                found = list(map(lookup.get, y_codes))
+                if None in found:  # fill at every fold of these ys
+                    products = (
+                        zip(*[map(mt[a].__getitem__, column) for a, column in zip(fold, y_columns)])
+                        if fold else repeat((), len(y_codes))  # n = 0: the empty code
+                    )
+                    try:
+                        found = list(map(target.__getitem__, products))
+                    except KeyError:
+                        raise PreconditionError("multiplication leaves the element list") from None
+                    lookup.update(zip(y_codes, found))
                 for p in members:
-                    rows[p] += segment
-        for i, row in zip(xs.values(), rows):
-            table[i] = list(map(row.__getitem__, place))
+                    joined[p] += found
+        reads = list(map(reads.__getitem__, place))
+        for i, row in zip(xs.values(), joined):
+            table[i] = list(map(row.__getitem__, reads))
     return table
 
 
-def _fold(codes: tuple, parts: tuple, mt: list[list[int]]) -> tuple[int, ...]:
-    """Per part, the product in M of the coded decorations it indexes;
-    code 0 is M's identity."""
-    out = []
-    for part in parts:
-        c = 0
-        for i in part:
-            c = mt[c][codes[i]]
-        out.append(c)
-    return tuple(out)
+def _code(digits, base: int) -> int:
+    """The digits, most significant first, as one integer in base."""
+    code = 0
+    for c in digits:
+        code = code * base + c
+    return code

@@ -458,26 +458,78 @@ def predicted_cells(elements: list[Diagram], f: Family, mp: MonoidParams):
       have the same J-classes as a multiset (as a tuple when p = 1).  A
       matching t_k J y_(sigma k) gives w_k with t_k L w_k R y_(sigma k),
       and w_k joining bottom k to top sigma(k) makes such a z.
+
+    Where each block goes in the factorization depends on the shape
+    alone, so one element per shape is factorized (``_layout``).  Every
+    element's bottom is then its bottom half's shape and the codes
+    3h + mob of its bottom-dead blocks, its top likewise, and its strands
+    are the codes of its through blocks, read in bottom and in top order
+    through M's cell membership lists, which are indexed by code.
     """
-    facts = [factorize(d, mp) for d in elements]
-    l_of = r_of = j_of = {}
-    if any(fact.lambda_ts for fact in facts):  # else no strand reads M's cells
+    planar = f.planar
+    shapes = _group((i, tuple([nodes for nodes, _, _ in d.blocks])) for i, d in enumerate(elements))
+    layouts = [_layout(elements[members[0]], mp) for members in shapes.values()]
+    l_of = r_of = j_of = []
+    if any(layout[2] for layout in layouts):  # else no strand reads M's cells
         mono = cayley_of_m(mp)
         m_cells = greens_cells_bruteforce(mono)
         l_of, r_of, j_of = (
-            dict(zip(mono.elements, _membership(part, mono.size)))
+            _membership(part, mono.size)
             for part in (m_cells.l_cells, m_cells.r_cells, m_cells.j_cells)
         )
-    keys = []  # per element: (bottom, L-key), (top, R-key), (lambda, J-key)
-    for fact in facts:
-        s = fact.middle.strands
-        j_key = tuple(j_of[x] for x in s)
-        keys.append((
-            (fact.bottom, tuple(l_of[s[k - 1]] for k in fact.middle.perm)),
-            (fact.top, tuple(r_of[x] for x in s)),
-            (fact.lambda_ts, j_key if f.planar else tuple(sorted(j_key))),
-        ))
+    keys: list = [None] * len(elements)  # per element: L-, R- and J-key
+    halves: dict[tuple, int] = {}  # half shape -> its number
+    for members, ((bottom, bottom_dead), (top, top_dead), by_bottom, by_top) in zip(
+        shapes.values(), layouts
+    ):
+        b, t = halves.setdefault(bottom, len(halves)), halves.setdefault(top, len(halves))
+        for i in members:
+            codes = _block_codes(elements[i], mp)
+            strands = [codes[k] for k in by_top]
+            j_key = [j_of[c] for c in strands]
+            keys[i] = (
+                (b, *[codes[k] for k in bottom_dead], *[l_of[codes[k]] for k in by_bottom]),
+                (t, *[codes[k] for k in top_dead], *[r_of[c] for c in strands]),
+                (len(strands), *(j_key if planar else sorted(j_key))),
+            )
     return tuple(
         list(_group((i, key_of(key)) for i, key in enumerate(keys)).values())
         for key_of in (itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(0, 1))
     )
+
+
+def _layout(d: Diagram, mp: MonoidParams) -> tuple:
+    """Where d's blocks go in its factorization, the same for every
+    element of d's shape: ((bottom half's shape, its dead blocks), (top
+    half's shape, its dead blocks), through blocks by bottom position,
+    through blocks by top position), each block as its index in d.
+    Dead blocks keep their order by least node, as the halves list them."""
+    fact = factorize(d, mp)
+    block_of = {v: i for i, (nodes, _, _) in enumerate(d.blocks) for v in nodes}
+    by_bottom = [0] * fact.lambda_ts
+    by_top = [0] * fact.lambda_ts
+    for nodes, _, _ in fact.bottom.blocks:  # a through block ends in its top node
+        if nodes[-1] < 0:
+            by_bottom[-nodes[-1] - 1] = block_of[nodes[0]]
+    for nodes, _, _ in fact.top.blocks:  # a through block starts with its bottom node
+        if nodes[0] > 0:
+            by_top[nodes[0] - 1] = block_of[nodes[-1]]
+    return tuple(
+        (tuple([nodes for nodes, _, _ in half.blocks]),
+         [block_of[nodes[0]] for nodes, _, _ in half.blocks
+          if (nodes[0] > 0) == (nodes[-1] > 0)])  # a dead block's nodes lie on one side
+        for half in (fact.bottom, fact.top)
+    ) + (by_bottom, by_top)
+
+
+def _block_codes(d: Diagram, mp: MonoidParams) -> list[int]:
+    """Each block's decoration (h, mob) as 3h + mob, its index among M's
+    elements, under ``factorize``'s conditions on every block."""
+    codes = []
+    for _, h, mob in d.blocks:
+        if mob > 2:
+            raise PreconditionError("factorize needs mob-normalized input")
+        if h >= mp.K:
+            raise PreconditionError("factorize needs handle counts below K")
+        codes.append(3 * h + mob)
+    return codes

@@ -87,13 +87,17 @@ class Diagram:
         return Diagram(n, m, tuple(blocks))
 
     def sort_key(self):
+        """Canonical order: n, m, then the blocks with each node as one
+        int, v for a bottom node and n - v for a top node v = -j: bottoms
+        before tops, each ascending, the order of ``node_key``."""
+        n = self.n
         return (
-            self.n,
+            n,
             self.m,
-            tuple(
-                (tuple(node_key(v) for v in nodes), h, mob)
+            tuple([
+                (tuple([v if v > 0 else n - v for v in nodes]), h, mob)
                 for nodes, h, mob in self.blocks
-            ),
+            ]),
         )
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import attrgetter
 
 from . import algebra
 from .algebra import _summed, evaluate_closed
@@ -42,13 +43,14 @@ from .cells import enumerate_half_diagrams
 from .diagram import Diagram, _star_layout, factorize, render_diagram, star, through_strands
 from .errors import PRINTABLE_BITS, InternalCheckError, PreconditionError, check_guard
 from .families import Family, check_lambda
-from .msmall import MElem, _group, _index_components, m_mul, wreath_mul
+from .msmall import _group, _index_components, m_code, wreath_mul
 from .params import ParamSet, Rat, format_rational, monoid_params_of
 from .repcount import dim_left_cell
 
 SIZE_GUARD = 2000
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -181,17 +183,20 @@ def _check_pair_keys(members, square, top_through, bottom_through, ps, mp, walke
     """The regularity check, once per distinct key of one shape pair.
 
     A key is the through components' summed decorations, multiplied in M
-    as a composite reduces them, so it names the composite w.  Its first
-    nonzero entry is composed in full: the coefficient must equal the
-    kernel's entry and every through strand must survive.  Then w's
-    factorized middle is walked by ``_check_regular_power``, once per
-    distinct middle."""
+    as a composite reduces them and coded as M's Cayley indices
+    (``msmall.m_code``), so it names the composite w.  Its first nonzero
+    entry is composed in full: the coefficient must equal the kernel's
+    entry and every through strand must survive.  Then w's factorized
+    middle is walked by ``_check_regular_power``, once per distinct
+    middle."""
     top_classes = _group(top_through.items())
     bottom_classes = _group(bottom_through.items())
     seen = set()
     for t_through, rs in top_classes.items():
         for b_through, cs in bottom_classes.items():
-            key = tuple(m_mul(MElem(*t), MElem(*b), mp) for t, b in zip(t_through, b_through))
+            key = tuple([
+                m_code(th + bh, tm + bm, mp) for (th, tm), (bh, bm) in zip(t_through, b_through)
+            ])
             if key in seen:
                 continue
             rep = next(((r, c) for r in rs for c in cs if square[r][c]), None)
@@ -365,11 +370,16 @@ def _integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], Fraction]:
     The gcd of all products u_j v_q is gcd(u) gcd(v), so the primitive
     row along u (x) v is the primitive row along u times the one along v:
     a Kronecker product of rational squares has the Kronecker product of
-    their primitive rows as its rows."""
+    their primitive rows as its rows.  A row's denominators are read in
+    one pass, and a row whose denominators are all 1 is its numerators."""
     work, scale, content = [], 1, 1
     for row in rows:
-        row_scale = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (row_scale // x.denominator) for x in row]
+        dens = list(map(_denominator, row))
+        row_scale = lcm(*dens)
+        if row_scale == 1:
+            ints = list(map(_numerator, row))
+        else:
+            ints = [x.numerator * (row_scale // d) for x, d in zip(row, dens)]
         row_gcd = gcd(*ints) or 1
         scale *= row_scale
         content *= row_gcd

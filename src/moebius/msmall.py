@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import PreconditionError, check_guard
 from .params import MonoidParams, handle_reduce_monoid, reduce_mob_pair
@@ -55,6 +54,13 @@ def m_mul(x: MElem, y: MElem, mp: MonoidParams) -> MElem:
     return MElem(handle_reduce_monoid(i, mp), j)
 
 
+def m_code(h: int, mob: int, mp: MonoidParams) -> int:
+    """The index 3i + j in ``m_elements`` and ``cayley_of_m`` of a^i b^j,
+    the element a^h b^mob reduces to: b^3 = ab, then a^K = a^(K-r)."""
+    h, mob = reduce_mob_pair(h, mob)
+    return 3 * handle_reduce_monoid(h, mp) + mob
+
+
 def m_elements(mp: MonoidParams) -> list[MElem]:
     return [MElem(i, j) for i in range(mp.K) for j in range(3)]
 
@@ -91,8 +97,20 @@ class CayleyMonoid:
 
 
 def cayley_of_m(mp: MonoidParams) -> CayleyMonoid:
+    """M's table in ``m_elements``' order, a^i b^j at index 3i + j, from
+    the closed form of ``m_mul``: a^i b^j a^k b^l has b-exponent j + l,
+    less 2 with one more a when j + l >= 3 (b^3 = ab), and a-exponent
+    i + k (+ 1) < 2K, reduced below K by a^K = a^(K-r)."""
     check_guard(CAYLEY_WHAT, (3 * mp.K) ** 2, CAYLEY_GUARD)
-    return CayleyMonoid.from_op(m_elements(mp), lambda x, y: m_mul(x, y, mp))
+    K, r = mp.K, mp.r
+    a3 = [3 * (e if e < K else e - ((e - K) // r + 1) * r) for e in range(2 * K)]  # 3 x reduced a^e
+    carry = [[(j + l >= 3, j + l - 2 * (j + l >= 3)) for l in range(3)] for j in range(3)]
+    table = [
+        [a3[i + k + c] + b for k in range(K) for c, b in carry[j]]
+        for i in range(K)
+        for j in range(3)
+    ]
+    return CayleyMonoid(m_elements(mp), table)
 
 
 def symmetric_group_cayley(n: int) -> CayleyMonoid:
@@ -105,7 +123,13 @@ def _composition_table(perms: list[tuple[int, ...]]) -> list[list[int]]:
     """The index of p o q (q first, then p) for each pair of perms,
     permutations of range(n) closed under composition."""
     index = {p: i for i, p in enumerate(perms)}
-    return [[index[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
+    columns = list(zip(*perms))  # per position k, q[k] for every q
+    if not columns:  # the one permutation of no points
+        return [[0] * len(perms) for _ in perms]
+    return [
+        list(map(index.__getitem__, zip(*[map(p.__getitem__, c) for c in columns])))
+        for p in perms
+    ]
 
 
 @dataclass(frozen=True)
@@ -130,8 +154,8 @@ def greens_cells_bruteforce(mono: CayleyMonoid) -> GreensCells:
     def classes(keys):
         return list(_group(enumerate(keys)).values())
 
-    l_cells = classes(frozenset(map(itemgetter(a), mul)) | {a} for a in range(n))
-    r_cells = classes(frozenset(mul[a]) | {a} for a in range(n))
+    l_cells = classes(frozenset(column) | {a} for a, column in enumerate(zip(*mul)))
+    r_cells = classes(frozenset(row) | {a} for a, row in enumerate(mul))
     joins = ((cell[0], v) for cell in l_cells + r_cells for v in cell)
     return GreensCells(
         l_cells,
@@ -302,15 +326,18 @@ def generalized_conjugacy_classes(mono: CayleyMonoid) -> list[list[int]]:
 
     The classes are the components of this relation, sorted.  It is
     symmetric, as (x', x) witnesses n ~ m: x' n^(w+1) x = x'x m^(w+1) x'x
-    = m^w m^(w+1) m^w = m^(w+1).  So one pass over each m's witnesses,
-    the pairs with x'x = m^w, joins m with every n whose (n^w, n^(w+1))
-    is (xx', x m^(w+1) x'), and no pair m, n is tested.
+    = m^w m^(w+1) m^w = m^(w+1).  It is reflexive, as x = x' = m^w
+    witnesses m ~ m, and it reads m and n only through their pairs
+    (m^w, m^(w+1)) and (n^w, n^(w+1)).  So the elements of one pair are
+    related and joined first, and then one pass over each pair's
+    witnesses, the (x, x') with x'x = m^w, joins it to the pair
+    (xx', x m^(w+1) x') where that pair is some element's: one join per
+    pair reached, and no pair m, n is tested.
     """
     n = check_guard(CONJUGACY_WHAT, mono.size, CONJUGACY_GUARD)
     mul = mono.mul
     omega = [omega_power(v, mono) for v in range(n)]
-    omega1 = [mul[omega[v]][v] for v in range(n)]
-    by_powers = _group((v, (omega[v], omega1[v])) for v in range(n))
+    by_powers = _group((v, (omega[v], mul[omega[v]][v])) for v in range(n))
 
     witnesses = _group(  # x'x -> the pairs (x, x')
         ((x, xp), mul[xp][x])
@@ -318,13 +345,11 @@ def generalized_conjugacy_classes(mono: CayleyMonoid) -> list[list[int]]:
         for xp in range(n)
         if mul[mul[x][xp]][x] == x and mul[mul[xp][x]][xp] == xp
     )
-    related = (
-        (m, k)
-        for m in range(n)
-        for x, xp in witnesses.get(omega[m], ())
-        for k in by_powers.get((mul[x][xp], mul[mul[x][omega1[m]]][xp]), ())
-    )
-    return _index_components(n, related)
+    joins = [(group[0], v) for group in by_powers.values() for v in group[1:]]
+    for (e, f), group in by_powers.items():
+        reached = {(mul[x][xp], mul[mul[x][f]][xp]) for x, xp in witnesses.get(e, ())}
+        joins += [(group[0], by_powers[pair][0]) for pair in reached if pair in by_powers]
+    return _index_components(n, joins)
 
 
 # ---------------------------------------------------------------------------

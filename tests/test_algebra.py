@@ -462,6 +462,17 @@ def test_monoid_table_matches_per_product_composition(f, n, mp, step):
         assert row == [index[monoid_compose(x, y, mp, evals)] for y in elements], x
 
 
+def test_monoid_table_of_a_sparse_list_at_large_k():
+    # the identity and a rook idempotent whose dead blocks carry a^99 b^2
+    # and 1: closed under products, and coded in base 3K = 300
+    mp = MonoidParams(100, 1)
+    elements = [parse_diagram("1;1;{1,1'}[0,0]"), parse_diagram("1;1;{1}[99,2]|{1'}[0,0]")]
+    evals = all_ones_evals(mp)
+    assert monoid_table(elements, mp) == [[0, 1], [1, 1]] == [
+        [elements.index(monoid_compose(x, y, mp, evals)) for y in elements] for x in elements
+    ]
+
+
 def test_monoid_table_rejects_bad_element_lists():
     mp = MonoidParams(2, 1)
     elements = enumerate_family_monoid(Family.BRAUER, 2, mp)

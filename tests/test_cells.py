@@ -372,6 +372,51 @@ def test_predicted_cells_build_no_wreath_table(monkeypatch):
         greens_cells_bruteforce(mono))
 
 
+def _shape_of(d: Diagram) -> tuple:
+    return tuple(nodes for nodes, _, _ in d.blocks)
+
+
+def test_predicted_cells_factorize_one_element_per_shape(monkeypatch):
+    # every element of a shape takes its blocks' places in the factorization
+    # from one factorized element; the cells still equal the brute-force ones
+    for f, n, mp in ((Family.BRAUER, 2, MonoidParams(2, 1)),
+                     (Family.PLANAR_PARTITION, 2, MonoidParams(1, 1)),
+                     (Family.ROOK, 1, MonoidParams(3, 3))):
+        elements, mono = family_monoid_cayley(f, n, mp)
+        factorized = []
+        real = cells_mod.factorize
+        monkeypatch.setattr(cells_mod, "factorize",
+                            lambda d, mp: factorized.append(d) or real(d, mp))
+        got = predicted_cells(elements, f, mp)
+        monkeypatch.undo()
+        shapes = {_shape_of(d) for d in elements}
+        assert len(factorized) == len(shapes) < len(elements), f
+        assert {_shape_of(d) for d in factorized} == shapes
+        assert got == _sorted_cells(greens_cells_bruteforce(mono)), f
+
+
+def test_predicted_cells_check_every_element_of_a_shape():
+    # a decoration past K or a crosscap count past 2 on the last element of
+    # a shape, whose first element is well formed, is refused as factorize
+    # refuses it
+    mp = MonoidParams(2, 1)
+    elements = enumerate_family_monoid(Family.ROOK, 2, mp)
+    last = {_shape_of(d): i for i, d in enumerate(elements)}
+    first = {}
+    for i, d in enumerate(elements):
+        first.setdefault(_shape_of(d), i)
+    i = next(i for shape, i in last.items() if i != first[shape])
+    for (h, mob), message in (((2, 0), "handle counts below K"), ((0, 3), "mob-normalized")):
+        nodes, _, _ = elements[i].blocks[-1]
+        blocks = elements[i].blocks[:-1] + ((nodes, h, mob),)
+        bad = list(elements)
+        bad[i] = Diagram(elements[i].n, elements[i].m, blocks)
+        with pytest.raises(PreconditionError, match=message):
+            factorize(bad[i], mp)
+        with pytest.raises(PreconditionError, match=message):
+            predicted_cells(bad, Family.ROOK, mp)
+
+
 def test_l_cells_equal_size_within_j():
     mp = MonoidParams(1, 1)
     elements, mono = family_monoid_cayley(Family.TEMPERLEY_LIEB, 2, mp)

@@ -24,7 +24,7 @@ from moebius import (
     through_strands,
 )
 from moebius.cells import enumerate_half_diagrams
-from moebius.diagram import Diagram, Factorization, _star_layout, is_planar
+from moebius.diagram import Diagram, Factorization, _star_layout, is_planar, node_key
 from moebius.families import admissible_lambdas
 from moebius.msmall import MElem, WreathElem, wreath_elements
 
@@ -184,6 +184,23 @@ def test_parse_render_roundtrip_random(data):
     rng = random.Random(seed)
     d = random_diagram(rng, rng.randint(0, 4), rng.randint(0, 4))
     assert parse_diagram(render_diagram(d)) == d
+
+
+def test_sort_key_orders_as_node_key():
+    # one int per node orders every pair of diagrams as (side, index) pairs
+    # do, across boundary sizes too (n != m, and the diagrams' n and m differ)
+    def node_key_order(d):
+        return d.n, d.m, tuple(
+            (tuple(node_key(v) for v in nodes), h, mob) for nodes, h, mob in d.blocks)
+
+    rng = random.Random(29)
+    sizes = [(0, 0), (1, 0), (0, 2), (1, 1), (2, 3), (3, 2), (3, 3), (4, 1), (1, 4)]
+    diagrams = [random_diagram(rng, n, m, 1, 2) for n, m in sizes for _ in range(25)]
+    keys = [(d.sort_key(), node_key_order(d)) for d in diagrams]
+    for new_a, old_a in keys:
+        for new_b, old_b in keys:
+            assert (new_a < new_b, new_a == new_b) == (old_a < old_b, old_a == old_b)
+    assert sorted(diagrams, key=Diagram.sort_key) == sorted(diagrams, key=node_key_order)
 
 
 def test_normalize_mob_examples():

@@ -2,7 +2,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -471,6 +471,44 @@ def _random_factor(rng, size):
     return rows
 
 
+def _integer_rows_per_entry(rows):
+    """_integer_rows reading each entry's denominator twice: the lcm of a
+    row's denominators, then each numerator times lcm over its own."""
+    work, scale, content = [], 1, 1
+    for row in rows:
+        row_scale = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (row_scale // x.denominator) for x in row]
+        row_gcd = gcd(*ints) or 1
+        scale *= row_scale
+        content *= row_gcd
+        work.append(tuple(x // row_gcd for x in ints))
+    return tuple(work), Fraction(scale, content)
+
+
+def test_integer_rows_match_the_per_entry_path():
+    rng = random.Random(64)
+    for _ in range(200):
+        width = rng.randint(0, 6)
+        kind = rng.choice(("rational", "integer", "fraction of 1", "zero", "mixed"))
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            if kind == "rational":
+                row = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(width)]
+            elif kind == "integer":
+                row = [rng.randint(-20, 20) for _ in range(width)]
+            elif kind == "fraction of 1":
+                row = [Fraction(rng.randint(-20, 20)) for _ in range(width)]
+            elif kind == "zero":
+                row = [Fraction(0)] * width
+            else:
+                row = [rng.choice((Fraction(rng.randint(-9, 9), rng.randint(1, 5)), 0, 3))
+                       for _ in range(width)]
+            rows.append(row)
+        got = _integer_rows(rows)
+        assert got == _integer_rows_per_entry(rows), rows
+        assert all(type(x) is int for row in got[0] for x in row)
+
+
 def test_kronecker_products_split_and_rank_as_one_elimination():
     # A (x) B and A (x) B (x) C, factors of size 1 to 4, rank and det as
     # one dense elimination does; and with one entry moved off the
@@ -893,6 +931,28 @@ def test_one_composition_per_distinct_composite(monkeypatch):
     composites = _composites(g, ps)
     assert len(facts) == len(composites)
     assert sum(map(len, composites.values())) > 3 * len(composites)
+
+
+@pytest.mark.parametrize("family, n, lam, label, counts", [
+    (Family.PARTITION, 3, 2, "K3", (114, 114, 34)),
+    (Family.BRAUER, 4, 2, "K2", (150, 150, 22)),
+])
+def test_pair_keys_check_as_many_composites_and_middles(monkeypatch, family, n, lam, label, counts):
+    # keys coded as M's Cayley indices dedupe exactly as keys of M's
+    # elements did: the same compositions, factorizations and walks per
+    # cell (the counts a check keyed by MElem products made)
+    from moebius import gram as gram_mod
+
+    composed, facts, walks = [], [], []
+    monkeypatch.setattr(gram_mod.algebra, "compose_diagrams",
+                        _recording(composed, gram_mod.algebra.compose_diagrams))
+    monkeypatch.setattr(gram_mod, "factorize", _recording(facts, gram_mod.factorize))
+    walk = gram_mod._check_regular_power
+    monkeypatch.setattr(
+        gram_mod, "_check_regular_power", lambda w, mp: walks.append(w) or walk(w, mp)
+    )
+    gram_matrix(family, n, lam, ORACLE_PARAMS[label])
+    assert (len(composed), len(facts), len(walks)) == counts
 
 
 def test_regularity_walk_makes_few_wreath_muls(monkeypatch):

@@ -307,6 +307,46 @@ def test_conjugacy_class_counts():
             assert len(generalized_conjugacy_classes(mono)) == 1 + 3 * r, (K, r)
 
 
+def _conjugacy_by_all_witness_pairs(mono):
+    """The classes by joining each m to every n whose (n^w, n^(w+1)) one of
+    m's witnesses reaches, every member of each group reached."""
+    n, mul = mono.size, mono.mul
+    omega = [omega_power(v, mono) for v in range(n)]
+    omega1 = [mul[omega[v]][v] for v in range(n)]
+    by_powers = msmall._group((v, (omega[v], omega1[v])) for v in range(n))
+    witnesses = msmall._group(
+        ((x, xp), mul[xp][x])
+        for x in range(n)
+        for xp in range(n)
+        if mul[mul[x][xp]][x] == x and mul[mul[xp][x]][xp] == xp
+    )
+    related = (
+        (m, k)
+        for m in range(n)
+        for x, xp in witnesses.get(omega[m], ())
+        for k in by_powers.get((mul[x][xp], mul[mul[x][omega1[m]]][xp]), ())
+    )
+    return msmall._index_components(n, related)
+
+
+def test_conjugacy_joins_each_group_reached_once():
+    # one join per pair (n^w, n^(w+1)) reached gives the classes that
+    # joining every member of it gives
+    tables = [cayley_of_m(MonoidParams(K, r)) for K in range(2, 9) for r in range(1, K, 2)]
+    tables += [symmetric_group_cayley(5), wreath_cayley(MonoidParams(2, 1), 2)]
+    for mono in tables:
+        assert generalized_conjugacy_classes(mono) == _conjugacy_by_all_witness_pairs(mono)
+
+
+def test_cayley_of_m_is_the_closed_form_of_m_mul():
+    for K in range(1, 9):
+        for r in range(1, K + 1, 2):
+            mp = MonoidParams(K, r)
+            oracle = CayleyMonoid.from_op(m_elements(mp), lambda x, y: m_mul(x, y, mp))
+            mono = cayley_of_m(mp)
+            assert (mono.elements, mono.mul) == (oracle.elements, oracle.mul), (K, r)
+
+
 def test_conjugacy_reduces_to_group_conjugacy():
     s3 = symmetric_group_cayley(3)
     assert len(generalized_conjugacy_classes(s3)) == 3

@@ -1,6 +1,6 @@
 """Sandwich cell machinery: half diagrams from one walk that builds only
 family members, cell coordinates, strict idempotents read off sandwich
-coordinates, apex tables, and a JSON cache of half-diagram shapes.
+coordinates, apex tables, and a JSON cache of half-shape counts.
 
 A half diagram (bottom of a cell) is a plain Diagram n -> lambda, so
 lambda is its top size m; its lambda through blocks each contain exactly
@@ -10,17 +10,21 @@ right cells fix the top half (the star image of a bottom half).
 
 A cell's halves are its undecorated shapes, each decorated by one
 product over its blocks, so a shape with d dead blocks has (3K)^d of
-them.  ``checked_dims`` counts them that way, forming no half, and
-compares the count with the closed form ``repcount.dim_left_cell`` at
-every lambda; enumeration and counting read one shape source.
+them.  ``checked_dims`` counts them that way from one walk over every
+lambda that forms no shape, and compares the count with the closed form
+``repcount.dim_left_cell`` at every lambda; enumeration and counting
+take the same walk's steps, and the cache keeps its K-free count table
+per (family, n).
 """
 from __future__ import annotations
 
+import binascii
 import enum
 import itertools
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -30,9 +34,7 @@ from .diagram import (
     Factorization,
     factorize,
     is_member,
-    parse_diagram,
     recompose,
-    render_diagram,
     star,
     through_strands,
 )
@@ -89,31 +91,29 @@ HALVES_WHAT = "the number of halves to enumerate"
 JCELL_GUARD = 200_000
 
 
-def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
-    """Undecorated family bottoms with lam through blocks, sorted.
+def _walk(f: Family, n: int, least: int, most: int):
+    """Yield (blocks, through) at each family bottom on nodes 1..n with
+    least to most through blocks: blocks is the walk's own list of
+    (bottoms, still open) by least node, read before the next step.
     One walk reads bottom nodes 1..n by the block rule's steps: a node
     opens a block, is a dead block alone (low <= 1), joins an open block
     that stays open (high >= 3; high is 2 or unbounded), or joins one and
     closes it as a dead block (high >= 2, side >= 2); a planar node joins
     only the innermost open block.  Blocks open after node n are through
-    blocks, topped -1, -2, ... by least node: canonical as built.  Each of
-    the rest nodes left opens or closes at most one block, so a step is
-    taken only if it leaves open - rest * closes <= lam <= open + rest."""
+    blocks.  Each of the rest nodes left opens or closes at most one
+    block, so a step is taken only if it leaves open - rest * closes <=
+    most and least <= open + rest.  Over [0, n] that prunes nothing, and
+    every branch still ends in a member, as a node may always open."""
     low, high, side = f.block_rule
     single, grows, closes = low <= 1, high >= 3, high >= 2 and side >= 2
-    shapes = []
-    blocks: list[tuple[list[int], bool]] = []  # (bottoms, still open), by least node
+    blocks: list[tuple[list[int], bool]] = []
     reach: list[int] = []  # the open blocks a node may join, as indices into blocks
 
     def place(k: int, opened: int):
         # yields each child's arguments while its own step stands
-        if k > n:
-            tops = itertools.count(-1, -1)
-            shape = [(tuple(bots) + ((next(tops),) if live else ()), 0, 0) for bots, live in blocks]
-            shapes.append(Diagram(n, lam, tuple(shape)))
-            return
         rest = n - k
-        up, flat, down = (o - rest * closes <= lam <= o + rest for o in (opened + 1, opened, opened - 1))
+        up, flat, down = (o - rest * closes <= most and least <= o + rest
+                          for o in (opened + 1, opened, opened - 1))
         stay, shut = grows and flat, closes and down
         joinable = range(len(reach) if stay or shut else 0)
         for i in joinable[-1:] if f.planar else joinable:
@@ -140,15 +140,33 @@ def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
             blocks.pop()
             del reach[len(reach) - joins:]
 
-    stack = [place(1, 0)]  # the open branches, run depth first: n sets no depth limit
+    stack = [iter([(1, 0)])]  # the open branches, run depth first: n sets no depth limit
     while stack:
         child = next(stack[-1], None)
         if child is None:
             stack.pop()
+        elif child[0] > n:
+            yield blocks, child[1]
         else:
             stack.append(place(*child))
+
+
+def _half_shapes(f: Family, n: int, lam: int) -> list[Diagram]:
+    """Undecorated family bottoms with lam through blocks, sorted; the
+    through blocks topped -1, -2, ... by least node: canonical as built."""
+    shapes = []
+    for blocks, _ in _walk(f, n, lam, lam):
+        tops = itertools.count(-1, -1)
+        shape = [(tuple(bots) + ((next(tops),) if live else ()), 0, 0) for bots, live in blocks]
+        shapes.append(Diagram(n, lam, tuple(shape)))
     shapes.sort(key=Diagram.sort_key)
     return shapes
+
+
+def _dead_counts(f: Family, n: int) -> Counter[tuple[int, int]]:
+    """(lambda, number of dead blocks) -> number of half shapes, from one
+    walk over every lambda that forms no shape."""
+    return Counter((lam, len(blocks) - lam) for blocks, lam in _walk(f, n, 0, n))
 
 
 def _is_dead(nodes: tuple[int, ...]) -> bool:
@@ -173,95 +191,72 @@ def _decorate(shape: Diagram, K: int):
     return (Diagram(shape.n, shape.m, blocks) for blocks in itertools.product(*options))
 
 
-def _shapes_of_cell(
-    f: Family, n: int, lambda_ts: int, K: int, cache_dir: str | None
-) -> list[Diagram]:
-    """The cell's undecorated half shapes, sorted canonically: from the
-    cache_dir file, shared by every K, or else from _half_shapes and
-    stored there.  The one shape source of enumeration and counting."""
+def enumerate_half_diagrams(f: Family, n: int, lambda_ts: int, K: int) -> list[Diagram]:
+    """All half diagrams for the cell (f, n, lambda), deterministic order:
+    shapes sorted canonically, decorations in lexicographic order;
+    _decorate makes every half of each walked shape."""
     check_lambda(f, n, lambda_ts)
     if K <= 0:
         raise PreconditionError("K must be positive")
-    shapes = None if cache_dir is None else _cache_load(cache_dir, f, n, lambda_ts)
-    if shapes is None:
-        shapes = _half_shapes(f, n, lambda_ts)
-        if cache_dir is not None:
-            try:
-                _cache_store(cache_dir, f, n, lambda_ts, shapes)
-            except OSError as exc:  # a cache_dir that cannot hold the file: a bad flag
-                raise ParseError(f"cannot write shape cache in {cache_dir}: {exc}") from None
-    return shapes
-
-
-def enumerate_half_diagrams(
-    f: Family, n: int, lambda_ts: int, K: int, cache_dir: str | None = None
-) -> list[Diagram]:
-    """All half diagrams for the cell (f, n, lambda), deterministic order:
-    shapes sorted canonically, decorations in lexicographic order.  The
-    shapes come from _shapes_of_cell; _decorate makes every half."""
-    shapes = _shapes_of_cell(f, n, lambda_ts, K, cache_dir)
-    return [d for shape in shapes for d in _decorate(shape, K)]
-
-
-def count_half_diagrams(
-    f: Family, n: int, lambda_ts: int, K: int, cache_dir: str | None = None
-) -> int:
-    """len(enumerate_half_diagrams(...)) without forming a half: a shape
-    with d dead blocks has (3K)^d halves, one per decoration of each."""
-    y = 3 * K
-    return sum(
-        y ** sum(1 for nodes, _, _ in shape.blocks if _is_dead(nodes))
-        for shape in _shapes_of_cell(f, n, lambda_ts, K, cache_dir)
-    )
+    return [d for shape in _half_shapes(f, n, lambda_ts) for d in _decorate(shape, K)]
 
 
 def checked_dims(f: Family, n: int, K: int, cache_dir: str | None = None) -> dict[int, int]:
     """dim_left_cell for every admissible lambda, each compared with the
-    number of halves counted over the walked (or cached) shapes.  Each
-    dimension is charged to HALVES_GUARD as soon as it is formed, so a
-    refusal forms none past the first one over the bound, and every guard
-    check precedes the first shape walk; a disagreement is an
+    halves counted from one walk's (or the cache's) shape counts, a shape
+    with d dead blocks having (3K)^d halves.  Each dimension is charged to
+    HALVES_GUARD as soon as it is formed, so a refusal forms none past the
+    first one over the bound, and every guard check precedes the walk; a
+    disagreement, or a shape at an inadmissible lambda, is an
     InternalCheckError."""
     dims = {
         lam: check_guard(HALVES_WHAT, dim_left_cell(f, n, lam, K), HALVES_GUARD)
         for lam in admissible_lambdas(f, n)
     }
-    for lam, val in dims.items():
-        counted = count_half_diagrams(f, n, lam, K, cache_dir=cache_dir)
-        if counted != val:
-            raise InternalCheckError(f"closed form {val} != enumeration {counted} at lambda={lam}")
+    counts = None if cache_dir is None else _cache_load(cache_dir, f, n)
+    if counts is None:
+        counts = _dead_counts(f, n)
+        if cache_dir is not None:
+            try:
+                _cache_store(cache_dir, f, n, counts)
+            except OSError as exc:  # a cache_dir that cannot hold the file: a bad flag
+                raise ParseError(f"cannot write shape cache in {cache_dir}: {exc}") from None
+    counted = dict.fromkeys(dims, 0)  # the admissible lambdas, then any other a shape has
+    for (lam, dead), shapes in counts.items():
+        counted[lam] = counted.get(lam, 0) + shapes * (3 * K) ** dead
+    for lam, got in counted.items():
+        if got != (val := dims.get(lam, 0)):
+            raise InternalCheckError(f"closed form {val} != enumeration {got} at lambda={lam}")
     return dims
 
 
 # ---------------------------------------------------------------------------
-# shape cache (JSON with schema version and checksum)
+# shape count cache (JSON with schema version and checksum)
 # ---------------------------------------------------------------------------
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
-def _cache_path(cache_dir: str, f: Family, n: int, lam: int) -> str:
-    return os.path.join(cache_dir, f"shapes_{f.value}_n{n}_l{lam}.json")
+def _cache_path(cache_dir: str, f: Family, n: int) -> str:
+    return os.path.join(cache_dir, f"counts_{f.value}_n{n}.json")
 
 
-def _cache_checksum(literals: list[str]) -> str:
-    # imported on first cache use: hashlib loads OpenSSL, about 3.7 MiB of
-    # resident memory that a process with no --cache-dir never needs
-    import hashlib
-
-    return hashlib.sha256("\n".join(literals).encode()).hexdigest()
+def _cache_checksum(rows: list) -> str:
+    # CRC-32 catches the accidental corruption the checksum is for; a
+    # sha256 from hashlib would load OpenSSL, about 3.6 MiB resident
+    return f"{binascii.crc32(json.dumps(rows).encode()):08x}"
 
 
-def _cache_store(cache_dir: str, f: Family, n: int, lam: int, shapes) -> None:
+def _cache_store(cache_dir: str, f: Family, n: int, counts: Counter) -> None:
+    """Write _dead_counts(f, n) as [lambda, dead blocks, shapes] rows."""
     os.makedirs(cache_dir, exist_ok=True)
-    literals = [render_diagram(s) for s in shapes]
+    rows = [[lam, dead, shapes] for (lam, dead), shapes in counts.items()]
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "family": f.value,
         "n": n,
-        "lambda": lam,
-        "shapes": literals,
-        "checksum": _cache_checksum(literals),
+        "counts": rows,
+        "checksum": _cache_checksum(rows),
     }
     # write beside the target and rename over it, so a reader never sees
     # a half-written file and a failed write leaves the old one in place
@@ -269,26 +264,30 @@ def _cache_store(cache_dir: str, f: Family, n: int, lam: int, shapes) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh)
-        os.replace(tmp, _cache_path(cache_dir, f, n, lam))
+        os.replace(tmp, _cache_path(cache_dir, f, n))
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _cache_load(cache_dir: str, f: Family, n: int, lam: int):
-    path = _cache_path(cache_dir, f, n, lam)
-    if not os.path.exists(path):
-        return None
+def _cache_load(cache_dir: str, f: Family, n: int):
+    """The stored count table, or None for a missing, old or corrupt file."""
     try:
-        with open(path) as fh:
+        with open(_cache_path(cache_dir, f, n)) as fh:
             payload = json.load(fh)
-        if payload.get("format_version") != CACHE_FORMAT_VERSION:
-            return None
-        literals = payload["shapes"]
-        if payload.get("checksum") != _cache_checksum(literals):
+        stored = (payload["format_version"], payload["family"], payload["n"])
+        if stored != (CACHE_FORMAT_VERSION, f.value, n):
+            return None  # an older format, or a file renamed from another table
+        rows = payload["counts"]
+        if payload["checksum"] != _cache_checksum(rows):
             return None  # corruption: regenerate
-        return [parse_diagram(lit) for lit in literals]
-    except (OSError, json.JSONDecodeError, KeyError, ParseError):
+        counts: Counter[tuple[int, int]] = Counter()
+        for lam, dead, shapes in rows:
+            if not (0 <= lam and 0 <= dead <= n - lam and 0 < shapes):
+                return None
+            counts[lam, dead] = shapes
+        return counts
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 

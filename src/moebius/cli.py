@@ -115,6 +115,8 @@ def cmd_member(args):
 
 
 def cmd_dims(args):
+    if args.cache_dir is not None and not args.check:
+        raise PreconditionError("--cache-dir needs --check")
     fam = family_from_name(args.family)
     if args.check:
         dims = cells.checked_dims(fam, args.n, args.K, cache_dir=args.cache_dir)

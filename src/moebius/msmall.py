@@ -81,20 +81,6 @@ class CayleyMonoid:
     def size(self) -> int:
         return len(self.elements)
 
-    @classmethod
-    def from_op(cls, elements, op) -> "CayleyMonoid":
-        elements = list(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        if len(index) != len(elements):
-            raise PreconditionError("duplicate elements in Cayley construction")
-        table = []
-        for x in elements:
-            row = [index.get(op(x, y)) for y in elements]
-            if None in row:
-                raise PreconditionError("multiplication leaves the element list")
-            table.append(row)
-        return cls(elements, table)
-
 
 def cayley_of_m(mp: MonoidParams) -> CayleyMonoid:
     """M's table in ``m_elements``' order, a^i b^j at index 3i + j, from
@@ -102,6 +88,7 @@ def cayley_of_m(mp: MonoidParams) -> CayleyMonoid:
     less 2 with one more a when j + l >= 3 (b^3 = ab), and a-exponent
     i + k (+ 1) < 2K, reduced below K by a^K = a^(K-r)."""
     check_guard(CAYLEY_WHAT, (3 * mp.K) ** 2, CAYLEY_GUARD)
+    elements = m_elements(mp)
     K, r = mp.K, mp.r
     a3 = [3 * (e if e < K else e - ((e - K) // r + 1) * r) for e in range(2 * K)]  # 3 x reduced a^e
     carry = [[(j + l >= 3, j + l - 2 * (j + l >= 3)) for l in range(3)] for j in range(3)]
@@ -110,7 +97,7 @@ def cayley_of_m(mp: MonoidParams) -> CayleyMonoid:
         for i in range(K)
         for j in range(3)
     ]
-    return CayleyMonoid(m_elements(mp), table)
+    return CayleyMonoid(elements, table)
 
 
 def symmetric_group_cayley(n: int) -> CayleyMonoid:

@@ -7,10 +7,10 @@ membership oracle (an if-chain per core and a pairwise crossing test)
 for the block-rule ``is_member`` and the stack-scan ``is_planar``; the
 helpers only the tests call, among them one Gram entry and the dense
 elimination that ``exact_rank``'s blocks are compared with; the
-Cayley tables of M wr S_lambda and S_n one product at a time; the
-strict-idempotent oracle, a listed J-cell whose elements are squared
-one by one; and the Green's-cell prediction from each layer's whole
-Cayley table of M wr S_lambda."""
+Cayley table of an operation one product at a time, M wr S_lambda's and
+S_n's among them; the strict-idempotent oracle, a listed J-cell whose
+elements are squared one by one; and the Green's-cell prediction from
+each layer's whole Cayley table of M wr S_lambda."""
 from __future__ import annotations
 
 import itertools
@@ -359,16 +359,32 @@ def dense_rank(rows) -> gram.RankReport:
     return gram.RankReport(rank=rank, det=None if det is None else Fraction(det, scale))
 
 
+def cayley_from_op(elements, op) -> CayleyMonoid:
+    """The table of op on elements, one product at a time: the oracle the
+    library's lookup-built tables are compared with."""
+    elements = list(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
+        raise PreconditionError("duplicate elements in Cayley construction")
+    table = []
+    for x in elements:
+        row = [index.get(op(x, y)) for y in elements]
+        if None in row:
+            raise PreconditionError("multiplication leaves the element list")
+        table.append(row)
+    return CayleyMonoid(elements, table)
+
+
 def oracle_wreath_cayley(mp, lam: int, planar: bool = False) -> CayleyMonoid:
     """M wr S_lambda's table (M^lambda's if planar), one ``wreath_mul``
     of two elements per product."""
-    return CayleyMonoid.from_op(wreath_elements(mp, lam, planar), lambda x, y: wreath_mul(x, y, mp))
+    return cayley_from_op(wreath_elements(mp, lam, planar), lambda x, y: wreath_mul(x, y, mp))
 
 
 def oracle_symmetric_group_cayley(n: int) -> CayleyMonoid:
     """S_n's table, p o q composed one position at a time per product."""
     perms = list(itertools.permutations(range(n)))
-    return CayleyMonoid.from_op(perms, lambda p, q: tuple(p[q[i]] for i in range(n)))
+    return cayley_from_op(perms, lambda p, q: tuple(p[q[i]] for i in range(n)))
 
 
 def wreath_identity(lam: int) -> WreathElem:

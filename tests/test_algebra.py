@@ -452,7 +452,7 @@ def _table_oracle_cases():
 @pytest.mark.parametrize("f, n, mp, step", _table_oracle_cases())
 def test_monoid_table_matches_per_product_composition(f, n, mp, step):
     # one topology per shape pair and M's own table give the rows that
-    # CayleyMonoid.from_op(elements, monoid_compose) builds
+    # conftest.cayley_from_op(elements, monoid_compose) builds
     elements = enumerate_family_monoid(f, n, mp)
     table = monoid_table(elements, mp)
     evals = all_ones_evals(mp)

@@ -1,9 +1,12 @@
-"""Half-diagram enumeration, cell coordinates, Green's cross-checks,
-strict idempotents, apex tables, and the enumeration cache."""
+"""Half-diagram enumeration and counting, cell coordinates, Green's
+cross-checks, strict idempotents, apex tables, and the count cache."""
+import functools
 import itertools
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -88,6 +91,7 @@ def test_family_monoid_guard_trips_before_enumerating(monkeypatch):
         family_monoid_cayley(Family.PARTITION, 3, MonoidParams(1, 1))
 
 
+@functools.cache
 def _half_shapes_oracle(f: Family, n: int, lam: int) -> list[Diagram]:
     """Every set partition of the bottom nodes, with every lam-subset of its
     blocks made through and given tops 1..lam in the order of least nodes,
@@ -120,44 +124,57 @@ def test_half_shapes_match_the_set_partition_oracle(monkeypatch):
                 assert cells_mod._half_shapes(f, n, lam) == expected, (f, n, lam)
 
 
+def test_dead_counts_match_the_set_partition_oracle():
+    # the count table of one walk over every lambda: (lambda, dead blocks)
+    # -> shapes, each oracle shape's dead blocks being those with no top
+    for f in Family:
+        for n in range(8):
+            want = Counter(
+                (lam, sum(all(v > 0 for v in nodes) for nodes, _, _ in shape.blocks))
+                for lam in admissible_lambdas(f, n)
+                for shape in _half_shapes_oracle(f, n, lam)
+            )
+            assert cells_mod._dead_counts(f, n) == want, (f, n)
+
+
 def test_every_branch_of_the_half_shape_walk_ends_in_a_member():
-    # a placement of the walk either stops at once (no child), keeps a
-    # shape, or yields children; one that yields children must keep at
-    # least one shape below it, so the walk's work is bounded by its
-    # output: at most k + 1 children from the placement of node k.  Each
-    # placement is a generator: the profiler sees a "call" each time it
-    # resumes and a "return" each time it yields a child or ends
-    open_ = {}  # placement frame -> [shapes kept at entry, children yielded]
+    # each placement of the walk must have a member below it, whether the
+    # walk is pruned to one lambda or runs over every lambda with no
+    # prune, so the walk's work is bounded by its output: at most k + 1
+    # children from the placement of node k.  A child is the next node's
+    # placement or, past node n, a member.  Each placement is a
+    # generator: the profiler sees a "call" each time it resumes and a
+    # "return" each time it yields a child or ends
+    open_ = {}  # placement frame -> members yielded before it
     dead = []
-    seen = {"placements": 0, "children": 0}
+    seen = {"placements": 0, "children": 0, "members": 0, "walks": 0}
 
     def watch(frame, event, arg):
         if frame.f_code.co_name != "place":
             return
-        kept = len(frame.f_locals["shapes"])
         if event == "call" and frame not in open_:
-            open_[frame] = [kept, 0]
+            open_[frame] = seen["members"]
         elif event == "return" and arg is not None:
-            open_[frame][1] += 1
             seen["children"] += 1
         elif event == "return":
-            entry, children = open_.pop(frame)
             seen["placements"] += 1
-            if children and kept == entry:
+            if open_.pop(frame) == seen["members"]:
                 dead.append(frame.f_locals["k"])
 
     for f in Family:
-        for n in range(7):
-            for lam in admissible_lambdas(f, n):
+        for n in range(1, 7):
+            for least, most in [(lam, lam) for lam in admissible_lambdas(f, n)] + [(0, n)]:
+                seen["walks"] += 1
                 sys.setprofile(watch)
                 try:
-                    cells_mod._half_shapes(f, n, lam)
+                    for _ in cells_mod._walk(f, n, least, most):
+                        seen["members"] += 1
                 finally:
                     sys.setprofile(None)
-                assert not dead and not open_, (f, n, lam, dead)
+                assert not dead and not open_, (f, n, least, most, dead)
     # every placement but each walk's first is some placement's child
-    walks = sum(len(admissible_lambdas(f, n)) for f in Family for n in range(7))
-    assert seen["children"] == seen["placements"] - walks > 10_000
+    assert seen["children"] == seen["placements"] - seen["walks"] + seen["members"]
+    assert seen["placements"] > 5_000
 
 
 def test_the_half_shape_walk_is_not_bounded_by_the_recursion_limit():
@@ -171,7 +188,7 @@ def test_the_half_shape_walk_is_not_bounded_by_the_recursion_limit():
 
 def test_the_walk_at_lambda_n_places_each_node_once():
     # at lambda = n every node must open a through block, so the walk takes
-    # no other step: n + 1 placements, the last keeping the one shape.
+    # no other step: n placements, the last yielding the one shape.
     # Partition and planar partition at 2,000 nodes are in, as their open
     # blocks could always take another node.  A placement ends with a
     # "return" that carries no yielded child
@@ -189,31 +206,18 @@ def test_the_walk_at_lambda_n_places_each_node_once():
             shapes = cells_mod._half_shapes(f, n, n)
         finally:
             sys.setprofile(None)
-        assert len(shapes) == 1 and sorted(ended) == list(range(1, n + 2)), (f, n)
+        assert len(shapes) == 1 and sorted(ended) == list(range(1, n + 1)), (f, n)
 
 
-def test_halves_are_canonical_as_built(tmp_path, monkeypatch):
+def test_halves_are_canonical_as_built():
     # halves come from the Diagram constructor, so each must already be
-    # what Diagram.make makes of its blocks, from walked or cached shapes
-    cache = str(tmp_path)
-    cases = [
-        (f, n, lam, K)
-        for f in Family
-        for n in range(5)
-        for lam in admissible_lambdas(f, n)
-        for K in (1, 2)
-    ]
-    walked = {c: enumerate_half_diagrams(*c, cache_dir=cache) for c in cases}
-
-    def refuse(*args):
-        raise AssertionError("shapes walked again on a warm cache")
-
-    monkeypatch.setattr(cells_mod, "_half_shapes", refuse)
-    for case in cases:
-        loaded = enumerate_half_diagrams(*case, cache_dir=cache)
-        assert loaded == walked[case], case
-        for h in walked[case] + loaded:
-            assert h == Diagram.make(h.n, h.m, h.blocks), (case, h)
+    # what Diagram.make makes of its blocks
+    for f in Family:
+        for n in range(5):
+            for lam in admissible_lambdas(f, n):
+                for K in (1, 2):
+                    for h in enumerate_half_diagrams(f, n, lam, K):
+                        assert h == Diagram.make(h.n, h.m, h.blocks), (f, n, lam, K, h)
 
 
 def test_enumerate_tl_worked_example():
@@ -597,78 +601,95 @@ def test_apex_set_is_refused_before_its_set_forms(monkeypatch):
                         apex_set(f, n, pattern)
 
 
-def test_enumeration_cache_roundtrip(tmp_path):
+def test_count_cache_roundtrip(tmp_path):
     cache = str(tmp_path)
-    first = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    second = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
-    assert first == second
+    first = checked_dims(Family.MOTZKIN, 4, 2, cache_dir=cache)
+    (path,) = tmp_path.iterdir()
+    assert path.name == "counts_motzkin_n4.json"
+    counts = cells_mod._dead_counts(Family.MOTZKIN, 4)
+    assert cells_mod._cache_load(cache, Family.MOTZKIN, 4) == counts
+    assert checked_dims(Family.MOTZKIN, 4, 2, cache_dir=cache) == first
     # corruption triggers silent regeneration
-    files[0].write_text("{broken json")
-    third = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
-    assert first == third
+    for broken in ("{broken json", "{", "[]", '"counts"'):
+        path.write_text(broken)
+        assert cells_mod._cache_load(cache, Family.MOTZKIN, 4) is None
+        assert checked_dims(Family.MOTZKIN, 4, 2, cache_dir=cache) == first
+        assert cells_mod._cache_load(cache, Family.MOTZKIN, 4) == counts
     # checksum mismatch also regenerates
-    import json
+    payload = json.loads(path.read_text())
+    payload["counts"] = payload["counts"][:-1]
+    path.write_text(json.dumps(payload))
+    assert cells_mod._cache_load(cache, Family.MOTZKIN, 4) is None
+    assert checked_dims(Family.MOTZKIN, 4, 2, cache_dir=cache) == first
+    assert cells_mod._cache_load(cache, Family.MOTZKIN, 4) == counts
+    # so do an older format, another table's file and a row no walk makes,
+    # even under its own checksum
+    for key, value in (("format_version", 2), ("n", 5), ("family", "rook"),
+                       ("counts", [[0, 5, 1]]), ("counts", [["0", 1, 1]])):
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        payload["checksum"] = cells_mod._cache_checksum(payload["counts"])
+        path.write_text(json.dumps(payload))
+        assert cells_mod._cache_load(cache, Family.MOTZKIN, 4) is None, (key, value)
+        assert checked_dims(Family.MOTZKIN, 4, 2, cache_dir=cache) == first
+        assert cells_mod._cache_load(cache, Family.MOTZKIN, 4) == counts
 
-    payload = json.loads(files[0].read_text())
-    payload["shapes"] = payload["shapes"][:-1]
-    files[0].write_text(json.dumps(payload))
-    fourth = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
-    assert first == fourth
 
-
-def test_only_cache_use_imports_hashlib(tmp_path):
-    # hashlib loads OpenSSL, about 3.7 MiB resident: a process that builds
-    # and ranks a Gram matrix with no cache directory never imports it
+def test_the_cache_imports_no_hashlib(tmp_path):
+    # hashlib loads OpenSSL, about 3.6 MiB resident: the cache's CRC-32
+    # needs none of it, so no process imports it, with a cache directory
+    # or without one
     code = (
         "import sys\n"
         "from moebius import Family, cli, exact_rank, gram_matrix, validate_params\n"
-        "from moebius.cells import enumerate_half_diagrams\n"
+        "from moebius.cells import checked_dims\n"
         "ps = validate_params([1], [1], [0], [1, -1])\n"
         "exact_rank(gram_matrix(Family.ROOK, 3, 1, ps))\n"
+        "checked_dims(Family.MOTZKIN, 3, 2)\n"
         "before = 'hashlib' in sys.modules\n"
-        f"enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir={str(tmp_path)!r})\n"
+        f"checked_dims(Family.MOTZKIN, 3, 2, cache_dir={str(tmp_path)!r})\n"
+        f"checked_dims(Family.MOTZKIN, 3, 2, cache_dir={str(tmp_path)!r})\n"
         "print(before, 'hashlib' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(cells_mod.__file__))
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False"]
+    assert [p.name for p in tmp_path.iterdir()] == ["counts_motzkin_n3.json"]
 
 
 def test_cache_store_failure_keeps_the_old_file(tmp_path, monkeypatch):
     cache = str(tmp_path)
-    enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
+    checked_dims(Family.MOTZKIN, 3, 2, cache_dir=cache)
     (path,) = tmp_path.iterdir()
     good = path.read_text()
-    shapes = cells_mod._half_shapes(Family.MOTZKIN, 3, 1)
+    counts = cells_mod._dead_counts(Family.MOTZKIN, 3)
 
     def half_dump(payload, fh):
-        fh.write('{"format_version": 2, "sha')
+        fh.write('{"format_version": 3, "sha')
         raise OSError("disk full")
 
     monkeypatch.setattr(cells_mod.json, "dump", half_dump)
     with pytest.raises(OSError):
-        cells_mod._cache_store(cache, Family.MOTZKIN, 3, 1, shapes)
+        cells_mod._cache_store(cache, Family.MOTZKIN, 3, counts)
     monkeypatch.undo()
     assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
     assert path.read_text() == good
-    assert cells_mod._cache_load(cache, Family.MOTZKIN, 3, 1) == shapes
+    assert cells_mod._cache_load(cache, Family.MOTZKIN, 3) == counts
 
 
-def test_one_shape_file_serves_every_K(tmp_path, monkeypatch):
+def test_one_count_file_serves_every_K(tmp_path, monkeypatch):
     cache = str(tmp_path)
-    enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 1, cache_dir=cache)
+    checked_dims(Family.MOTZKIN, 3, 1, cache_dir=cache)
 
     def refuse(*args):
-        raise AssertionError("shapes walked again on a warm cache")
+        raise AssertionError("walked again on a warm cache")
 
-    monkeypatch.setattr(cells_mod, "_half_shapes", refuse)
-    warm = enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2, cache_dir=cache)
+    monkeypatch.setattr(cells_mod, "_walk", refuse)
+    warm = checked_dims(Family.MOTZKIN, 3, 2, cache_dir=cache)
     monkeypatch.undo()
-    assert [p.name for p in tmp_path.iterdir()] == ["shapes_motzkin_n3_l1.json"]
-    assert warm == enumerate_half_diagrams(Family.MOTZKIN, 3, 1, 2)
+    assert [p.name for p in tmp_path.iterdir()] == ["counts_motzkin_n3.json"]
+    assert warm == checked_dims(Family.MOTZKIN, 3, 2)
 
 
 def test_cell_of_guard_trips_before_enumerating(monkeypatch):
@@ -685,24 +706,50 @@ def test_checked_dims_guards_then_compares(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("walked a shape before the guard")
 
-    monkeypatch.setattr(cells_mod, "_shapes_of_cell", refuse)
+    monkeypatch.setattr(cells_mod, "_walk", refuse)
     # lambdas 13 down to 7 are within the guard; lambda = 6 has 3,752,892 halves
     with pytest.raises(ResourceGuardError, match="halves to enumerate is 3752892"):
         cells_mod.checked_dims(Family.ROOK, 13, 1)
-    monkeypatch.setattr(cells_mod, "count_half_diagrams", lambda *a, **k: 1)
-    with pytest.raises(InternalCheckError, match="closed form 3 != enumeration 1 at lambda=0"):
-        cells_mod.checked_dims(Family.ROOK, 1, 1)
+    # rook n = 1 has one shape at lambda = 1 and one with a dead block at 0
+    for counts, message in (
+        ({(1, 0): 1}, "closed form 3 != enumeration 0 at lambda=0"),
+        ({(1, 0): 1, (0, 0): 1}, "closed form 3 != enumeration 1 at lambda=0"),
+        ({(1, 0): 1, (0, 1): 1, (2, 0): 1}, "closed form 0 != enumeration 1 at lambda=2"),
+    ):
+        monkeypatch.setattr(cells_mod, "_dead_counts", lambda f, n: Counter(counts))
+        with pytest.raises(InternalCheckError, match=message):
+            cells_mod.checked_dims(Family.ROOK, 1, 1)
+
+
+def test_checked_dims_refuses_a_shape_at_an_inadmissible_lambda(tmp_path):
+    # temperley-lieb n = 3 has lambda 1 and 3; a cached count at lambda = 2,
+    # even under its own checksum, is a mismatch, not a lambda to skip
+    cache = str(tmp_path)
+    assert checked_dims(Family.TEMPERLEY_LIEB, 3, 1, cache_dir=cache) == {3: 1, 1: 6}
+    (path,) = tmp_path.iterdir()
+    payload = json.loads(path.read_text())
+    payload["counts"].append([2, 0, 1])
+    payload["checksum"] = cells_mod._cache_checksum(payload["counts"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InternalCheckError, match="closed form 0 != enumeration 1 at lambda=2"):
+        checked_dims(Family.TEMPERLEY_LIEB, 3, 1, cache_dir=cache)
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
 def test_counted_halves_are_the_enumerated_ones(tmp_path, cached):
-    cache = str(tmp_path) if cached else None
+    # one count table per (family, n) gives every lambda and every K
+    cache = str(tmp_path)
     for f in Family:
         for n in range(6):
+            counts = cells_mod._dead_counts(f, n)
+            if cached:
+                cells_mod._cache_store(cache, f, n, counts)
+                counts = cells_mod._cache_load(cache, f, n)
+            assert {lam for lam, _ in counts} == set(admissible_lambdas(f, n)), (f, n)
             for lam in admissible_lambdas(f, n):
                 for K in (1, 2, 3):
-                    want = len(enumerate_half_diagrams(f, n, lam, K, cache_dir=cache))
-                    got = cells_mod.count_half_diagrams(f, n, lam, K, cache_dir=cache)
+                    want = len(enumerate_half_diagrams(f, n, lam, K))
+                    got = sum(c * (3 * K) ** d for (m, d), c in counts.items() if m == lam)
                     assert got == want, (f, n, lam, K)
 
 

@@ -82,9 +82,9 @@ def test_dims_guard_trips_before_enumerating(capsys, monkeypatch):
     from moebius import cells
 
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerated before the guard")
+        raise AssertionError("walked before the guard")
 
-    monkeypatch.setattr(cells, "enumerate_half_diagrams", refuse)
+    monkeypatch.setattr(cells, "_walk", refuse)
     code, _ = run_cli(capsys, "dims", "--family", "partition", "--n", "12", "--K", "2", "--check")
     assert code == 4
 
@@ -107,12 +107,11 @@ def test_dims_guard_trips_before_enumerating(capsys, monkeypatch):
 )
 def test_cayley_guards_trip_before_the_table(capsys, monkeypatch, argv, guard):
     from moebius import msmall
-    from moebius.msmall import CayleyMonoid
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a Cayley table before the guard")
 
-    monkeypatch.setattr(CayleyMonoid, "from_op", refuse)
+    monkeypatch.setattr(msmall, "m_elements", refuse)  # cayley_of_m's first step past its guard
     monkeypatch.setattr(msmall, "_composition_table", refuse)  # S_lambda's, in a wreath table
     assert main(list(argv)) == 4
     assert guard in capsys.readouterr().err
@@ -171,6 +170,7 @@ def test_conjugacy_rejects_a_negative_sym(capsys):
          "--field", "char0bar", "--p", "5", "--r", "1"),
         ("gram", "--family", "rook", "--n", "1", "--lambda", "0", "--params", "unread.json",
          "--output", "csv", "--no-matrix"),
+        ("dims", "--family", "rook", "--n", "2", "--K", "1", "--cache-dir", "unused"),
     ],
 )
 def test_incomplete_or_negative_arguments_exit_3(capsys, argv):

@@ -229,6 +229,7 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     add("dims", "--family", "nope", "--n", "2", "--K", "1")
     add("dims", "--family", "rook", "--n", "-1", "--K", "1")
     add("dims", "--family", "rook", "--n", "2", "--K", "0", "--check")
+    add("dims", "--family", "rook", "--n", "2", "--K", "1", "--cache-dir", "/dev/null")
     add("gram", "--family", "brauer", "--n", "2", "--lambda", "1", "--params", "@p211.json")
     add("gram", "--family", "rook", "--n", "2", "--lambda", "-1", "--params", "@p211.json")
     add("gram", "--family", "rook", "--n", "1", "--lambda", "0", "--params", "@q0.json")

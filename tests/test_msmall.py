@@ -36,7 +36,12 @@ from moebius.msmall import (
 )
 from moebius.repcount import count_types, partition_count
 
-from conftest import oracle_symmetric_group_cayley, oracle_wreath_cayley, wreath_identity
+from conftest import (
+    cayley_from_op,
+    oracle_symmetric_group_cayley,
+    oracle_wreath_cayley,
+    wreath_identity,
+)
 
 
 def test_m_mul_examples():
@@ -93,7 +98,7 @@ def test_greens_spec_example_k3_r1():
 
 
 def test_greens_group_single_cell():
-    z3 = CayleyMonoid.from_op(range(3), lambda a, b: (a + b) % 3)
+    z3 = cayley_from_op(range(3), lambda a, b: (a + b) % 3)
     from moebius import greens_cells_bruteforce
 
     cells = greens_cells_bruteforce(z3)
@@ -192,7 +197,7 @@ def _oracle_tables():
         for lam in (0, 1, 2):
             for planar in (False, True):
                 yield f"M({K},1) wr {lam} {planar}", wreath_cayley(MonoidParams(K, 1), lam, planar)
-    yield "Z/3", CayleyMonoid.from_op(range(3), lambda a, b: (a + b) % 3)
+    yield "Z/3", cayley_from_op(range(3), lambda a, b: (a + b) % 3)
     yield "constant 301", CayleyMonoid(list(range(301)), [[0] * 301] * 301)
 
 
@@ -210,7 +215,7 @@ def test_omega_power_examples():
     idx = {e: i for i, e in enumerate(mono.elements)}
     assert mono.elements[omega_power(idx[MElem(1, 0)], mono)] == MElem(3, 0)
     assert omega_power(idx[MElem(0, 0)], mono) == idx[MElem(0, 0)]
-    z6 = CayleyMonoid.from_op(range(6), lambda a, b: (a + b) % 6)
+    z6 = cayley_from_op(range(6), lambda a, b: (a + b) % 6)
     for x in range(6):
         assert omega_power(x, z6) == 0
 
@@ -342,7 +347,7 @@ def test_cayley_of_m_is_the_closed_form_of_m_mul():
     for K in range(1, 9):
         for r in range(1, K + 1, 2):
             mp = MonoidParams(K, r)
-            oracle = CayleyMonoid.from_op(m_elements(mp), lambda x, y: m_mul(x, y, mp))
+            oracle = cayley_from_op(m_elements(mp), lambda x, y: m_mul(x, y, mp))
             mono = cayley_of_m(mp)
             assert (mono.elements, mono.mul) == (oracle.elements, oracle.mul), (K, r)
 
@@ -350,7 +355,7 @@ def test_cayley_of_m_is_the_closed_form_of_m_mul():
 def test_conjugacy_reduces_to_group_conjugacy():
     s3 = symmetric_group_cayley(3)
     assert len(generalized_conjugacy_classes(s3)) == 3
-    trivial = CayleyMonoid.from_op([0], lambda a, b: 0)
+    trivial = cayley_from_op([0], lambda a, b: 0)
     assert generalized_conjugacy_classes(trivial) == [[0]]
 
 
@@ -364,8 +369,7 @@ def test_cayley_guards_trip_before_the_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("listed elements or built a table before the guard")
 
-    monkeypatch.setattr(CayleyMonoid, "from_op", refuse)
-    monkeypatch.setattr(msmall, "m_elements", refuse)
+    monkeypatch.setattr(msmall, "m_elements", refuse)  # cayley_of_m's first step past its guard
     monkeypatch.setattr(msmall, "_composition_table", refuse)
     with pytest.raises(ResourceGuardError, match="over the bound 2000000"):
         cayley_of_m(MonoidParams(1667, 1))
@@ -397,7 +401,7 @@ def test_check_guard_admits_its_bound_and_names_a_long_cost_by_length():
 
 def test_from_op_rejects_a_product_outside_the_elements():
     with pytest.raises(PreconditionError, match="leaves the element list"):
-        CayleyMonoid.from_op(range(3), lambda a, b: a + b)
+        cayley_from_op(range(3), lambda a, b: a + b)
 
 
 def test_wreath_identity_and_perms():

@@ -1,4 +1,4 @@
-"""Gram matrices per J-cell, exact rank and determinant via fraction-free
+"""Gram matrices per J-cell, exact rank and determinant via sparse integer
 elimination, closed-form predictions, and the full-rank condition check.
 
 The entry for a (row, column) pair of half diagrams (top, bottom) is the
@@ -34,16 +34,17 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import attrgetter
 
 from . import algebra
-from .algebra import _summed, evaluate_closed
+from .algebra import _code, _summed, evaluate_closed
 from .cells import enumerate_half_diagrams
 from .diagram import Diagram, _star_layout, factorize, render_diagram, star, through_strands
 from .errors import PRINTABLE_BITS, InternalCheckError, PreconditionError, check_guard
 from .families import Family, check_lambda
-from .msmall import _group, _index_components, m_code, wreath_mul
+from .msmall import _cycles, _group, _index_components, m_code, wreath_mul
 from .params import ParamSet, Rat, format_rational, monoid_params_of
 from .repcount import dim_left_cell
 
@@ -143,9 +144,9 @@ def _gram_blocks(halves, n, lam, ps, mp) -> tuple:
         # component count and radix it names one product in the matrix
         radix = _largest(top_closed) + _largest(bottom_closed) + 1
         table = products.setdefault((len(closed), radix), {})
-        bcodes = [(c, _code(b, radix), b) for c, b in bottom_closed.items()]
+        bcodes = [(c, _code(chain.from_iterable(b), radix), b) for c, b in bottom_closed.items()]
         for r, t in top_closed.items():
-            row, tcode = square[r], _code(t, radix)
+            row, tcode = square[r], _code(chain.from_iterable(t), radix)
             for c, bcode, b in bcodes:
                 x = table.get(tcode + bcode)
                 if x is None:
@@ -169,14 +170,6 @@ def _sums(halves, pos, idx, parts) -> dict[int, tuple]:
 
 def _largest(sums) -> int:
     return max((v for decs in sums.values() for dec in decs for v in dec), default=0)
-
-
-def _code(decs, radix) -> int:
-    """The (h, mob) pairs as the digits of one number in base radix."""
-    code = 0
-    for h, mob in decs:
-        code = (code * radix + h) * radix + mob
-    return code
 
 
 def _check_pair_keys(members, square, top_through, bottom_through, ps, mp, walked) -> None:
@@ -239,12 +232,12 @@ def _check_regular_power(w_mid, mp) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact rank / determinant: blocks, Kronecker factors, fraction-free Bareiss
+# exact rank / determinant: blocks, Kronecker factors, sparse elimination
 # ---------------------------------------------------------------------------
 
 
 def exact_rank(mat) -> RankReport:
-    """Rank by integer fraction-free elimination; determinant when square.
+    """Rank by exact sparse integer elimination; determinant when square.
 
     A GramMatrix is taken by its stored blocks, and square rows as one
     block; rows that are not square are scaled to integers and
@@ -263,12 +256,23 @@ def exact_rank(mat) -> RankReport:
       det(A')^b det(B)^k.  Hence det(W) = det(A')^b det(B)^k / piv^N;
       W is an integer matrix, so its determinant is an integer and the
       division is exact.
-    * Pattern split.  A block or factor that does not split is split
-      into the connected components of its nonzero pattern (i ~ j when
-      entry (i, j) or (j, i) is nonzero), and Bareiss eliminates each.
-      Permuting rows and columns alike puts it in block-diagonal form
-      without changing the determinant, so ranks add and determinants
-      multiply over the components.
+    * Sparse elimination.  A block or factor that does not split, and
+      rows that are not square, go to ``_eliminate``, which keeps each
+      row as a {column: entry} dict of its nonzero entries.  Each step
+      takes the first of the rows with the fewest nonzeros as the pivot
+      row, and its least column c, with entry piv, as the pivot column.
+      Every other row with head h at c becomes the primitive row along
+      a row - b prow, where g = gcd(piv, h), a = piv / g and b = h / g;
+      a row that cancels to 0 leaves.  That multiplies the determinant
+      by a / content, and the pivot rows, each 0 at the pivot columns
+      before its own, are triangular with each row at its pivot column.
+      So det = sign prod(piv) prod(content) / prod(a), exactly, with
+      sign that of the permutation taking each row to its pivot column;
+      the rank is the number of pivots, and det is 0 below full rank.
+      A row changes only when it shares the pivot column with the pivot
+      row, and then only within the two rows' columns, so rows of two
+      components of the nonzero pattern never meet: a block-diagonal
+      matrix, in any order, costs what its components cost.
 
     Within one call, a block of the same entry objects as an earlier one
     (as the kernel's shared products give equal blocks) reuses its
@@ -286,7 +290,7 @@ def exact_rank(mat) -> RankReport:
             raise PreconditionError("matrix rows have unequal lengths")
         if width != len(rows):  # no determinant, so the row scales go unused
             work, _ = _integer_rows(rows)
-            return RankReport(_eliminate(list(map(list, work)))[0])
+            return RankReport(_eliminate(work)[0])
         squares = [rows]
     rank, det, scale = 0, 1, 1
     converted: dict = {}  # entry ids (the squares keep them alive) -> _integer_rows
@@ -305,14 +309,13 @@ def exact_rank(mat) -> RankReport:
 
 def _rank_det(work, eliminated) -> tuple[int, int]:
     """(rank, det) of square integer rows through a Kronecker split when
-    one holds, else per pattern component (see ``exact_rank``), memoized
-    in eliminated."""
+    one holds, else by ``_eliminate`` (see ``exact_rank``), memoized in
+    eliminated."""
     found = eliminated.get(work)
     if found is None:
         split = _kronecker_split(work)
         if split is None:
-            comps = [_eliminate([[work[i][j] for j in c] for i in c]) for c in _pattern_components(work)]
-            found = sum(r for r, _ in comps), prod(d for _, d in comps)
+            found = _eliminate(work)
         else:
             a, b, piv = split
             (rank_a, det_a), (rank_b, det_b) = _rank_det(a, eliminated), _rank_det(b, eliminated)
@@ -354,13 +357,6 @@ def _kronecker_split(work):
     return None
 
 
-def _pattern_components(rows) -> list[list[int]]:
-    """Index sets of the connected components of a square matrix's nonzero
-    pattern, each ascending, in order of their least index."""
-    edges = ((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
-    return _index_components(len(rows), edges)
-
-
 def _integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], Fraction]:
     """Each row of int or Fraction entries as the primitive integer row
     along it (times the lcm of its denominators, then over the gcd of
@@ -387,53 +383,45 @@ def _integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], Fraction]:
     return tuple(work), Fraction(scale, content)
 
 
-def _eliminate(work: list[list[int]]) -> tuple[int, int | None]:
-    """Rank of integer rows by Bareiss elimination in place, and the
-    determinant when square."""
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    sign = 1
-    prev = 1
-    rank = 0
-    for step in range(min(nrows, ncols)):
-        piv = _find_pivot(work, step, nrows, ncols)
-        if piv is None:
-            break
-        pr, pc = piv
-        if pr != step:
-            work[step], work[pr] = work[pr], work[step]
-            sign = -sign
-        if pc != step:
-            for row in work:
-                row[step], row[pc] = row[pc], row[step]
-            sign = -sign
-        pivot = work[step][step]
-        for r in range(step + 1, nrows):
-            head = work[r][step]
-            row = work[r]
-            prow = work[step]
-            if head == 0:
-                # Bareiss still rescales skipped rows by pivot/prev exactly
-                for c in range(step + 1, ncols):
-                    row[c] = row[c] * pivot // prev
-            else:
-                for c in range(step + 1, ncols):
-                    row[c] = (row[c] * pivot - head * prow[c]) // prev
-                row[step] = 0
-        prev = pivot
-        rank += 1
-    if nrows != ncols:
-        return rank, None
-    return rank, sign * prev if rank == nrows else 0
-
-
-def _find_pivot(work, step, nrows, ncols):
-    for r in range(step, nrows):
-        row = work[r]
-        for c in range(step, ncols):
-            if row[c] != 0:
-                return r, c
-    return None
+def _eliminate(work) -> tuple[int, int | None]:
+    """Rank of integer rows by sparse elimination (see ``exact_rank``),
+    and the determinant when square."""
+    # row index -> {column: entry} of its nonzero entries, zero rows left out
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(work) if any(row)}
+    col_of, num, den = {}, 1, 1  # det = sign * num / den
+    while rows:
+        p = min(rows, key=lambda i: len(rows[i]))  # the first of the sparsest
+        prow = rows.pop(p)
+        c = min(prow)
+        piv = prow[c]
+        col_of[p], num = c, num * piv
+        for i, row in list(rows.items()):
+            h = row.get(c)
+            if h is None:
+                continue
+            g = gcd(piv, h)
+            a, b = piv // g, h // g
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
+            for j, y in prow.items():
+                x = row.get(j, 0) - b * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            if not row:
+                del rows[i]
+                continue
+            content = gcd(*row.values())
+            rows[i] = row if content == 1 else {j: x // content for j, x in row.items()}
+            num, den = num * content, den * a
+    n = len(work)
+    if n != (len(work[0]) if work else 0):
+        return len(col_of), None
+    if len(col_of) < n:
+        return len(col_of), 0
+    sign = (-1) ** (n - len(_cycles(tuple([col_of[i] + 1 for i in range(n)]))))
+    return n, sign * num // den
 
 
 # ---------------------------------------------------------------------------

@@ -349,14 +349,51 @@ def gram_entry(bottom: Diagram, top: Diagram, ps, mp) -> Fraction:
 
 def dense_rank(rows) -> gram.RankReport:
     """Rank, and the determinant when square, by one dense fraction-free
-    elimination of the whole matrix, its rows scaled to integers first:
-    the oracle for ``exact_rank``'s block-wise path."""
+    (Bareiss) elimination of the whole matrix, its rows scaled to
+    integers first: the oracle for ``exact_rank``'s block-wise sparse
+    path, which shares none of this elimination."""
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise PreconditionError("matrix rows have unequal lengths")
     work, scale = gram._integer_rows(rows)
-    rank, det = gram._eliminate(list(map(list, work)))
+    rank, det = _bareiss(list(map(list, work)))
     return gram.RankReport(rank=rank, det=None if det is None else Fraction(det, scale))
+
+
+def _bareiss(work: list[list[int]]) -> tuple[int, int | None]:
+    """Rank of integer rows by Bareiss elimination in place, and the
+    determinant when square."""
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    sign = 1
+    prev = 1
+    rank = 0
+    for step in range(min(nrows, ncols)):
+        cells = ((r, c) for r in range(step, nrows) for c in range(step, ncols))
+        piv = next(((r, c) for r, c in cells if work[r][c]), None)
+        if piv is None:
+            break
+        pr, pc = piv
+        if pr != step:
+            work[step], work[pr] = work[pr], work[step]
+            sign = -sign
+        if pc != step:
+            for row in work:
+                row[step], row[pc] = row[pc], row[step]
+            sign = -sign
+        pivot = work[step][step]
+        prow = work[step]
+        for row in work[step + 1:]:
+            head = row[step]
+            # a row whose head is 0 is still rescaled by pivot/prev, exactly
+            for c in range(step + 1, ncols):
+                row[c] = (row[c] * pivot - head * prow[c]) // prev
+            row[step] = 0
+        prev = pivot
+        rank += 1
+    if nrows != ncols:
+        return rank, None
+    return rank, sign * prev if rank == nrows else 0
 
 
 def cayley_from_op(elements, op) -> CayleyMonoid:

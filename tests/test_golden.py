@@ -3,7 +3,8 @@ to the sha256 digest of the `result` part of its `--stable` document (of
 stdout for CSV output), or, for an error exit, to the exit code and the
 digest of stderr.  The `input` part is left out because it echoes the
 parameter file's temporary path.  Its "tier1" cases run here; its "ci"
-cases, Gram matrices of dimension 101 to 400, run in CI through
+cases, Gram matrices of dimension 101 to 400 and four K = 3 cells of
+972 to 981 rows, run in CI through
 
     python tests/test_golden.py check ci
 
@@ -158,6 +159,11 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     for f in ("rook", "planar-rook"):
         add("gram", "--family", f, "--n", "3", "--lambda", "0", "--params", "@pK3.json",
             "--no-matrix")
+    # the other n=3 lambda=0 cells at K = 3, 972 to 981 rows, have no such
+    # split: sparse elimination ranks each in 4 to 6 s, Bareiss took 85 to 106 s
+    for f in ("partition", "planar-partition", "rook-brauer", "motzkin"):
+        add("gram", "--family", f, "--n", "3", "--lambda", "0", "--params", "@pK3.json",
+            "--no-matrix", tier="ci")
     add("compose", "1;1;{1,1'}[3000,0]", "1;1;{1,1'}[0,0]", "--params", "@p211.json")
     add("compose", "1;1;{1,1'}[40,0]", "1;1;{1,1'}[0,0]", "--params", "@nonmonomial.json")
     # a dim-1 cell whose closed form cuts its series after one term

@@ -25,11 +25,11 @@ from moebius.gram import (
     RankReport,
     _integer_rows,
     _kronecker_split,
-    _pattern_components,
     gram_to_csv,
     gram_to_json,
     mob_grouped_order,
 )
+from moebius.msmall import _index_components
 from moebius.params import format_rational, monoid_params_of
 from moebius.repcount import dim_left_cell
 
@@ -235,7 +235,7 @@ def test_exact_rank_edge_cases():
 
 
 def _gauss_rank_oracle(rows):
-    # plain rational Gaussian elimination, independent of Bareiss
+    # plain rational Gaussian elimination, independent of both eliminators
     m = [list(map(Fraction, r)) for r in rows]
     rank = 0
     cols = len(m[0]) if m else 0
@@ -293,13 +293,29 @@ def test_blockwise_rank_matches_one_elimination():
     for _ in range(150):
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 6))]
         mat = _hidden_block_diagonal(rng, sizes)
-        split += len(_pattern_components(mat)) > 1
+        edges = ((i, j) for i, row in enumerate(mat) for j, x in enumerate(row) if x)
+        split += len(_index_components(len(mat), edges)) > 1
         rep = exact_rank(mat)
         assert rep == dense_rank(mat)
         singular += rep.det == 0
     assert split > 100 and 20 < singular < 130
-    for mat in ([], [[Fraction(0)]], [[Fraction(-5, 3)]], [[0, 0], [0, 0]], [[0, 1], [0, 0]]):
-        assert exact_rank(mat) == dense_rank(mat)
+    # the det's sign comes from the pivot order alone on permutation
+    # matrices, odd then even; the third row cancels to 0 partway through;
+    # and a wide and a tall matrix have a zero column
+    fixed = (
+        [], [[Fraction(0)]], [[Fraction(-5, 3)]], [[0, 0], [0, 0]], [[0, 1], [0, 0]],
+        [[0, Fraction(-2, 3), 0], [5, 0, 0], [0, 0, -7]],
+        [[0, 0, Fraction(-3, 2)], [-4, 0, 0], [0, 6, 0]],
+        [[2, 1, 0, 0], [0, 3, 1, 0], [4, 5, 1, 0], [0, 0, 1, Fraction(7, 2)]],
+        [[1, 0, 2, -3], [2, 0, 4, Fraction(1, 3)]],
+        [[0, 1], [0, -2], [0, Fraction(1, 2)]],
+    )
+    for mat in fixed:
+        assert exact_rank(mat) == dense_rank(mat), mat
+    assert [exact_rank(mat) for mat in fixed[5:]] == [
+        RankReport(3, Fraction(-70, 3)), RankReport(3, Fraction(36)), RankReport(3, 0),
+        RankReport(2), RankReport(1),
+    ]
 
 
 # (family, n, lambda, K) cells whose Gram matrices are small enough to
@@ -512,7 +528,7 @@ def test_integer_rows_match_the_per_entry_path():
 def test_kronecker_products_split_and_rank_as_one_elimination():
     # A (x) B and A (x) B (x) C, factors of size 1 to 4, rank and det as
     # one dense elimination does; and with one entry moved off the
-    # product, the matrix falls back to the pattern split and Bareiss
+    # product, the matrix falls back to sparse elimination
     rng = random.Random(29)
     split = fell_back = singular = 0
     for trial in range(120):
@@ -549,7 +565,7 @@ def test_the_split_checks_every_entry_of_the_dense_rook_block():
 
 def test_a_rook_cell_eliminates_only_its_one_strand_factor(monkeypatch):
     # the 81 x 81 block splits down to 3 x 3 pieces, all the same, so
-    # Bareiss runs once, on a 3 x 3
+    # _eliminate runs once, on a 3 x 3
     pieces = []
 
     def recording(work):

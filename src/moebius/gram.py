@@ -13,8 +13,12 @@ decorations.  So the kernel takes one ``algebra._topology`` layout per
 ordered pair of half shapes, and leaves a pair with fewer than lambda
 through components at 0.  The other pairs join the shape groups into
 blocks, and their entries are written straight into each block's square
-from the halves' decoration sums per component.  One table per matrix
-holds each distinct product of closed components' values, formed once.
+from the halves' decoration sums per component, each (shape group,
+components) sum taken once.  One table per matrix holds each distinct
+product of closed components' values, each formed from the product one
+component shorter times the last component's value.  A block of one
+shape group is fixed by its pair's closed count, radix and the halves'
+codes, so equal such blocks are formed once and share one square.
 
 The pseudo-idempotent exists because the middle w of the composite
 always has an m with m w m = m among its own powers: if w has index i
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import attrgetter
 
 from . import algebra
@@ -99,8 +103,14 @@ def _gram_blocks(halves, n, lam, ps, mp) -> tuple:
     ``algebra._topology``, from the star's shape (``diagram._star_layout``
     maps its blocks back to the top's) and the bottom's.  A pair with
     fewer than lam through components stays 0; the kept pairs join the
-    groups into blocks, each with one square, and each kept pair's entries
-    go straight into its block's square."""
+    groups into blocks, and each kept pair's entries go straight into its
+    block's square, made when the block's first pair fills it.
+
+    A block of one shape group has one kept pair, the group with itself,
+    and its square is fixed by the pair's closed count, radix and the
+    halves' closed codes in place order: a later such pair with the same
+    key takes the earlier square, so equal blocks are one object.  Every
+    kept pair's regularity check still runs on its own members."""
     grouped = _group(enumerate(map(_shape, halves)))  # shape -> its halves' indices
     groups = list(grouped.values())
     kept = []  # (top group, bottom group, star layout, through, closed)
@@ -117,9 +127,11 @@ def _gram_blocks(halves, n, lam, ps, mp) -> tuple:
     index_sets = [tuple(sorted(i for a in comp for i in groups[a])) for comp in comps]
     pos = {i: p for idx in index_sets for p, i in enumerate(idx)}  # half -> place in its block
     members = [[halves[i] for i in idx] for idx in index_sets]
-    squares = [[[_ZERO] * len(idx) for _ in idx] for idx in index_sets]
+    squares: list = [None] * len(comps)
+    filled: dict = {}  # key of a one-group block -> its square
+    summed: dict = {}  # (group, parts) -> _sums
     values: dict[tuple[int, int], Rat] = {}  # summed closed decoration -> value
-    products: dict = {}  # (closed components, radix) -> summed code -> entry
+    products: dict = {}  # (closed components, radix) -> summed code -> product
     walked: set = set()  # middles already walked, for this call only
 
     def value(dec):
@@ -128,35 +140,63 @@ def _gram_blocks(halves, n, lam, ps, mp) -> tuple:
             x = values[dec] = evaluate_closed(dec, ps)
         return x
 
+    def product(count, radix, code):
+        # the product of count closed components' values, code their summed
+        # (h, mob) digits in radix; the last component's two digits are the
+        # lowest, so it is the product one component shorter times one value
+        table = products.setdefault((count, radix), {})
+        x = table.get(code)
+        if x is None:
+            if count == 0:
+                x = _ONE
+            else:
+                prefix, last = divmod(code, radix * radix)
+                x = product(count - 1, radix, prefix) * value(divmod(last, radix))
+            table[code] = x
+        return x
+
+    def sums(group, parts):
+        key = group, tuple(map(tuple, parts))
+        found = summed.get(key)
+        if found is None:
+            found = summed[key] = _sums(halves, pos, groups[group], parts)
+        return found
+
     for top, bottom, layout, through, closed in kept:
-        offset, square = len(layout), squares[block_of[top]]
+        offset, k = len(layout), block_of[top]
 
-        def sums(comps):
+        def pair_sums(comps):
             # (top place -> sums, bottom place -> sums) over comps
-            top_parts = [[layout[i][1] for i in c if i < offset] for c in comps]
-            bottom_parts = [[i - offset for i in c if i >= offset] for c in comps]
-            return (_sums(halves, pos, groups[top], top_parts),
-                    _sums(halves, pos, groups[bottom], bottom_parts))
+            return (sums(top, [[layout[i][1] for i in c if i < offset] for c in comps]),
+                    sums(bottom, [[i - offset for i in c if i >= offset] for c in comps]))
 
-        top_closed, bottom_closed = sums(closed)
+        top_closed, bottom_closed = pair_sums(closed)
         # digits below radix: a top's code plus a bottom's is the code of
         # their summed closed decorations, with no carry, so with the
         # component count and radix it names one product in the matrix
         radix = _largest(top_closed) + _largest(bottom_closed) + 1
-        table = products.setdefault((len(closed), radix), {})
-        bcodes = [(c, _code(chain.from_iterable(b), radix), b) for c, b in bottom_closed.items()]
-        for r, t in top_closed.items():
-            row, tcode = square[r], _code(chain.from_iterable(t), radix)
-            for c, bcode, b in bcodes:
-                x = table.get(tcode + bcode)
-                if x is None:
-                    x = table[tcode + bcode] = prod(
-                        [value((th + bh, tm + bm)) for (th, tm), (bh, bm) in zip(t, b)],
-                        start=_ONE,
-                    )
-                row[c] = x
-        _check_pair_keys(members[block_of[top]], square, *sums(through), ps, mp, walked)
-    return tuple(zip(index_sets, (tuple(map(tuple, square)) for square in squares)))
+        tcodes = [(r, _code(chain.from_iterable(t), radix)) for r, t in top_closed.items()]
+        bcodes = [(c, _code(chain.from_iterable(b), radix)) for c, b in bottom_closed.items()]
+        alone = len(comps[k]) == 1  # its one kept pair is the group with itself
+        key = (len(closed), radix, tuple([code for _, code in tcodes]),
+               tuple([code for _, code in bcodes]))
+        square = filled.get(key) if alone else None
+        if square is None:
+            size = len(index_sets[k])
+            square = squares[k] or [[_ZERO] * size for _ in range(size)]
+            table = products.setdefault((len(closed), radix), {})
+            for r, tcode in tcodes:
+                row = square[r]
+                for c, bcode in bcodes:
+                    x = table.get(tcode + bcode)
+                    row[c] = product(len(closed), radix, tcode + bcode) if x is None else x
+            if alone:
+                square = filled[key] = tuple(map(tuple, square))
+        squares[k] = square
+        _check_pair_keys(members[k], square, *pair_sums(through), ps, mp, walked)
+    return tuple(zip(index_sets, [
+        square if isinstance(square, tuple) else tuple(map(tuple, square)) for square in squares
+    ]))
 
 
 def _shape(half: Diagram) -> tuple:
@@ -274,12 +314,15 @@ def exact_rank(mat) -> RankReport:
       components of the nonzero pattern never meet: a block-diagonal
       matrix, in any order, costs what its components cost.
 
-    Within one call, a block of the same entry objects as an earlier one
-    (as the kernel's shared products give equal blocks) reuses its
-    integer rows, and any block or factor with the same integer rows as
-    an earlier one reuses its (rank, det); a block's own row scales still
-    divide the determinant.  So the 3K x 3K one-strand factor of every
-    block of a rook cell is eliminated once.
+    Within one call, a block whose square is the very object of an
+    earlier block's (as the kernel shares equal one-shape blocks) reuses
+    its integer rows without reading the square again; a block of the
+    same entry objects as an earlier one (as the kernel's shared products
+    give equal blocks) reuses them too; and any block or factor with the
+    same integer rows as an earlier one reuses its (rank, det).  A
+    block's own row scales still divide the determinant.  So the 3K x 3K
+    one-strand factor of every block of a rook cell is eliminated once,
+    and the rook cell's one shared square is converted once.
     """
     if isinstance(mat, GramMatrix):
         squares = [square for _, square in mat.blocks]
@@ -293,13 +336,17 @@ def exact_rank(mat) -> RankReport:
             return RankReport(_eliminate(work)[0])
         squares = [rows]
     rank, det, scale = 0, 1, 1
+    shared: dict = {}  # square ids (mat.blocks keeps them alive) -> _integer_rows
     converted: dict = {}  # entry ids (the squares keep them alive) -> _integer_rows
     eliminated: dict = {}  # integer rows, of blocks and their factors -> (rank, det)
     for square in squares:
-        ids = tuple([tuple(map(id, row)) for row in square])
-        if ids not in converted:
-            converted[ids] = _integer_rows(square)
-        work, block_scale = converted[ids]
+        found = shared.get(id(square))
+        if found is None:
+            ids = tuple([tuple(map(id, row)) for row in square])
+            if ids not in converted:
+                converted[ids] = _integer_rows(square)
+            found = shared[id(square)] = converted[ids]
+        work, block_scale = found
         scale *= block_scale
         block_rank, block_det = _rank_det(work, eliminated)
         rank += block_rank

@@ -3,8 +3,9 @@ to the sha256 digest of the `result` part of its `--stable` document (of
 stdout for CSV output), or, for an error exit, to the exit code and the
 digest of stderr.  The `input` part is left out because it echoes the
 parameter file's temporary path.  Its "tier1" cases run here; its "ci"
-cases, Gram matrices of dimension 101 to 400 and four K = 3 cells of
-972 to 981 rows, run in CI through
+cases, Gram matrices of dimension 101 to 400, four K = 3 cells of
+972 to 981 rows and four rook and planar rook cells of many equal
+blocks, run in CI through
 
     python tests/test_golden.py check ci
 
@@ -164,6 +165,12 @@ def corpus_argvs() -> list[tuple[list[str], str]]:
     for f in ("partition", "planar-partition", "rook-brauer", "motzkin"):
         add("gram", "--family", f, "--n", "3", "--lambda", "0", "--params", "@pK3.json",
             "--no-matrix", tier="ci")
+    # cells of many equal one-shape blocks, each formed once and shared:
+    # planar rook n=4 lambda=2 at K = 3 has 486 rows and a 195-digit det
+    for f, n, params in (("rook", "5", "@p211.json"), ("planar-rook", "5", "@p211.json"),
+                         ("rook", "4", "@pK2.json"), ("planar-rook", "4", "@pK3.json")):
+        add("gram", "--family", f, "--n", n, "--lambda", "2", "--params", params, "--no-matrix",
+            tier="ci")
     add("compose", "1;1;{1,1'}[3000,0]", "1;1;{1,1'}[0,0]", "--params", "@p211.json")
     add("compose", "1;1;{1,1'}[40,0]", "1;1;{1,1'}[0,0]", "--params", "@nonmonomial.json")
     # a dim-1 cell whose closed form cuts its series after one term

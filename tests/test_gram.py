@@ -1,6 +1,7 @@
 """Gram matrices, exact rank/determinant, closed forms, and block structure."""
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -396,23 +397,72 @@ def test_blockwise_rank_on_gram_grid():
 @pytest.mark.parametrize("abc, rank", [((1, 1, 0), 270), ((1, 1, 1), 10)])
 def test_headline_stores_only_its_kernel_blocks(abc, rank, monkeypatch):
     # 10 of the 100 pairs of half shapes survive, each a 27x27 block: the
-    # matrix stores 7,290 entries, not 72,900, and rank forms no others.
-    # Each block's 729 entries take the same 125 distinct products, formed
-    # once for the matrix (not 1,250 times), and the ten equal blocks take
-    # one elimination.
-    calls = {"prod": 0, "_eliminate": 0}
+    # blocks hold 7,290 entries, not 72,900, and rank forms no others.  The
+    # ten blocks are equal, so the kernel fills one square and every block
+    # holds it.  Its 729 entries take 125 distinct products of three closed
+    # values, each formed from one of the 25 products of two, and those
+    # from the 5 single values: 155 multiplications for the matrix.  Rank
+    # converts the shared square to integer rows once and eliminates once.
+    made = _counting_products(monkeypatch)
+    calls = {"_integer_rows": 0, "_eliminate": 0}
     for name in calls:
         monkeypatch.setattr(gram, name, _counting(calls, name, getattr(gram, name)))
     g = gram_matrix(Family.ROOK, 5, 2, geometric(*abc))
-    assert calls == {"prod": 125, "_eliminate": 0}
+    assert _product_lengths(made) == {1: 5, 2: 25, 3: 125}
+    assert calls == {"_integer_rows": 0, "_eliminate": 0}
     assert [len(idx) for idx, _ in g.blocks] == [27] * 10
+    assert all(g.blocks[i][1] is g.blocks[0][1] for i in range(10))
     assert sum(len(row) for _, square in g.blocks for row in square) == 7_290
     report = exact_rank(g)
-    assert calls["_eliminate"] == 1
+    assert calls == {"_integer_rows": 1, "_eliminate": 1}
     assert "entries" not in vars(g)  # the dense view is formed when first read
     assert report.rank == rank
     assert report == dense_rank(g.entries)
     assert len(g.entries) == 270 and "entries" in vars(g)
+
+
+def test_each_product_extends_the_one_a_component_shorter(monkeypatch):
+    # rook n=4 lambda=0 is one 81x81 block whose entries are products of
+    # four closed values: 625 distinct ones, each the product of its first
+    # three times the fourth value, down to the 5 single values, so the
+    # matrix makes 625 + 125 + 25 + 5 = 780 multiplications, not 4 x 625
+    made = _counting_products(monkeypatch)
+    g = gram_matrix(Family.ROOK, 4, 0, geometric(2, 1, 3))
+    assert _product_lengths(made) == {1: 5, 2: 25, 3: 125, 4: 625}
+    assert len(made) == 780
+    assert len({id(x) for _, square in g.blocks for row in square for x in row}) == 625
+    assert exact_rank(g) == RankReport(81, gram_det_closed_form_rook0(4, 2, 1, 3))
+
+
+def test_blocks_of_several_shape_groups_keep_their_own_squares():
+    # Motzkin n=4 lambda=2 has a block of six shape groups, filled by many
+    # kept pairs, and three blocks of one group each, equal here: only the
+    # one-group blocks share a square
+    g = gram_matrix(Family.MOTZKIN, 4, 2, geometric(2, 1, 3))
+    shapes = [tuple(nodes for nodes, _, _ in half.blocks) for half in g.labels]
+    assert [len({shapes[i] for i in idx}) for idx, _ in g.blocks] == [6, 1, 1, 1]
+    squares = [square for _, square in g.blocks]
+    assert squares[1] is squares[2] is squares[3] is not squares[0]
+    assert exact_rank(g) == dense_rank(g.entries)
+
+
+def test_exact_rank_reads_a_shared_square_once():
+    # ten blocks that hold one square object: it is read once for its
+    # entries' ids and once into integer rows, and not again for the others
+    g = gram_matrix(Family.ROOK, 5, 2, geometric(1, 1, 0))
+    reads = []
+
+    class Square(tuple):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    square = Square(g.blocks[0][1])
+    shared = GramMatrix(g.family, g.n, g.lambda_ts, g.labels,
+                        tuple((idx, square) for idx, _ in g.blocks))
+    report = exact_rank(shared)
+    assert len(reads) == 2
+    assert report == exact_rank(g) and report.rank == 270
 
 
 def _counting(calls, name, fn):
@@ -421,6 +471,31 @@ def _counting(calls, name, fn):
         return fn(*args, **kwargs)
 
     return counted
+
+
+def _counting_products(monkeypatch):
+    """The kernel's closed values, made to record each multiplication by
+    one of them as (the other factor, the product)."""
+    made = []
+
+    class Value(Fraction):
+        def __rmul__(self, other):
+            x = Fraction.__rmul__(self, other)
+            made.append((other, x))
+            return x
+
+    evaluate = gram.evaluate_closed
+    monkeypatch.setattr(gram, "evaluate_closed", lambda dec, ps: Value(evaluate(dec, ps)))
+    return made
+
+
+def _product_lengths(made) -> dict:
+    """Closed values in a product -> the products formed: each product
+    has one more than its other factor, and gram._ONE has none."""
+    length = {id(gram._ONE): 0}
+    for other, x in made:
+        length[id(x)] = length[id(other)] + 1
+    return dict(Counter(length[id(x)] for _, x in made))
 
 
 def test_equal_blocks_are_eliminated_once_and_each_keeps_its_scale(monkeypatch):
@@ -952,6 +1027,9 @@ def test_one_composition_per_distinct_composite(monkeypatch):
 @pytest.mark.parametrize("family, n, lam, label, counts", [
     (Family.PARTITION, 3, 2, "K3", (114, 114, 34)),
     (Family.BRAUER, 4, 2, "K2", (150, 150, 22)),
+    # three equal one-group blocks: the two that take the first's square
+    # are still checked on their own halves
+    (Family.ROOK, 3, 1, "K2", (3, 3, 1)),
 ])
 def test_pair_keys_check_as_many_composites_and_middles(monkeypatch, family, n, lam, label, counts):
     # keys coded as M's Cayley indices dedupe exactly as keys of M's
